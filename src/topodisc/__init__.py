@@ -20,8 +20,6 @@ from .core import (  # noqa: F401
     SwitchId,
     decode_scenario,
     encode_scenario,
-    load_scenario,
-    save_scenario,
     validate_scenario,
 )
 

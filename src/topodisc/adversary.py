@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    ATTACK_KINDS,
     AttackDecl,
     LldpFrame,
     PortRef,
@@ -58,18 +59,14 @@ class AttackVerdict:
                 "evidence": self.evidence}
 
 
-def _dur(value) -> SimTime:
-    return parse_duration(value) if isinstance(value, str) else int(value)
-
-
 def attack_span(decl) -> SimTime:
     """Sim time from launch until the verdict is recorded.  Used by the
     harness to size its default horizon so verdicts always land."""
     p = decl.params
     if "duration" in p:
-        span = _dur(p["duration"])
+        span = parse_duration(p["duration"])
     else:
-        span = (int(p.get("count", 1)) - 1) * _dur(p.get("spacing", 0))
+        span = (int(p.get("count", 1)) - 1) * parse_duration(p.get("spacing", 0))
     return span + VERDICT_SETTLE
 
 
@@ -112,7 +109,7 @@ def _ever_added_touching(sim, ports: set[PortRef]) -> int:
 
 def _launch_spoof(sim, params: dict) -> None:
     port: PortRef = params["observe"]
-    duration = _dur(params.get("duration", "3s"))
+    duration = parse_duration(params.get("duration", "3s"))
     seen: list[LldpFrame] = []
     sim.add_host_observer(
         port, lambda p, f: seen.append(f) if isinstance(f, LldpFrame) else None)
@@ -139,7 +136,7 @@ def _launch_inject(sim, params: dict) -> None:
     inject_port: PortRef = params["inject"]
     victim: PortRef = params["victim_port"]
     count = int(params.get("count", 3))
-    spacing = _dur(params.get("spacing", "500ms"))
+    spacing = parse_duration(params.get("spacing", "500ms"))
     victim_mac = sim.spec.switch(victim.dpid).id.local_mac
     forged = LldpFrame(chassis_id=victim_mac.encode(),
                        port_id=str(victim).encode(),
@@ -170,8 +167,8 @@ def _launch_relay(sim, params: dict) -> None:
     pairs = [(params["observe"], params["inject"])]
     if "observe_b" in params:
         pairs.append((params["observe_b"], params["inject_b"]))
-    tunnel = _dur(params.get("tunnel_delay", "1ms"))
-    duration = _dur(params.get("duration", "3s"))
+    tunnel = parse_duration(params.get("tunnel_delay", "1ms"))
+    duration = parse_duration(params.get("duration", "3s"))
     deadline = sim.engine.now + duration
     state = {"relayed": 0}
 
@@ -211,7 +208,7 @@ def _launch_relay(sim, params: dict) -> None:
 def _launch_flood(sim, params: dict) -> None:
     port: PortRef = params["inject"]
     rate = int(params.get("rate", 10_000))
-    duration = _dur(params.get("duration", "1s"))
+    duration = parse_duration(params.get("duration", "1s"))
     start = sim.engine.now
     n_frames = max(1, rate * duration // SEC)
     spacing = duration // n_frames
@@ -248,7 +245,7 @@ def _launch_flood(sim, params: dict) -> None:
 
 def _launch_fingerprint(sim, params: dict) -> None:
     port: PortRef = params["observe"]
-    duration = _dur(params.get("duration", "3500ms"))
+    duration = parse_duration(params.get("duration", "3500ms"))
     start = sim.engine.now
     seen: list[tuple[SimTime, LldpFrame]] = []
     sim.add_host_observer(
@@ -295,15 +292,8 @@ def _launch_fingerprint(sim, params: dict) -> None:
     sim.engine.schedule(duration, "attack_verdict", verdict)
 
 
-_LAUNCHERS = {
-    "spoof": _launch_spoof,
-    "inject": _launch_inject,
-    "relay": _launch_relay,
-    "flood": _launch_flood,
-    "fingerprint": _launch_fingerprint,
-}
-
-ATTACK_KINDS = tuple(sorted(_LAUNCHERS))
+# one launcher per kind, named _launch_<kind>
+_LAUNCHERS = {kind: globals()[f"_launch_{kind}"] for kind in ATTACK_KINDS}
 
 
 def launch(sim, decl: AttackDecl) -> None:

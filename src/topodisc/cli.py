@@ -14,7 +14,6 @@ leaves a truncated result behind.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -24,15 +23,18 @@ from typing import Optional
 
 from . import scenarios
 from .core import (
+    ATTACK_KINDS,
+    AttackStart,
     LinkAdd,
     LinkRemove,
     Protocol,
     ScenarioSpec,
     SEC,
     decode_scenario,
+    parse_duration,
 )
 from .harness import Simulation
-from .metrics import measure, to_csv_text
+from .metrics import to_csv_text
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -91,9 +93,14 @@ def trace_ndjson(trace) -> str:
 
 
 def _parse_until(value: Optional[str]):
+    """``--until`` is decimal seconds, converted exactly to ns."""
     if value is None:
         return None
-    return int(float(value) * SEC)
+    try:
+        return parse_duration(value + "s")
+    except ValueError:
+        raise ScenarioError(
+            f"--until: expected decimal seconds such as 2.5, got {value!r}")
 
 
 def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
@@ -109,13 +116,14 @@ def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
 # run
 
 def cmd_run(args) -> int:
+    until = _parse_until(args.until)
     name, spec = load_scenario(args.scenario, args.seed or 0)
     spec = _apply_overrides(spec, args)
     try:
         sim = Simulation(spec, name=name)
     except ValueError as exc:
         raise ScenarioError(str(exc))
-    sim.run(_parse_until(args.until))
+    sim.run(until)
     report = sim.report()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -186,11 +194,8 @@ def cmd_compare(args) -> int:
         if n == 1 or n < 0:
             raise ScenarioError(f"size {n} not buildable: use 0 or >= 2")
     seed = args.seed or 0
-    cells = [(n, proto) for n in sizes for proto in
-             (Protocol.OFDP, Protocol.OFDPV2, Protocol.SOFTDP)]
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(8, len(cells))) as pool:
-        rows = list(pool.map(lambda c: _compare_cell(c[0], c[1], seed), cells))
+    rows = [_compare_cell(n, proto, seed) for n in sizes for proto in
+            (Protocol.OFDP, Protocol.OFDPV2, Protocol.SOFTDP)]
 
     by_key = {(r["n"], r["protocol"]): r for r in rows}
     violations = []
@@ -227,12 +232,13 @@ def cmd_compare(args) -> int:
 # attack
 
 def cmd_attack(args) -> int:
+    until = _parse_until(args.until)
     protocol = PROTOCOLS[args.protocol or "softdp"]
     if args.scenario:
         name, spec = load_scenario(args.scenario, args.seed or 0)
         spec = _apply_overrides(spec, args)
         declared = [ev.attack.kind for ev in spec.timeline
-                    if hasattr(ev, "attack")]
+                    if isinstance(ev, AttackStart)]
         if args.attack not in declared:
             raise ScenarioError(
                 f"scenario {name!r} declares no {args.attack!r} attack "
@@ -246,7 +252,7 @@ def cmd_attack(args) -> int:
         sim = Simulation(spec, name=name)
     except ValueError as exc:
         raise ScenarioError(str(exc))
-    sim.run(_parse_until(args.until))
+    sim.run(until)
     if not sim.attack_results:
         print("no verdict reached inside the horizon", file=sys.stderr)
         return EXIT_FAILURE
@@ -280,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--protocol", choices=sorted(PROTOCOLS))
     run.add_argument("--seed", type=int)
     run.add_argument("--until", metavar="SIM_SECONDS",
-                     help="stop the clock here instead of the scenario default")
+                     help="stop the clock here instead of the scenario "
+                          "default (decimal seconds, exact to the ns)")
     run.add_argument("--out", help="directory for trace.ndjson, metrics.csv, "
                                    "report.json")
     run.set_defaults(func=cmd_run)
@@ -294,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=cmd_compare)
 
     atk = sub.add_parser("attack", help="launch one attack, print the verdict")
-    atk.add_argument("--attack", required=True,
-                     choices=["spoof", "inject", "relay", "flood", "fingerprint"])
+    atk.add_argument("--attack", required=True, choices=ATTACK_KINDS)
     atk.add_argument("--protocol", choices=sorted(PROTOCOLS))
     atk.add_argument("--scenario",
                      help="optional scenario that declares the attack; "

@@ -69,10 +69,6 @@ class IdentityHasher:
         return cls(hashlib.sha256(b"scenario-salt|" + str(seed).encode()).digest())
 
 
-def hash_identity(hasher: IdentityHasher, data: bytes) -> bytes:
-    return hasher.digest(data)
-
-
 @dataclass
 class PendingWindow:
     port: PortRef
@@ -117,6 +113,14 @@ class TopologyMap:
         return sorted(l for l in self.directed_links
                       if l[0].dpid == dpid or l[1].dpid == dpid)
 
+    def first_hop_port(self, src: int, nxt: int) -> Optional[PortRef]:
+        """Lowest port of switch ``src`` on a link to switch ``nxt`` that is
+        confirmed in both directions; None when there is no such link."""
+        options = [p for (p, q) in self.directed_links
+                   if p.dpid == src and q.dpid == nxt
+                   and (q, p) in self.directed_links]
+        return min(options) if options else None
+
     def bidirectional_edges(self) -> set[tuple[PortRef, PortRef]]:
         """Canonical (a, b) port pairs confirmed in both directions."""
         return {link_key(a, b) for (a, b) in self.directed_links
@@ -137,6 +141,11 @@ class TopologyMap:
         for a, b in sorted(self.safe_to_remove):
             lines.append(f"safe-to-remove {a} <-> {b}")
         return "\n".join(lines)
+
+
+def _both_ways(links: Iterable[tuple[PortRef, PortRef]]) -> list:
+    """Each directed link followed by its reverse, in the given order."""
+    return [entry for (a, b) in links for entry in ((a, b), (b, a))]
 
 
 class Controller:
@@ -174,16 +183,9 @@ class Controller:
     def suspicious(self) -> int:
         return self.counters["suspicious"]
 
-    @property
-    def protocol_errors(self) -> int:
-        return self.counters["protocol_error"]
-
     def _send(self, kind: MsgKind, dpid: int, body) -> None:
         self.services.send_control(
             ControlMessage(kind=kind, src=CONTROLLER, dst=dpid, body=body))
-
-    def export_map(self) -> str:
-        return self.map.dump()
 
     def accept_switch_session(self, claimed_chassis: bytes) -> bool:
         """Admission check for a chassis identity presented by a connecting
@@ -337,7 +339,7 @@ class Controller:
         else:
             removed = self.map.links_touching(port)
             if removed:
-                self._remove_links(removed, cause="port_down")
+                self._remove_links(_both_ways(removed), cause="port_down")
             if port in self.windows:
                 self._expire_window(port, self.windows[port])
 
@@ -384,9 +386,12 @@ class Controller:
         if (ingress, egress) in self.map.directed_links:
             a, b = link_key(egress, ingress)
             self.services.record("map_link_bidirectional", a=str(a), b=str(b))
-            sends = self.retag_paths([(a, b)])
-            if self.link_learned_hook is not None:
-                self.link_learned_hook((a, b), sends)
+            if self.protocol is Protocol.SOFTDP:
+                # the baselines keep no path tags, so a learned link has no
+                # group updates to wait for and no adaptation to report
+                sends = self.retag_paths([(a, b)])
+                if self.link_learned_hook is not None:
+                    self.link_learned_hook((a, b), sends)
 
     def on_bfd_status(self, body: BfdStatusBody) -> None:
         port = body.port
@@ -405,21 +410,20 @@ class Controller:
             self.counters["redundant_bfd_status"] += 1
             self.services.record("redundant_bfd_status", port=str(port))
             return
-        self._remove_links(touching, cause="bfd")
+        self._remove_links(_both_ways(touching), cause="bfd")
 
     def _remove_links(self, directed: Iterable[tuple[PortRef, PortRef]],
                       cause: str) -> None:
-        """Remove every given directed entry plus its reverse, drop
-        switches that lost their last link, then retag."""
+        """Remove exactly the given directed entries, drop switches that
+        lost their last link, then retag."""
         removed_keys = set()
-        for (a, b) in directed:
-            for entry in ((a, b), (b, a)):
-                if entry in self.map.directed_links:
-                    self.map.directed_links.remove(entry)
-                    self._last_confirm.pop(entry, None)
-                    self.services.record("map_remove_link", egress=str(entry[0]),
-                                         ingress=str(entry[1]), cause=cause)
-            removed_keys.add(link_key(a, b))
+        for entry in directed:
+            if entry in self.map.directed_links:
+                self.map.directed_links.remove(entry)
+                self._last_confirm.pop(entry, None)
+                self.services.record("map_remove_link", egress=str(entry[0]),
+                                     ingress=str(entry[1]), cause=cause)
+            removed_keys.add(link_key(*entry))
         for key in sorted(removed_keys):
             self.map.safe_to_remove.discard(key)
         for dpid in sorted({p.dpid for pair in removed_keys for p in pair}):
@@ -435,7 +439,7 @@ class Controller:
             return
         links = self.map.links_of_switch(dpid)
         if links:
-            self._remove_links(links, cause="channel_closed")
+            self._remove_links(_both_ways(links), cause="channel_closed")
         if dpid in self.map.switches:
             del self.map.switches[dpid]
             self.services.record("map_remove_switch", dpid=dpid,
@@ -453,7 +457,8 @@ class Controller:
         r = self.round_no
         stale = sorted(l for l, c in self._last_confirm.items() if c < r - 1)
         if stale:
-            self._remove_links_baseline(stale)
+            # only the direction that went unconfirmed is pruned
+            self._remove_links(stale, cause="round_prune")
         packet_outs = 0
         for dpid in sorted(self.registry):
             reg = self.registry[dpid]
@@ -472,19 +477,6 @@ class Controller:
         self.round_no = r + 1
         self.services.schedule(self.spec.discovery_period, "discovery_round",
                                self._dispatch_round)
-
-    def _remove_links_baseline(self, directed: list) -> None:
-        for entry in directed:
-            if entry in self.map.directed_links:
-                self.map.directed_links.remove(entry)
-                self.services.record("map_remove_link", egress=str(entry[0]),
-                                     ingress=str(entry[1]), cause="round_prune")
-            self._last_confirm.pop(entry, None)
-        for dpid in sorted({p.dpid for pair in directed for p in pair}):
-            if dpid in self.map.switches and not self.map.links_of_switch(dpid):
-                del self.map.switches[dpid]
-                self.services.record("map_remove_switch", dpid=dpid,
-                                     cause="round_prune")
 
     def _packet_in_baseline(self, body: PacketInBody) -> None:
         frame = body.frame
@@ -516,18 +508,8 @@ class Controller:
             self.services.record("suspicious_packet_in", reason="chassis_port_mismatch",
                                  ingress=str(body.ingress))
             return
-        entry = (egress, body.ingress)
-        self._last_confirm[entry] = self.round_no - 1
-        if entry not in self.map.directed_links:
-            self.map.directed_links.add(entry)
-            for d in (egress.dpid, body.ingress.dpid):
-                if d not in self.map.switches and d in self.registry:
-                    self.map.switches[d] = self.registry[d].id
-            self.services.record("map_add_link", egress=str(egress),
-                                 ingress=str(body.ingress))
-            if (body.ingress, egress) in self.map.directed_links:
-                a, b = link_key(egress, body.ingress)
-                self.services.record("map_link_bidirectional", a=str(a), b=str(b))
+        self._last_confirm[(egress, body.ingress)] = self.round_no - 1
+        self._learn_directed(egress, body.ingress)
 
     # -- path tagging ------------------------------------------------------
     def _graph(self) -> tuple[dict[int, tuple[int, ...]], set[frozenset]]:
@@ -714,12 +696,6 @@ class Controller:
                                  changed=[f"{a}~{b}" for (a, b) in changed_links])
         return group_sends
 
-    def _first_hop_port(self, src: int, nxt: int) -> Optional[PortRef]:
-        options = [p for (p, q) in self.map.directed_links
-                   if p.dpid == src and q.dpid == nxt
-                   and (q, p) in self.map.directed_links]
-        return min(options) if options else None
-
     def _push_groups(self, a: int, b: int, entry: PathTags) -> list[tuple[int, int]]:
         """Fast-failover groups at both endpoints of a tagged pair: first
         bucket follows the primary, second the backup; liveness is the
@@ -736,7 +712,7 @@ class Controller:
                 hops.append(bk if src == a else tuple(reversed(bk)))
             buckets = []
             for p in hops:
-                port = self._first_hop_port(src, p[1])
+                port = self.map.first_hop_port(src, p[1])
                 if port is not None:
                     buckets.append(GroupBucket(watch=port, out=port))
             if not buckets:

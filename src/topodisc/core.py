@@ -9,9 +9,9 @@ and re-encoding round-trips to the same object.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Optional, Union
 
 import yaml
 
@@ -26,19 +26,11 @@ MS = 1_000_000
 SEC = 1_000_000_000
 
 
-def from_us(value: float) -> SimTime:
-    return int(round(value * US))
-
-
 def from_ms(value: float) -> SimTime:
     return int(round(value * MS))
 
 
-def from_s(value: float) -> SimTime:
-    return int(round(value * SEC))
-
-
-_DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ns|us|ms|s)\s*$")
+_DURATION_RE = re.compile(r"^\s*(\d+)(?:\.(\d+))?\s*(ns|us|ms|s)\s*$")
 _UNIT_NS = {"ns": NS, "us": US, "ms": MS, "s": SEC}
 
 
@@ -51,10 +43,10 @@ def parse_duration(text: Union[str, int]) -> SimTime:
     m = _DURATION_RE.match(str(text))
     if not m:
         raise ValueError(f"not a duration: {text!r}")
-    scale = _UNIT_NS[m.group(2)]
-    value = float(m.group(1)) * scale
-    ns = int(round(value))
-    if abs(value - ns) > 1e-6:
+    whole, frac, unit = m.group(1), m.group(2) or "", m.group(3)
+    # integer arithmetic, so every decimal input converts exactly
+    ns, rest = divmod(int(whole + frac) * _UNIT_NS[unit], 10 ** len(frac))
+    if rest:
         raise ValueError(f"duration {text!r} is not a whole number of ns")
     return ns
 
@@ -166,10 +158,6 @@ class BfdParams:
 
     interval: SimTime
     multiplier: int
-
-    @property
-    def detection_bound(self) -> SimTime:
-        return self.multiplier * self.interval
 
 
 class Protocol(Enum):
@@ -314,6 +302,13 @@ class SwitchLeave:
     dpid: int
 
 
+ATTACK_KINDS = ("fingerprint", "flood", "inject", "relay", "spoof")
+
+# Attack params that hold a duration; the adversary parses them with
+# parse_duration, so validation does the same.
+_DURATION_PARAM_KEYS = ("duration", "spacing", "tunnel_delay")
+
+
 @dataclass(frozen=True)
 class AttackDecl:
     """Protocol-independent attack declaration; the adversary module
@@ -331,8 +326,6 @@ class AttackStart:
 
 
 TimelineEvent = Union[LinkAdd, LinkRemove, SwitchJoin, SwitchLeave, AttackStart]
-
-TOPOLOGY_EVENTS = (LinkAdd, LinkRemove, SwitchJoin, SwitchLeave)
 
 
 @dataclass(frozen=True)
@@ -512,8 +505,14 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
             if ev.dpid not in dpid_set:
                 out.append(Violation(el, f"references unknown switch s{ev.dpid}"))
         elif isinstance(ev, AttackStart):
-            if not ev.attack.kind:
-                out.append(Violation(el, "empty attack kind"))
+            if ev.attack.kind not in ATTACK_KINDS:
+                out.append(Violation(el, f"unknown attack kind {ev.attack.kind!r}"))
+            for key in _DURATION_PARAM_KEYS:
+                if key in ev.attack.params:
+                    try:
+                        parse_duration(ev.attack.params[key])
+                    except ValueError as exc:
+                        out.append(Violation(f"{el}.params.{key}", str(exc)))
     return out
 
 
@@ -617,6 +616,13 @@ def _decode_attack_params(raw: dict, where: str) -> dict:
     return out
 
 
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioFormatError(
+            f"{where}: expected a mapping, got {type(value).__name__}")
+    return value
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ScenarioFormatError(f"{where}: missing required field {key!r}")
@@ -642,7 +648,7 @@ def decode_scenario(text: str) -> ScenarioSpec:
         except ValueError as exc:
             raise ScenarioFormatError(f"{where}: {exc}") from exc
 
-    bfd_doc = _require(doc, "bfd", "scenario")
+    bfd_doc = _mapping(_require(doc, "bfd", "scenario"), "bfd")
     bfd = BfdParams(
         interval=dur(_require(bfd_doc, "interval", "bfd"), "bfd.interval"),
         multiplier=int(_require(bfd_doc, "multiplier", "bfd")),
@@ -651,6 +657,7 @@ def decode_scenario(text: str) -> ScenarioSpec:
     switches = []
     for i, s in enumerate(_require(doc, "switches", "scenario") or []):
         where = f"switches[{i}]"
+        s = _mapping(s, where)
         switches.append(
             SwitchDecl(
                 id=SwitchId(int(_require(s, "dpid", where)), str(_require(s, "local_mac", where))),
@@ -661,6 +668,7 @@ def decode_scenario(text: str) -> ScenarioSpec:
     links = []
     for i, l in enumerate(doc.get("links") or []):
         where = f"links[{i}]"
+        l = _mapping(l, where)
         a = _port_from_list(_require(l, "a", where), where)
         b = _port_from_list(_require(l, "b", where), where)
         delay_ab = dur(_require(l, "delay_ab", where), f"{where}.delay_ab")
@@ -670,6 +678,7 @@ def decode_scenario(text: str) -> ScenarioSpec:
     channels = []
     for i, c in enumerate(_require(doc, "control_channels", "scenario") or []):
         where = f"control_channels[{i}]"
+        c = _mapping(c, where)
         channels.append(
             ControlChannel(
                 dpid=int(_require(c, "dpid", where)),
@@ -681,6 +690,7 @@ def decode_scenario(text: str) -> ScenarioSpec:
     timeline = []
     for i, e in enumerate(doc.get("timeline") or []):
         where = f"timeline[{i}]"
+        e = _mapping(e, where)
         at = dur(_require(e, "at", where), f"{where}.at")
         kind = _require(e, "event", where)
         if kind == "link_add":
@@ -699,7 +709,9 @@ def decode_scenario(text: str) -> ScenarioSpec:
                     at,
                     AttackDecl(
                         kind=str(_require(e, "kind", where)),
-                        params=_decode_attack_params(e.get("params") or {}, where),
+                        params=_decode_attack_params(
+                            _mapping(e.get("params") or {}, f"{where}.params"),
+                            where),
                     ),
                 )
             )
@@ -717,13 +729,3 @@ def decode_scenario(text: str) -> ScenarioSpec:
         lldp_window=dur(doc.get("lldp_window", 500 * MS), "lldp_window"),
         rng_seed=int(doc.get("rng_seed", 0)),
     )
-
-
-def load_scenario(path) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return decode_scenario(fh.read())
-
-
-def save_scenario(spec: ScenarioSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(encode_scenario(spec))

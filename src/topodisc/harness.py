@@ -20,7 +20,6 @@ from typing import Optional
 
 from .core import (
     AttackStart,
-    CONTROLLER,
     Link,
     LinkAdd,
     LinkRemove,
@@ -351,7 +350,7 @@ class Simulation:
         if path[0] != at_dpid:
             lost("off_path")
             return
-        port = self.controller._first_hop_port(at_dpid, path[1])
+        port = self.controller.map.first_hop_port(at_dpid, path[1])
         if port is None:
             lost("no_first_hop_port")
             return
@@ -374,11 +373,7 @@ class Simulation:
     def ground_truth(self) -> tuple[set[int], set[tuple[PortRef, PortRef]]]:
         """What the map should contain right now: both directions of every
         live link, and every switch such a link touches."""
-        directed: set[tuple[PortRef, PortRef]] = set()
-        for key, st in self.fabric.links.items():
-            if st.alive:
-                directed.add((st.spec.a, st.spec.b))
-                directed.add((st.spec.b, st.spec.a))
+        directed = self.fabric.live_directed_links()
         switches = {p.dpid for (p, _) in directed}
         return switches, directed
 
@@ -416,7 +411,7 @@ class Simulation:
             "metrics": m.as_dict(),
             "prediction_deltas": deltas,
             "attacks": [v.as_dict() for v in self.attack_results],
-            "map": self.controller.export_map(),
+            "map": self.controller.map.dump(),
             "fabric_counters": dict(sorted(self.fabric.counters.items())),
             "controller_counters": dict(sorted(self.controller.counters.items())),
         }

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .core import PortRef, ScenarioSpec, SEC, SimTime, link_key
 from .core import LinkAdd, LinkRemove
-from .simnet import Trace, TraceRecord
+from .simnet import Trace
 
 BFD_DETECT = "bfd_detect"
 LINK_ADD_LEARN = "link_add_learn"

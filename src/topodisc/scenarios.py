@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 
 from .core import (
-    MS,
     SEC,
     US,
     AttackDecl,
@@ -29,7 +28,6 @@ from .core import (
     SwitchJoin,
     SwitchLeave,
     from_ms,
-    link_key,
 )
 
 DEFAULT_BFD = BfdParams(interval=from_ms(1), multiplier=1)
@@ -123,14 +121,6 @@ def mesh(n: int, protocol: Protocol = Protocol.SOFTDP) -> ScenarioSpec:
 
 def empty_scenario(protocol: Protocol) -> ScenarioSpec:
     return ScenarioSpec(switches=(), links=(), control_channels=(),
-                        bfd=DEFAULT_BFD, protocol=protocol,
-                        discovery_period=DEFAULT_PERIOD)
-
-
-def isolated_switch(protocol: Protocol = Protocol.SOFTDP) -> ScenarioSpec:
-    """One switch, one host-facing port, nothing to discover."""
-    return ScenarioSpec(switches=(_switch(1, 1),), links=(),
-                        control_channels=_uniform_channels((1,)),
                         bfd=DEFAULT_BFD, protocol=protocol,
                         discovery_period=DEFAULT_PERIOD)
 

@@ -12,7 +12,7 @@ import hashlib
 import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .core import (
@@ -44,11 +44,6 @@ class SimEvent:
         self.cancelled = True
 
 
-class Clock:
-    def __init__(self) -> None:
-        self.now: SimTime = 0
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     ts: SimTime
@@ -76,8 +71,7 @@ def _primitive(v: Any):
 
 
 class Trace:
-    """Append-only event log; exports line-delimited records and a run
-    digest over the ordered lines."""
+    """Append-only event log with a run digest over its ordered lines."""
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
@@ -90,14 +84,6 @@ class Trace:
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
-
-    def ndjson(self) -> str:
-        out = []
-        for r in self.records:
-            out.append(json.dumps(
-                {"ts": r.ts, "kind": r.kind, "digest": r.digest(), "detail": dict(r.detail)},
-                sort_keys=True, separators=(",", ":")))
-        return "\n".join(out) + ("\n" if out else "")
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -122,19 +108,15 @@ class Engine:
     cancelled events never fire."""
 
     def __init__(self) -> None:
-        self.clock = Clock()
+        self.now: SimTime = 0
         self.trace = Trace()
         self._heap: list[tuple[SimTime, int, SimEvent]] = []
         self._seq = 0
         self.fired = 0
 
-    @property
-    def now(self) -> SimTime:
-        return self.clock.now
-
     def schedule_at(self, at: SimTime, kind: str, action: Callable[[], None]) -> SimEvent:
-        if at < self.clock.now:
-            raise ValueError(f"cannot schedule {kind!r} at {at} before now={self.clock.now}")
+        if at < self.now:
+            raise ValueError(f"cannot schedule {kind!r} at {at} before now={self.now}")
         ev = SimEvent(at, self._seq, kind, action)
         self._seq += 1
         heapq.heappush(self._heap, (at, ev.seq, ev))
@@ -143,13 +125,10 @@ class Engine:
     def schedule(self, delay: SimTime, kind: str, action: Callable[[], None]) -> SimEvent:
         if delay < 0:
             raise ValueError(f"negative delay for {kind!r}")
-        return self.schedule_at(self.clock.now + delay, kind, action)
+        return self.schedule_at(self.now + delay, kind, action)
 
     def record(self, kind: str, **detail) -> TraceRecord:
-        return self.trace.record(self.clock.now, kind, **detail)
-
-    def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        return self.trace.record(self.now, kind, **detail)
 
     def _pop_due(self, until: Optional[SimTime]) -> Optional[SimEvent]:
         while self._heap:
@@ -165,23 +144,23 @@ class Engine:
     def run_until(self, t: SimTime) -> None:
         """Fire every event with fire_at <= t (including ones scheduled
         while running), then set the clock to t."""
-        if t < self.clock.now:
-            raise ValueError(f"cannot run backwards to {t} from {self.clock.now}")
+        if t < self.now:
+            raise ValueError(f"cannot run backwards to {t} from {self.now}")
         while True:
             ev = self._pop_due(t)
             if ev is None:
                 break
-            self.clock.now = ev.fire_at
+            self.now = ev.fire_at
             self.fired += 1
             ev.action()
-        self.clock.now = t
+        self.now = t
 
     def run_all(self) -> None:
         while True:
             ev = self._pop_due(None)
             if ev is None:
                 break
-            self.clock.now = ev.fire_at
+            self.now = ev.fire_at
             self.fired += 1
             ev.action()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     CONTROLLER,
@@ -72,9 +72,8 @@ def bfd_down_time(up_at: SimTime, interval: SimTime, multiplier: int,
 class BfdSession:
     """Per-port liveness session endpoint.
 
-    state UP requires the three-way handshake to have completed; ``misses``
-    resets on every received control packet and the UP->DOWN transition
-    happens exactly when misses reaches the multiplier.
+    state UP requires the three-way handshake to have completed; the
+    UP->DOWN transition happens at the instant ``bfd_down_time`` gives.
     """
 
     local: PortRef
@@ -82,38 +81,12 @@ class BfdSession:
     interval: SimTime
     multiplier: int
     state: str = BFD_INIT
-    misses: int = 0
     up_at: Optional[SimTime] = None
     epoch: int = 0
-    _received_since_tick: bool = False
-    _down_emitted: bool = False
 
     def establish(self, up_at: SimTime) -> None:
         self.state = BFD_UP
         self.up_at = up_at
-        self.misses = 0
-        self._received_since_tick = False
-        self._down_emitted = False
-
-    def on_control_packet(self) -> None:
-        if self.state == BFD_UP:
-            self.misses = 0
-            self._received_since_tick = True
-
-    def step(self) -> bool:
-        """One tick-boundary evaluation; returns True when this step
-        transitions the session to DOWN (exactly once per failure)."""
-        if self.state != BFD_UP:
-            return False
-        if self._received_since_tick:
-            self._received_since_tick = False
-            return False
-        self.misses += 1
-        if self.misses >= self.multiplier and not self._down_emitted:
-            self.state = BFD_DOWN
-            self._down_emitted = True
-            return True
-        return False
 
 
 @dataclass
@@ -171,8 +144,8 @@ class DataFrame:
 
 class SwitchAgent:
     """One simulated switch bound to a services object providing now(),
-    send_control(msg), send_frame(egress, frame), schedule(delay, kind, fn)
-    and record(kind, **detail)."""
+    send_control(msg), send_frame(egress, frame), schedule(delay, kind, fn),
+    record(kind, **detail) and the lldp_window length."""
 
     def __init__(self, decl: SwitchDecl, protocol: Protocol, bfd: BfdParams, services):
         self.decl = decl
@@ -187,7 +160,6 @@ class SwitchAgent:
         self.flow_table: list[FlowRule] = []
         self.group_table: dict[int, FailoverGroup] = {}
         self.bfd_sessions: dict[PortRef, BfdSession] = {}
-        self.drop_counts: dict[str, int] = {}
         self._rule_seq = 0
         if protocol is Protocol.SOFTDP:
             # The event-driven protocol ships switches with a standing
@@ -201,9 +173,6 @@ class SwitchAgent:
                                match_ingress=None, action=("to_controller",), hard_timeout=None)
 
     # -- helpers ----------------------------------------------------------
-    def _count_drop(self, reason: str) -> None:
-        self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
-
     def _send(self, kind: MsgKind, body) -> None:
         self.services.send_control(
             ControlMessage(kind=kind, src=self.id.dpid, dst=CONTROLLER, body=body))
@@ -231,16 +200,14 @@ class SwitchAgent:
                                     self.decl.port_count, ports_up))
 
     def handle_control(self, msg: ControlMessage) -> None:
-        if msg.kind is MsgKind.HELLO:
-            return
+        """HELLO needs no answer here; any other kind a switch does not
+        act on is ignored."""
         if msg.kind is MsgKind.FEATURE_REQUEST:
             self.feature_reply()
         elif msg.kind in (MsgKind.FLOW_MOD, MsgKind.GROUP_MOD):
             self.apply_mod(msg)
         elif msg.kind is MsgKind.PACKET_OUT:
             self.handle_packet_out(msg.body)
-        else:
-            self._count_drop("unexpected_control")
 
     # -- port lifecycle ---------------------------------------------------
     def boot_port_up(self, port: PortRef, peer: Optional[PortRef] = None) -> None:
@@ -291,10 +258,7 @@ class SwitchAgent:
             f"window|{port}|{self.services.now()}".encode()).digest()[:8]
         self._install_rule(priority=WINDOW_RULE_PRIORITY, match_kind="lldp",
                            match_ingress=port, action=("to_controller",),
-                           hard_timeout=self._window_timeout(), tag=tag)
-
-    def _window_timeout(self) -> SimTime:
-        return getattr(self.services, "lldp_window", 500_000_000)
+                           hard_timeout=self.services.lldp_window, tag=tag)
 
     # -- BFD --------------------------------------------------------------
     def bfd_session_established(self, port: PortRef, up_at: SimTime) -> None:
@@ -308,11 +272,9 @@ class SwitchAgent:
         """Engine-computed detection instant reached: flip the session and
         emit the single DOWN notification."""
         session = self.bfd_sessions.get(port)
-        if session is None or session.state != BFD_UP or session._down_emitted:
+        if session is None or session.state != BFD_UP:
             return
         session.state = BFD_DOWN
-        session._down_emitted = True
-        session.misses = session.multiplier
         self.services.record("bfd_down_detected", port=str(port), epoch=session.epoch)
         self._send(MsgKind.BFD_STATUS, BfdStatusBody(port, BFD_DOWN, session.epoch))
 
@@ -335,14 +297,12 @@ class SwitchAgent:
             if best is None or (rule.priority, rule.seq) > (best.priority, best.seq):
                 best = rule
         if best is None:
-            self._count_drop("no_matching_rule")
             return ("drop", "no_matching_rule")
         return self._apply_action(best, frame, ingress, is_lldp)
 
     def _apply_action(self, rule: FlowRule, frame, ingress: PortRef, is_lldp: bool) -> tuple:
         action = rule.action
         if action[0] == "drop":
-            self._count_drop("rule_drop")
             return ("drop", "rule_drop")
         if action[0] == "to_controller":
             if is_lldp and rule.tag is not None:
@@ -362,14 +322,12 @@ class SwitchAgent:
         controller."""
         group = self.group_table.get(group_id)
         if group is None:
-            self._count_drop("no_such_group")
             return ("drop", "no_such_group")
         for bucket in group.buckets:
             watch = self.ports.get(bucket.watch)
             if watch is not None and watch.link_up and watch.admin_up:
                 self.services.send_frame(bucket.out, frame)
                 return ("output", bucket.out)
-        self._count_drop("no_live_bucket")
         return ("drop", "no_live_bucket")
 
     # -- controller-pushed state ------------------------------------------
@@ -411,7 +369,7 @@ class SwitchAgent:
     def _install_rule(self, priority: int, match_kind: str,
                       match_ingress: Optional[PortRef], action: tuple,
                       hard_timeout: Optional[SimTime], tag: Optional[bytes] = None) -> FlowRule:
-        now = self.services.now() if hasattr(self.services, "now") else 0
+        now = self.services.now()
         rule = FlowRule(priority=priority, match_kind=match_kind,
                         match_ingress=match_ingress, action=action,
                         hard_timeout=hard_timeout, installed_at=now,
@@ -420,7 +378,7 @@ class SwitchAgent:
         # same (priority, match) replaces the previous rule
         self.flow_table = [r for r in self.flow_table if r.match_key() != rule.match_key()]
         self.flow_table.append(rule)
-        if hard_timeout is not None and hasattr(self.services, "schedule"):
+        if hard_timeout is not None:
             seq = rule.seq
 
             def expire():
@@ -432,24 +390,3 @@ class SwitchAgent:
 
             self.services.schedule(hard_timeout, "flow_rule_expiry", expire)
         return rule
-
-    # -- state dump -------------------------------------------------------
-    def dump(self) -> str:
-        lines = [f"switch {self.id} dpid={self.id.dpid} mac={self.id.local_mac}"]
-        for ref in sorted(self.ports):
-            p = self.ports[ref]
-            lines.append(f"  port {ref} admin={'up' if p.admin_up else 'down'} "
-                         f"link={'up' if p.link_up else 'down'} epoch={p.epoch}")
-        for rule in sorted(self.flow_table, key=lambda r: (-r.priority, r.seq)):
-            ing = str(rule.match_ingress) if rule.match_ingress else "any"
-            timeout = format(rule.hard_timeout) if rule.hard_timeout is not None else "-"
-            lines.append(f"  rule prio={rule.priority} match={rule.match_kind}@{ing} "
-                         f"action={rule.action[0]} timeout={timeout}")
-        for gid in sorted(self.group_table):
-            g = self.group_table[gid]
-            buckets = "; ".join(f"watch {b.watch} out {b.out}" for b in g.buckets)
-            lines.append(f"  group {gid} type=fast-failover buckets: {buckets}")
-        for ref in sorted(self.bfd_sessions):
-            s = self.bfd_sessions[ref]
-            lines.append(f"  bfd {ref}<->{s.remote} state={s.state} misses={s.misses}")
-        return "\n".join(lines)

@@ -10,6 +10,7 @@ windows never open on host-facing ports.
 import pytest
 
 from topodisc.core import (
+    ATTACK_KINDS,
     AttackDecl,
     AttackStart,
     Protocol,
@@ -46,6 +47,10 @@ def test_launch_rejects_unknown_kind():
     sim = run_scenario(scenarios.testbed_chain(Protocol.OFDP), until=1)
     with pytest.raises(ValueError):
         adversary.launch(sim, AttackDecl("mitm", {}))
+
+
+def test_one_launcher_per_attack_kind():
+    assert sorted(adversary._LAUNCHERS) == sorted(ATTACK_KINDS)
 
 
 # -- switch spoofing ---------------------------------------------------------

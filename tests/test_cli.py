@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from topodisc import cli
 from topodisc.core import (
@@ -88,6 +89,51 @@ def test_run_invalid_scenario_lists_violations(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "undeclared port s1.p9" in err
     assert "unknown switch s7" in err
+
+
+def _set_attack_kind(doc):
+    doc["timeline"][0]["kind"] = "nope"
+
+
+def _set_attack_duration(doc):
+    doc["timeline"][0]["params"]["duration"] = "soon"
+
+
+def _set_attack_params(doc):
+    doc["timeline"][0]["params"] = [1, 2]
+
+
+def _set_bfd(doc):
+    doc["bfd"] = 3
+
+
+@pytest.mark.parametrize("edit, element", [
+    (_set_attack_kind, "timeline[0]: unknown attack kind 'nope'"),
+    (_set_attack_duration, "timeline[0].params.duration"),
+    (_set_attack_params, "timeline[0].params: expected a mapping"),
+    (_set_bfd, "bfd: expected a mapping"),
+], ids=["unknown_kind", "bad_duration", "params_not_mapping",
+        "bfd_not_mapping"])
+def test_run_bad_document_names_the_element(tmp_path, capsys, edit, element):
+    doc = yaml.safe_load(encode_scenario(
+        scenarios.attack_scenario("spoof", Protocol.OFDP)))
+    edit(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli("run", "--scenario", str(path)) == 2
+    assert element in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_run_rejects_bad_until(capsys, value):
+    assert run_cli("run", "--scenario", "square", "--until", value) == 2
+    assert "--until" in capsys.readouterr().err
+
+
+def test_run_until_is_exact_to_the_ns(capsys):
+    assert run_cli("run", "--scenario", "square",
+                   "--until", "1.000000007") == 0
+    assert json.loads(capsys.readouterr().out)["horizon"] == 1_000_000_007
 
 
 def test_run_same_seed_is_byte_identical(tmp_path):

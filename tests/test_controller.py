@@ -339,6 +339,27 @@ def test_baseline_prunes_unconfirmed_links_after_one_missed_round():
     assert not ctrl.map.directed_links
 
 
+def test_baseline_prune_keeps_the_reconfirmed_direction():
+    ctrl, services = _registered(2, Protocol.OFDP, port_count=2)
+    fwd = (PortRef(1, 1), PortRef(2, 1))
+
+    def confirm(egress, ingress):
+        frame = LldpFrame(_mac(egress.dpid).encode(), str(egress).encode(), b"x")
+        ctrl.handle(ControlMessage(MsgKind.PACKET_IN, src=ingress.dpid,
+                                   dst="controller",
+                                   body=PacketInBody(ingress, frame)))
+
+    confirm(*fwd)
+    confirm(fwd[1], fwd[0])
+    assert ctrl.map.bidirectional(*fwd)
+    ctrl._dispatch_round()
+    confirm(*fwd)           # only s1.p1 -> s2.p1 is seen again
+    while ctrl.map.has_link(fwd[1], fwd[0]):
+        ctrl._dispatch_round()
+    assert ctrl.map.directed_links == {fwd}
+    assert sorted(ctrl.map.switches) == [1, 2]
+
+
 # -- path tags vs networkx oracle -------------------------------------------
 
 def _fill_map(ctrl, edges):

@@ -49,6 +49,14 @@ def test_duration_rejects_garbage():
             parse_duration(bad)
 
 
+def test_duration_is_exact_for_long_decimals():
+    assert parse_duration("1.000000007s") == SEC + 7
+    # a float product lands one ns short here
+    assert parse_duration("9999999.999999999s") == 9_999_999_999_999_999
+    with pytest.raises(ValueError):
+        parse_duration("1.0000000001s")
+
+
 def test_format_duration_picks_exact_unit():
     assert format_duration(SEC) == "1s"
     assert format_duration(1500 * US) == "1500us"

@@ -21,7 +21,6 @@ from topodisc.core import (
 from topodisc.switch_agent import (
     BFD_DOWN,
     BFD_UP,
-    BfdSession,
     DataFrame,
     SwitchAgent,
     bfd_down_time,
@@ -32,12 +31,41 @@ from conftest import StubServices
 
 # -- BFD closed form vs discrete stepping -----------------------------------
 
+class SteppedSession:
+    """Discrete-stepping BFD endpoint, the oracle for ``bfd_down_time``:
+    ``misses`` resets on every received control packet, and the session
+    goes DOWN exactly when misses reaches the multiplier."""
+
+    def __init__(self, multiplier):
+        self.multiplier = multiplier
+        self.state = BFD_UP
+        self.misses = 0
+        self._received_since_tick = False
+
+    def on_control_packet(self):
+        if self.state == BFD_UP:
+            self.misses = 0
+            self._received_since_tick = True
+
+    def step(self):
+        """One tick-boundary evaluation; returns True when this step
+        transitions the session to DOWN (exactly once per failure)."""
+        if self.state != BFD_UP:
+            return False
+        if self._received_since_tick:
+            self._received_since_tick = False
+            return False
+        self.misses += 1
+        if self.misses >= self.multiplier:
+            self.state = BFD_DOWN
+            return True
+        return False
+
+
 def _oracle_down_time(up_at, interval, multiplier, failed_at):
     """Step the session at every tick with the peer transmitting
     continuously until the failure instant; return the DOWN tick."""
-    s = BfdSession(local=PortRef(1, 1), remote=PortRef(2, 1),
-                   interval=interval, multiplier=multiplier)
-    s.establish(up_at)
+    s = SteppedSession(multiplier)
     # every tick at or before the failure saw traffic, so its net effect is
     # the just-established state; skip straight to the last such tick
     t = up_at + max(0, (failed_at - up_at) // interval) * interval
@@ -77,9 +105,7 @@ def test_bfd_detection_hits_floor_on_tick_aligned_failure():
 
 
 def test_bfd_session_recovers_miss_count_on_traffic():
-    s = BfdSession(local=PortRef(1, 1), remote=PortRef(2, 1),
-                   interval=from_ms(1), multiplier=3)
-    s.establish(0)
+    s = SteppedSession(multiplier=3)
     assert s.step() is False and s.misses == 1
     assert s.step() is False and s.misses == 2
     s.on_control_packet()
