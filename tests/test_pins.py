@@ -1,18 +1,27 @@
-"""Behaviour-identity gate: full trace digests of a fixed set of runs.
+"""Behaviour-identity gate: full trace digests of a fixed set of runs,
+plus the sha256 of the ``report.json`` and ``metrics.csv`` text of the
+same runs.  The report's map dump covers state the trace does not, such
+as ``safe_to_remove`` and the path tags of pairs that pushed no group.
 
-Every digest below was taken before the map-update paths of the three
-engines were merged and the dead code was removed; a refactor that keeps
-these digests keeps every trace byte of these runs.  A change that moves
+The trace digests were taken before the map-update paths of the three
+engines were merged and the dead code was removed, the report and
+metrics pins before the sOFTDP discovery state was simplified; a
+refactor that keeps them keeps every trace byte and every output byte
+of these runs.  A change that moves
 one on purpose re-pins it and says why in CHANGES.md.
 """
 
 import dataclasses
+import functools
+import hashlib
+import json
 
 import pytest
 
 from topodisc import cli, scenarios
 from topodisc.core import SEC, Protocol
 from topodisc.harness import Simulation
+from topodisc.metrics import to_csv_text
 
 PROTOCOLS = (Protocol.OFDP, Protocol.OFDPV2, Protocol.SOFTDP)
 ATTACKS = ("spoof", "inject", "relay", "flood", "fingerprint")
@@ -89,15 +98,108 @@ PINS = {
 }
 
 
-def digest_of(case: str) -> str:
+REPORT_PINS = {
+    "chain4-churn-ofdp": "e7a0bec10be71fd45cc2671fa9bf654c08e9aa203633ffd3c5b5a240dfdead95",
+    "chain4-churn-ofdpv2": "488d415c73d2df09d6ccddf30986087255184a8ce7bb8f6ab5278e106a8b56ea",
+    "chain4-churn-softdp": "dc5e193375f2ba292297a47e97615325b1875b3e9890456aede3a8585c50a34c",
+    "chain8-churn-ofdp": "65a7f1bcb96ebb9b768a72bd397a779baef3283fb5e31975b237c60791c724df",
+    "chain8-churn-ofdpv2": "5b81a77759afcfb7d6cd397013986ec2d995f1f49998359a15d7615744254b2f",
+    "chain8-churn-softdp": "4c725e7853afc1d38ca7f54b05bf75d75da25eedbae07eb4bf5f79550d29b882",
+    "fingerprint-ofdp": "f23b70fff7cfad46f4aa3d10d46e7f1b1e78361519311e7b1dd56f86de284644",
+    "fingerprint-ofdpv2": "18d6f77c6e726cf1d635c4fbb656068727139842b693ba6851a2ed78cb8b76b8",
+    "fingerprint-softdp": "6cc9bedbf6f5d6a42ed92a25a464ed461c8635835f4a5c3627110ef9e0cc48a4",
+    "flood-ofdp": "f91d77e5da6e605be1e4a6accce3b8e56dd4a2dd46418345b038879d2d754faa",
+    "flood-ofdpv2": "6581ccf753bd4f02548c2e5d0a70bac90d068160b557ab603aa83cd1e993144f",
+    "flood-softdp": "0f610413faa14872abeed294105fee57f7c31cf8a67e0029211ea670d2dcc490",
+    "inject-ofdp": "32ba606c53d403340acd7a1cd03a41a207aad90252a5fecdb9589066171190e4",
+    "inject-ofdpv2": "1ad38000a4744856a98092a19ae2ee4c8663c766c332ea7c9269dafe385fee35",
+    "inject-softdp": "afc189dcd2de8f4f28524b9c573dade4efb13ebe67572750058d131c9bdb351a",
+    "random1-ofdp": "202362a706739e80168b157f590301325e72795b1dbd8e6839f40a1389d95515",
+    "random1-ofdpv2": "91f379734b345ed03792a2b2885ac61f7f87a0fab90cc170bcd14474b3c89065",
+    "random1-softdp": "bef34dc25c69c348b7d5d8d0053e6d5fdffb25b5fa773fe314da4d8153a44602",
+    "random2-ofdp": "6e19f9a213c0869ea63b2a0c6070573c2f8d891c13d3009b8f9c358c36091bf3",
+    "random2-ofdpv2": "a78608caa28b288f98fda99b63d09b9e087902b016cf00850a85157bccdc8337",
+    "random2-softdp": "47edae7bd271b22e11aaafad21d38a4881462cd307c790aaf466e1315aaf9bb9",
+    "random3-ofdp": "bcc9e9bce3e793e6ce48a699fd0e8d4e1ab4e41d0f44cf0216fe5a9b5957d5db",
+    "random3-ofdpv2": "03e140e0e2f0685a8ed7a84834bce5b2227d2bc1434dc881b103d6de19bbf48b",
+    "random3-softdp": "7d60819dac881a7068b8842fbd50f4fdff5bc3b6bf5ed55bd81d0b8c763edb9d",
+    "relay-in-window-ofdp": "cb3fda589b49635465052691d3664098f8419a3febac974fc678e06138b01ca1",
+    "relay-in-window-ofdpv2": "f9a95ce5f5d6cb3d71e53552764d48bc5a55749f3305bb56dd46bc2bddb83261",
+    "relay-in-window-softdp": "979566d0801de951970c3fd81b234b87562e717cfbdcb603ca7ec3a149a92309",
+    "relay-ofdp": "a6c9418f79c7cc9630eafdc33b6ae2cbdaebd64dcadffb50680836f0c29921e3",
+    "relay-ofdpv2": "7f37c47a32e61c9b8d81c232b07ce14b4b9367cf67f0cfb89b9bc425396c7485",
+    "relay-softdp": "99fe5dce8e14d84edf596ddce4072fc174da74d7fd9561cc483855075557addf",
+    "spoof-ofdp": "d30a030f618a289770bfa21c14bf3be7e4c8083d32ff267c6b465aa30fa17251",
+    "spoof-ofdpv2": "62764b9847cf0d5ef8892315c8b3dd9de890ed93c15d5bd8a973506ba1b3e23d",
+    "spoof-softdp": "209b107824138b13d533d53fcecbfc92ae9f99741d5efd857a39af07a0ec5b83",
+    "walkthrough-ofdp": "b8918a42fcaca822e6338a32304c683da5b91766fee1ef8b4a0fc6f52236b2bf",
+    "walkthrough-ofdpv2": "e5b1e9c97297923893dcda34ae3b1a2a647f0b47847a54e8e5a21f9b4bd6e74a",
+    "walkthrough-softdp": "d7ddd20970c7c04b54f448306c7fccca3bcebcabf4b2dc6bb65f692871beaa04",
+}
+CSV_PINS = {
+    "chain4-churn-ofdp": "0f52265981b105fa6b414060fa4a66fa7ec8ca445d6d841faa4b315e4e81a60d",
+    "chain4-churn-ofdpv2": "67600ba17349954308651d1ab22358842c5aba2ea783c0ccaf21dd61ac35fed7",
+    "chain4-churn-softdp": "03d70740ae5407d258ef4b512f45977bcc4eb2f2d4a5b5eef3eb70e1feec7017",
+    "chain8-churn-ofdp": "6ea7c6bf0d4b43e7d573281fc09bed84a42cc1c345031821a9eb52fbf7785640",
+    "chain8-churn-ofdpv2": "7800211fa9d66e3c7cf8acd81f1ca7addb68c17228c0497068ea18b520e55b70",
+    "chain8-churn-softdp": "c10394ad44eb97aa0efabb3fc65e48bd72894b02631a6c2e03acf2a9cb48d7a6",
+    "fingerprint-ofdp": "c7b7567837bc5f19f47aca832d32a87c6d31882efbdb7497915147561488edbd",
+    "fingerprint-ofdpv2": "7d48b7930aa64d76676e74b624fe4dc69bc640aed70b72de9fd18617cc15b5bc",
+    "fingerprint-softdp": "f5a05b5e9710f5cc5cc48d2d9d03c4600f96772f7de9e1ee5f72222f76636b4b",
+    "flood-ofdp": "d83bed032f5510fe9510755c87a2bf2d1324e93fedbd3761d8e10e9949d724ff",
+    "flood-ofdpv2": "213b98289968826cd644565460c536a29258404df1164fd844a6ed86fbe9cd76",
+    "flood-softdp": "77a3771fb7bbd8a0cfd4ca64edd07f4167ae947ebe22fb8155e0fa2544bd0912",
+    "inject-ofdp": "4290835b63a0a9774676f7b78991c23961b1ef4b6d5ad4d10f61ed466c36a29e",
+    "inject-ofdpv2": "567c5ea05833c424e3dc02cdd2162091e20a7902c92c99d64937b9e346a278ce",
+    "inject-softdp": "58812d7484289459f264f5377bb0d8dc2b6f2830d9078529599889f9c8e5e58d",
+    "random1-ofdp": "518f97d5072fccece60c4af019a5b4e6e93f36d0286979c09c77f6fd169677b1",
+    "random1-ofdpv2": "5956f44f903fbf440dcc8c75c2681c01ac769dadb663facd15120f208c8b119e",
+    "random1-softdp": "8ae75acf5972244ed819e0a138f533fbf25a129282b08b4c3177ee62bfd99a43",
+    "random2-ofdp": "196ab7bf3a479dc3305eed875b6a682fb227a2111ee8f20441d2d8b2804e30fa",
+    "random2-ofdpv2": "dbb43d4dbf649072bebe700448ba7ff712fbcf7f42eee933240e4bfe1ffb6907",
+    "random2-softdp": "a8e5b195d858f82c0ac45ac4c7cd8003f8038968a590ed14fe106296134d97b9",
+    "random3-ofdp": "7c6fa15483a2dae87096186f69cb2891d83dac279f0848df9b7a4173e08e7918",
+    "random3-ofdpv2": "2636351f2c4af2409785bd54b4e8b4322a034aea3519207a522908f57379ee2c",
+    "random3-softdp": "f35159d05789725610a912bf0358f2281a034bc4ae340eebf7d885ae52374b74",
+    "relay-in-window-ofdp": "266dfbf355e44153f102465671f2a2649d63ef89af3044eeb157c26ace0b5ff0",
+    "relay-in-window-ofdpv2": "d10c915e021ec5db33ca2f52627051b0eafcc982983f307cac31a6ed72b7f299",
+    "relay-in-window-softdp": "e84cdd1a51af3ea225c60211570bab0f3704b4ff83bd4693428b32a72db82aea",
+    "relay-ofdp": "67efa742c45ecd86cb7910ec989d969b937f4055bb3c40b9750582740328eea4",
+    "relay-ofdpv2": "598138219a6946ffd2a56910a0aabafb9c3932006738253171d4c95e4c67cb59",
+    "relay-softdp": "5a16b172eebb9e9934417dbb20ff79fd796419ea8d5badfd2d8a5747a3e8c0f2",
+    "spoof-ofdp": "bfc034c3395947f3c52ee744d46683f1c8330afe7801b27efd6c778ce732eaa1",
+    "spoof-ofdpv2": "0dda801f70c03066ff76bd37f441898641050999f71a719a53b74e7d4c5e3e63",
+    "spoof-softdp": "69c3ebcde02bee28cdb43285b4dd0269a6c993b3989accc98096b46478e18136",
+    "walkthrough-ofdp": "bba02988a7a293fb7a73e0395670b1d65df8a6b575a9f3b1364c09ca83ddc93a",
+    "walkthrough-ofdpv2": "8d9cddd8300a13b5731fa891cf2adca77970aff6d5aee235d9c583c989a39807",
+    "walkthrough-softdp": "fdd0f0823777ab50540d049580c6118261a5576a2581a979590684eb3667dca3",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def outputs_of(case: str) -> tuple[str, str, str]:
+    """(trace digest, sha256 of report.json, sha256 of metrics.csv), with
+    the two files rendered exactly as ``topodisc run --out`` writes them."""
     spec, until = CASES[case]()
-    return Simulation(spec, name=case).run(until).engine.trace.digest()
+    sim = Simulation(spec, name=case).run(until)
+    report = json.dumps(sim.report(), indent=2, default=str) + "\n"
+    csv = to_csv_text(sim.run_metrics())
+    return (sim.engine.trace.digest(),
+            hashlib.sha256(report.encode()).hexdigest(),
+            hashlib.sha256(csv.encode()).hexdigest())
 
 
 def test_every_case_is_pinned():
-    assert sorted(PINS) == sorted(CASES)
+    assert sorted(PINS) == sorted(REPORT_PINS) == sorted(CSV_PINS) \
+        == sorted(CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_digest_is_pinned(case):
-    assert digest_of(case) == PINS[case]
+    assert outputs_of(case)[0] == PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_and_metrics_are_pinned(case):
+    _, report, csv = outputs_of(case)
+    assert (report, csv) == (REPORT_PINS[case], CSV_PINS[case])
