@@ -240,6 +240,32 @@ def test_stale_epoch_bfd_status_is_noop():
     assert ctrl.map.has_link(a, b)
 
 
+def test_port_down_removes_touching_links_and_closes_the_window():
+    ctrl, services = _registered(3)
+    a, b = PortRef(1, 1), PortRef(2, 1)
+    c, d = PortRef(1, 2), PortRef(3, 1)
+    _learn_link(ctrl, services, a, b)
+    _learn_link(ctrl, services, c, d)
+    _port_up(ctrl, a, epoch=2)  # opens a fresh window on a
+    pending = _probe_frames(services)[a]
+    ctrl.handle(ControlMessage(MsgKind.PORT_STATUS, src=1, dst="controller",
+                               body=PortStatusBody(a, False, 2)))
+    removed = [(r["egress"], r["ingress"], r["cause"])
+               for k, r in services.records if k == "map_remove_link"]
+    assert removed == [(str(a), str(b), "port_down"),
+                       (str(b), str(a), "port_down")]
+    assert ctrl.map.directed_links == {(c, d), (d, c)}
+    assert ctrl.map.switches.keys() == {1, 3}
+    # the window on a closed with the port: its probe coming back now is
+    # not our own late traffic but an unexplained nonce
+    ctrl.handle(ControlMessage(MsgKind.PACKET_IN, src=2, dst="controller",
+                               body=PacketInBody(b, pending)))
+    assert ctrl.suspicious == 1
+    assert services.records[-1][1]["reason"] == "no_open_window_for_nonce"
+    assert ctrl.counters["superseded_probe"] == 0
+    assert not ctrl.map.has_link(a, b)
+
+
 def test_bfd_status_for_unknown_port_is_suspicious():
     ctrl, services = _registered(2)
     ctrl.on_bfd_status(BfdStatusBody(PortRef(9, 1), "DOWN", epoch=1))
