@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from math import inf
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -34,7 +35,6 @@ from .core import (
     PortStatusBody,
     Protocol,
     ScenarioSpec,
-    SimTime,
     SwitchId,
     link_key,
     mac_bytes,
@@ -72,9 +72,8 @@ class IdentityHasher:
 @dataclass
 class PendingWindow:
     port: PortRef
-    opened_at: SimTime
-    expires_at: SimTime
     nonce: bytes
+    timer: object = None  # the scheduled expiry
 
 
 @dataclass(frozen=True)
@@ -165,17 +164,20 @@ class Controller:
         self.te_override = False
         self.link_learned_hook: Optional[Callable] = None
 
+        # Each open window is in both maps; _close_window takes it out of
+        # both.  A rotated-out nonce stays superseded for one window length.
         self.windows: dict[PortRef, PendingWindow] = {}
-        self._window_timers: dict[PortRef, object] = {}
-        self._nonce_to_port: dict[bytes, PortRef] = {}
-        self._superseded: dict[bytes, PortRef] = {}
+        self._window_of_nonce: dict[bytes, PendingWindow] = {}
+        self._superseded: set[bytes] = set()
         self.port_epoch: dict[PortRef, int] = {}
 
         self._await_boot: set[int] = {d for d in spec.initially_present()}
         self.bootstrap_done = False
         self.round_no = 0
         self._last_confirm: dict[tuple[PortRef, PortRef], int] = {}
+        # bridges and edges of the graph the last retag saw
         self._bridges: set[frozenset] = set()
+        self._edges: set[frozenset] = set()
         self._sent_groups: dict[tuple[int, int], tuple] = {}
 
     # -- plumbing ----------------------------------------------------------
@@ -247,7 +249,6 @@ class Controller:
                 for port_no in reg.ports_up_at_join:
                     port = PortRef(dpid, port_no)
                     self.port_epoch.setdefault(port, 1)
-                    self._open_window(port)
                     self._probe(port)
                     probes += 1
             self.services.record("bootstrap_dispatch",
@@ -258,50 +259,32 @@ class Controller:
             self._dispatch_round()
 
     # -- windows and probes ------------------------------------------------
-    def _open_window(self, port: PortRef) -> PendingWindow:
-        existing = self.windows.pop(port, None)
-        if existing is not None:
-            timer = self._window_timers.pop(port, None)
-            if timer is not None:
-                timer.cancel()
-            del self._nonce_to_port[existing.nonce]
+    def _close_window(self, window: PendingWindow, event: str) -> None:
+        """The one way a window ends: expiry, consumption, rotation and
+        port-down all come here, with the trace record to write."""
+        del self.windows[window.port]
+        del self._window_of_nonce[window.nonce]
+        window.timer.cancel()
+        self.services.record(event, port=str(window.port))
+
+    def _probe(self, port: PortRef) -> None:
+        """Open a fresh window on ``port``, rotating out any open one, and
+        send the probe carrying its nonce."""
+        old = self.windows.get(port)
+        if old is not None:
             # Returns for the rotated-out probe are no longer acceptable,
             # but they are our own traffic, not an attack: remember the
             # nonce so the late return is discarded quietly.
-            self._superseded[existing.nonce] = port
+            self._superseded.add(old.nonce)
             self.services.schedule(self.spec.lldp_window, "superseded_purge",
-                                   lambda n=existing.nonce:
-                                   self._superseded.pop(n, None))
-            self.services.record("window_rotated", port=str(port))
-        now = self.services.now()
-        window = PendingWindow(port, now, now + self.spec.lldp_window,
-                               self.hasher.next_nonce())
-        self.windows[port] = window
-        self._nonce_to_port[window.nonce] = port
-        self._window_timers[port] = self.services.schedule(
+                                   lambda: self._superseded.discard(old.nonce))
+            self._close_window(old, "window_rotated")
+        window = PendingWindow(port, self.hasher.next_nonce())
+        self.windows[port] = self._window_of_nonce[window.nonce] = window
+        window.timer = self.services.schedule(
             self.spec.lldp_window, "window_expiry",
-            lambda: self._expire_window(port, window))
+            lambda: self._close_window(window, "window_expired"))
         self.services.record("window_open", port=str(port))
-        return window
-
-    def _expire_window(self, port: PortRef, window: PendingWindow) -> None:
-        if self.windows.get(port) is not window:
-            return
-        del self.windows[port]
-        self._nonce_to_port.pop(window.nonce, None)
-        self._window_timers.pop(port, None)
-        self.services.record("window_expired", port=str(port))
-
-    def _consume_window(self, port: PortRef, window: PendingWindow) -> None:
-        del self.windows[port]
-        self._nonce_to_port.pop(window.nonce, None)
-        timer = self._window_timers.pop(port, None)
-        if timer is not None:
-            timer.cancel()
-        self.services.record("window_consumed", port=str(port))
-
-    def _probe(self, port: PortRef) -> None:
-        window = self.windows[port]
         reg = self.registry[port.dpid]
         frame = LldpFrame(
             chassis_id=self.hasher.digest(mac_bytes(reg.id.local_mac)),
@@ -324,45 +307,40 @@ class Controller:
             # transition; this FLOW_MOD re-asserts it so a switch with a
             # wiped table still forwards the probe.
             self._send(MsgKind.FLOW_MOD, port.dpid, FlowModBody(
-                dpid=port.dpid, priority=WINDOW_FLOW_PRIORITY,
-                match_lldp=True, match_ingress=port,
+                dpid=port.dpid, priority=WINDOW_FLOW_PRIORITY, match_ingress=port,
                 action=("to_controller",), hard_timeout=self.spec.lldp_window))
-            self._open_window(port)
             self._probe(port)
             # A link needs confirming probes in both directions, and its
             # far end may have reported earlier.  Re-arm every other open
             # window so all pending confirmations restart from the latest
             # report: learning completes at max(report) + probe round trip.
             for other in sorted(p for p in self.windows if p != port):
-                self._open_window(other)
                 self._probe(other)
         else:
             removed = self.map.links_touching(port)
             if removed:
                 self._remove_links(_both_ways(removed), cause="port_down")
             if port in self.windows:
-                self._expire_window(port, self.windows[port])
+                self._close_window(self.windows[port], "window_expired")
 
     def _packet_in_event_driven(self, body: PacketInBody) -> None:
         frame = body.frame
         if not isinstance(frame, LldpFrame):
             self.counters["ignored_data_packet_in"] += 1
             return
-        nonce = frame.nonce
-        if nonce in self._superseded:
-            self._superseded.pop(nonce)
+        if frame.nonce in self._superseded:
+            self._superseded.remove(frame.nonce)
             self.counters["superseded_probe"] += 1
             self.services.record("superseded_probe_return", port=str(body.ingress))
             return
-        egress = self._nonce_to_port.get(nonce)
-        if egress is None:
+        window = self._window_of_nonce.get(frame.nonce)
+        if window is None:
             self.counters["suspicious"] += 1
             self.services.record("suspicious_packet_in",
                                  reason="no_open_window_for_nonce",
                                  ingress=str(body.ingress))
             return
-        ingress = body.ingress
-        window = self.windows[egress]
+        egress, ingress = window.port, body.ingress
         if (ingress.dpid == egress.dpid
                 or ingress.dpid not in self.registry
                 or not 1 <= ingress.port_no <= self.registry[ingress.dpid].port_count):
@@ -371,7 +349,7 @@ class Controller:
                                  reason="implausible_ingress",
                                  ingress=str(ingress))
             return
-        self._consume_window(egress, window)
+        self._close_window(window, "window_consumed")
         self._learn_directed(egress, ingress)
 
     def _learn_directed(self, egress: PortRef, ingress: PortRef) -> None:
@@ -434,17 +412,12 @@ class Controller:
 
     def on_channel_closed(self, dpid: int) -> None:
         """Graceful teardown: the control session for a switch went away,
-        so the switch and everything attached to it leaves the map."""
-        if dpid not in self.map.switches and not self.map.links_of_switch(dpid):
-            return
+        so the switch and everything attached to it leaves the map.  A
+        switch is in the map only while a link touches it, so removing its
+        links removes the switch too."""
         links = self.map.links_of_switch(dpid)
         if links:
             self._remove_links(_both_ways(links), cause="channel_closed")
-        if dpid in self.map.switches:
-            del self.map.switches[dpid]
-            self.services.record("map_remove_switch", dpid=dpid,
-                                 cause="channel_closed")
-            self.retag_paths([])
 
     # -- baseline engines --------------------------------------------------
     def _cleartext_frame(self, reg: RegisteredSwitch, port: Optional[PortRef]) -> LldpFrame:
@@ -612,77 +585,50 @@ class Controller:
         nodes = sorted(adj)
         dist = {v: self._bfs(adj, v) for v in nodes}
         bridges = self._bridge_set(adj)
-        flipped = bridges ^ self._bridges
-        changed_present = [frozenset((a.dpid, b.dpid)) for (a, b) in changed_links
+        # Every tag edge was alive at the previous retag, so the tag edges
+        # that died since are among the edges the graph lost.
+        stale = (bridges ^ self._bridges) | (self._edges - alive_edges)
+        changed_present = [(a.dpid, b.dpid) for (a, b) in changed_links
                            if frozenset((a.dpid, b.dpid)) in alive_edges]
 
         old_tags = self.map.path_tags
         new_tags: dict[tuple[int, int], PathTags] = {}
-        candidates: list[tuple[int, int]] = []
+        group_sends: list[tuple[int, int]] = []
+        recomputed = 0
         for i, a in enumerate(nodes):
             for b in nodes[i + 1:]:
                 d = dist[a].get(b)
                 if d is None:
                     continue
-                pair = (a, b)
-                old = old_tags.get(pair)
-                if old is None or len(old.primary) - 1 != d:
-                    candidates.append(pair)
-                    continue
-                def uses_dead_or_flipped(path):
-                    for u, v in zip(path, path[1:]):
-                        e = frozenset((u, v))
-                        if e not in alive_edges or e in flipped:
-                            return True
-                    return False
-                if uses_dead_or_flipped(old.primary) or any(
-                        uses_dead_or_flipped(p) for p in old.backups):
-                    candidates.append(pair)
-                    continue
-                on_shortest = False
-                for e in changed_present:
-                    u, v = sorted(e)
-                    if (dist[a].get(u, -2) + 1 + dist[v].get(b, -2) == d
-                            or dist[a].get(v, -2) + 1 + dist[u].get(b, -2) == d):
-                        on_shortest = True
-                        break
-                if on_shortest:
-                    candidates.append(pair)
-                    continue
-                # a new edge can also shorten (or re-tie) the backup without
-                # touching any shortest path; full-graph distance is a lower
-                # bound on pruned-graph distance, so this test is safe
-                improves_backup = False
-                if old.backups and changed_present:
-                    worst = len(old.backups[0]) - 1
-                    for e in changed_present:
-                        u, v = sorted(e)
-                        au, av = dist[a].get(u), dist[a].get(v)
-                        bu, bv = dist[b].get(u), dist[b].get(v)
-                        if ((au is not None and bv is not None
-                             and au + 1 + bv <= worst)
-                                or (av is not None and bu is not None
-                                    and av + 1 + bu <= worst)):
-                            improves_backup = True
-                            break
-                if improves_backup:
-                    candidates.append(pair)
-                else:
-                    new_tags[pair] = old
-
-        group_sends: list[tuple[int, int]] = []
-        recomputed = 0
-        for (a, b) in candidates:
-            primary = self._lex_min_shortest(a, b, dist[b], adj)
-            backup = self._backup_path(a, b, primary, adj, bridges)
-            entry = PathTags(primary, (backup,) if backup is not None else ())
-            new_tags[(a, b)] = entry
-            recomputed += 1
-            if old_tags.get((a, b)) != entry:
-                group_sends.extend(self._push_groups(a, b, entry))
+                old = old_tags.get((a, b))
+                if old is not None and len(old.primary) - 1 == d and not any(
+                        frozenset(e) in stale
+                        for path in (old.primary, *old.backups)
+                        for e in zip(path, path[1:])):
+                    # The tag still holds unless a changed edge lies on an
+                    # a-b walk no longer than the backup (d without one):
+                    # such an edge can shorten or re-tie the backup, or lie
+                    # on a shortest path.  A walk through a live edge is
+                    # never shorter than d and a backup never shorter than
+                    # its primary, so this one limit covers both.  Full-
+                    # graph distance bounds pruned-graph distance below.
+                    limit = len(old.backups[0]) - 1 if old.backups else d
+                    da, db = dist[a], dist[b]
+                    if all(1 + min(da.get(u, inf) + db.get(v, inf),
+                                   da.get(v, inf) + db.get(u, inf)) > limit
+                           for (u, v) in changed_present):
+                        new_tags[(a, b)] = old
+                        continue
+                primary = self._lex_min_shortest(a, b, dist[b], adj)
+                backup = self._backup_path(a, b, primary, adj, bridges)
+                entry = PathTags(primary, (backup,) if backup is not None else ())
+                new_tags[(a, b)] = entry
+                recomputed += 1
+                if old != entry:
+                    group_sends.extend(self._push_groups(a, b, entry))
 
         self.map.path_tags = new_tags
-        self._bridges = bridges
+        self._bridges, self._edges = bridges, alive_edges
         for (pa, pb) in changed_links:
             key = link_key(pa, pb)
             pair = (min(pa.dpid, pb.dpid), max(pa.dpid, pb.dpid))

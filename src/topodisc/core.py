@@ -246,9 +246,8 @@ class FeatureReplyBody:
 class FlowModBody:
     dpid: int
     priority: int
-    match_lldp: bool
-    match_ingress: Optional[PortRef]
-    action: tuple  # ("to_controller",) | ("drop",) | ("output", PortRef) | ("group", int)
+    match_ingress: Optional[PortRef]  # LLDP arriving here; None = any port
+    action: tuple  # ("to_controller",) | ("drop",)
     hard_timeout: Optional[SimTime]
 
 

@@ -91,10 +91,13 @@ class BfdSession:
 
 @dataclass
 class FlowRule:
+    """An LLDP rule.  Only discovery frames reach the flow table (data
+    probes go through the group table), so a rule matches on ingress
+    alone; ``match_ingress=None`` matches every port."""
+
     priority: int
-    match_kind: str  # "lldp" | "data" | "any"
     match_ingress: Optional[PortRef]
-    action: tuple
+    action: tuple  # ("drop",) | ("to_controller",)
     hard_timeout: Optional[SimTime]
     installed_at: SimTime
     seq: int
@@ -105,17 +108,8 @@ class FlowRule:
             return None
         return self.installed_at + self.hard_timeout
 
-    def matches(self, is_lldp: bool, ingress: PortRef) -> bool:
-        if self.match_kind == "lldp" and not is_lldp:
-            return False
-        if self.match_kind == "data" and is_lldp:
-            return False
-        if self.match_ingress is not None and self.match_ingress != ingress:
-            return False
-        return True
-
     def match_key(self) -> tuple:
-        return (self.priority, self.match_kind, self.match_ingress)
+        return (self.priority, self.match_ingress)
 
 
 @dataclass
@@ -165,12 +159,12 @@ class SwitchAgent:
             # The event-driven protocol ships switches with a standing
             # drop-lldp rule; discovery traffic is only forwarded through
             # explicit window rules.
-            self._install_rule(priority=DEFAULT_LLDP_PRIORITY, match_kind="lldp",
-                               match_ingress=None, action=("drop",), hard_timeout=None)
+            self._install_rule(priority=DEFAULT_LLDP_PRIORITY, match_ingress=None,
+                               action=("drop",), hard_timeout=None)
         else:
             # Baselines forward every LLDP frame to the controller.
-            self._install_rule(priority=DEFAULT_LLDP_PRIORITY, match_kind="lldp",
-                               match_ingress=None, action=("to_controller",), hard_timeout=None)
+            self._install_rule(priority=DEFAULT_LLDP_PRIORITY, match_ingress=None,
+                               action=("to_controller",), hard_timeout=None)
 
     # -- helpers ----------------------------------------------------------
     def _send(self, kind: MsgKind, body) -> None:
@@ -256,8 +250,8 @@ class SwitchAgent:
     def _arm_window_rule(self, port: PortRef) -> None:
         tag = hashlib.sha256(
             f"window|{port}|{self.services.now()}".encode()).digest()[:8]
-        self._install_rule(priority=WINDOW_RULE_PRIORITY, match_kind="lldp",
-                           match_ingress=port, action=("to_controller",),
+        self._install_rule(priority=WINDOW_RULE_PRIORITY, match_ingress=port,
+                           action=("to_controller",),
                            hard_timeout=self.services.lldp_window, tag=tag)
 
     # -- BFD --------------------------------------------------------------
@@ -279,42 +273,30 @@ class SwitchAgent:
         self._send(MsgKind.BFD_STATUS, BfdStatusBody(port, BFD_DOWN, session.epoch))
 
     # -- forwarding -------------------------------------------------------
-    def forward(self, frame, ingress: PortRef) -> tuple:
+    def forward(self, frame: LldpFrame, ingress: PortRef) -> tuple:
         """Apply the highest-priority matching unexpired rule (newest wins
-        ties) and return the action taken, e.g. ("to_controller",),
-        ("output", port), ("drop", reason)."""
+        ties) and return the action taken: ("to_controller",) or
+        ("drop", reason)."""
         if ingress not in self.ports:
             raise KeyError(f"{ingress} does not belong to {self.id}")
         now = self.services.now()
-        is_lldp = isinstance(frame, LldpFrame)
         best: Optional[FlowRule] = None
         for rule in self.flow_table:
             exp = rule.expires_at()
             if exp is not None and now >= exp:
                 continue
-            if not rule.matches(is_lldp, ingress):
+            if rule.match_ingress is not None and rule.match_ingress != ingress:
                 continue
             if best is None or (rule.priority, rule.seq) > (best.priority, best.seq):
                 best = rule
         if best is None:
             return ("drop", "no_matching_rule")
-        return self._apply_action(best, frame, ingress, is_lldp)
-
-    def _apply_action(self, rule: FlowRule, frame, ingress: PortRef, is_lldp: bool) -> tuple:
-        action = rule.action
-        if action[0] == "drop":
+        if best.action[0] == "drop":
             return ("drop", "rule_drop")
-        if action[0] == "to_controller":
-            if is_lldp and rule.tag is not None:
-                frame = replace(frame, ingress_window_tag=rule.tag)
-            self._send(MsgKind.PACKET_IN, PacketInBody(ingress, frame))
-            return ("to_controller",)
-        if action[0] == "output":
-            self.services.send_frame(action[1], frame)
-            return ("output", action[1])
-        if action[0] == "group":
-            return self.forward_via_group(action[1], frame)
-        raise ValueError(f"unknown action {action!r}")
+        if best.tag is not None:
+            frame = replace(frame, ingress_window_tag=best.tag)
+        self._send(MsgKind.PACKET_IN, PacketInBody(ingress, frame))
+        return ("to_controller",)
 
     def forward_via_group(self, group_id: int, frame) -> tuple:
         """First-live-bucket semantics; bucket liveness is the watch port's
@@ -337,7 +319,6 @@ class SwitchAgent:
             if body.dpid != self.id.dpid:
                 raise KeyError(f"FLOW_MOD for s{body.dpid} delivered to {self.id}")
             self._install_rule(priority=body.priority,
-                               match_kind="lldp" if body.match_lldp else "any",
                                match_ingress=body.match_ingress,
                                action=body.action,
                                hard_timeout=body.hard_timeout)
@@ -366,12 +347,11 @@ class SwitchAgent:
             frame = replace(body.frame, port_id=str(ref).encode())
             self.services.send_frame(ref, frame)
 
-    def _install_rule(self, priority: int, match_kind: str,
-                      match_ingress: Optional[PortRef], action: tuple,
-                      hard_timeout: Optional[SimTime], tag: Optional[bytes] = None) -> FlowRule:
+    def _install_rule(self, priority: int, match_ingress: Optional[PortRef],
+                      action: tuple, hard_timeout: Optional[SimTime],
+                      tag: Optional[bytes] = None) -> FlowRule:
         now = self.services.now()
-        rule = FlowRule(priority=priority, match_kind=match_kind,
-                        match_ingress=match_ingress, action=action,
+        rule = FlowRule(priority=priority, match_ingress=match_ingress, action=action,
                         hard_timeout=hard_timeout, installed_at=now,
                         seq=self._rule_seq, tag=tag)
         self._rule_seq += 1

@@ -166,7 +166,7 @@ def test_same_match_replaces_and_tie_newest_wins():
     base = len(agent.flow_table)
     mod = lambda action: ControlMessage(
         MsgKind.FLOW_MOD, src=0, dst=1,
-        body=FlowModBody(dpid=1, priority=50, match_lldp=True,
+        body=FlowModBody(dpid=1, priority=50,
                          match_ingress=PortRef(1, 2), action=action,
                          hard_timeout=None))
     agent.apply_mod(mod(("drop",)))
@@ -179,7 +179,7 @@ def test_higher_priority_wins_regardless_of_age():
     agent, services = _agent(Protocol.OFDP)
     agent.apply_mod(ControlMessage(
         MsgKind.FLOW_MOD, src=0, dst=1,
-        body=FlowModBody(dpid=1, priority=99, match_lldp=True,
+        body=FlowModBody(dpid=1, priority=99,
                          match_ingress=None, action=("drop",),
                          hard_timeout=None)))
     assert agent.forward(LLDP, PortRef(1, 1))[0] == "drop"
