@@ -188,8 +188,12 @@ COMPARE_COLUMNS = ("n", "protocol", "packet_outs_per_round", "rounds",
 
 
 def cmd_compare(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes \
-        else list(COMPARE_SIZES)
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes \
+            else list(COMPARE_SIZES)
+    except ValueError:
+        raise ScenarioError(f"--sizes: expected comma separated switch "
+                            f"counts such as 2,4,8, got {args.sizes!r}")
     for n in sizes:
         if n == 1 or n < 0:
             raise ScenarioError(f"size {n} not buildable: use 0 or >= 2")

@@ -301,7 +301,20 @@ class SwitchLeave:
     dpid: int
 
 
-ATTACK_KINDS = ("fingerprint", "flood", "inject", "relay", "spoof")
+# Port params each attack kind needs to launch; a relay also needs
+# inject_b when it is given observe_b.
+REQUIRED_PORT_PARAMS = {
+    "fingerprint": ("observe",),
+    "flood": ("inject",),
+    "inject": ("inject", "victim_port"),
+    "relay": ("observe", "inject"),
+    "spoof": ("observe",),
+}
+ATTACK_KINDS = tuple(REQUIRED_PORT_PARAMS)
+
+# Attack params that hold a port; scenario files write them as
+# [dpid, port_no].
+_PORT_PARAM_KEYS = {"observe", "inject", "observe_b", "inject_b", "port", "victim_port"}
 
 # Attack params that hold a duration; the adversary parses them with
 # parse_duration, so validation does the same.
@@ -504,12 +517,22 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
             if ev.dpid not in dpid_set:
                 out.append(Violation(el, f"references unknown switch s{ev.dpid}"))
         elif isinstance(ev, AttackStart):
-            if ev.attack.kind not in ATTACK_KINDS:
-                out.append(Violation(el, f"unknown attack kind {ev.attack.kind!r}"))
+            kind, params = ev.attack.kind, ev.attack.params
+            if kind not in ATTACK_KINDS:
+                out.append(Violation(el, f"unknown attack kind {kind!r}"))
+            required = REQUIRED_PORT_PARAMS.get(kind, ())
+            if kind == "relay" and "observe_b" in params:
+                required += ("inject_b",)
+            for key in required:
+                if key not in params:
+                    out.append(Violation(f"{el}.params.{key}",
+                                         f"missing: {kind} needs this port"))
+            for key in sorted(_PORT_PARAM_KEYS & params.keys()):
+                check_port(params[key], f"{el}.params.{key}")
             for key in _DURATION_PARAM_KEYS:
-                if key in ev.attack.params:
+                if key in params:
                     try:
-                        parse_duration(ev.attack.params[key])
+                        parse_duration(params[key])
                     except ValueError as exc:
                         out.append(Violation(f"{el}.params.{key}", str(exc)))
     return out
@@ -602,8 +625,6 @@ def _encode_attack_params(params: dict) -> dict:
     return out
 
 
-_PORT_PARAM_KEYS = {"observe", "inject", "observe_b", "inject_b", "port", "victim_port"}
-
 
 def _decode_attack_params(raw: dict, where: str) -> dict:
     out = {}
@@ -619,6 +640,22 @@ def _mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioFormatError(
             f"{where}: expected a mapping, got {type(value).__name__}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    """A section that holds a list; an absent or empty one is []."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ScenarioFormatError(
+            f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioFormatError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
@@ -650,22 +687,23 @@ def decode_scenario(text: str) -> ScenarioSpec:
     bfd_doc = _mapping(_require(doc, "bfd", "scenario"), "bfd")
     bfd = BfdParams(
         interval=dur(_require(bfd_doc, "interval", "bfd"), "bfd.interval"),
-        multiplier=int(_require(bfd_doc, "multiplier", "bfd")),
+        multiplier=_int(_require(bfd_doc, "multiplier", "bfd"), "bfd.multiplier"),
     )
 
     switches = []
-    for i, s in enumerate(_require(doc, "switches", "scenario") or []):
+    for i, s in enumerate(_list(_require(doc, "switches", "scenario"), "switches")):
         where = f"switches[{i}]"
         s = _mapping(s, where)
         switches.append(
             SwitchDecl(
-                id=SwitchId(int(_require(s, "dpid", where)), str(_require(s, "local_mac", where))),
-                port_count=int(_require(s, "ports", where)),
+                id=SwitchId(_int(_require(s, "dpid", where), f"{where}.dpid"),
+                            str(_require(s, "local_mac", where))),
+                port_count=_int(_require(s, "ports", where), f"{where}.ports"),
             )
         )
 
     links = []
-    for i, l in enumerate(doc.get("links") or []):
+    for i, l in enumerate(_list(doc.get("links"), "links")):
         where = f"links[{i}]"
         l = _mapping(l, where)
         a = _port_from_list(_require(l, "a", where), where)
@@ -675,19 +713,20 @@ def decode_scenario(text: str) -> ScenarioSpec:
         links.append(Link(a, b, delay_ab, delay_ba, alive=bool(l.get("alive", True))))
 
     channels = []
-    for i, c in enumerate(_require(doc, "control_channels", "scenario") or []):
+    for i, c in enumerate(_list(_require(doc, "control_channels", "scenario"),
+                                "control_channels")):
         where = f"control_channels[{i}]"
         c = _mapping(c, where)
         channels.append(
             ControlChannel(
-                dpid=int(_require(c, "dpid", where)),
+                dpid=_int(_require(c, "dpid", where), f"{where}.dpid"),
                 delay_to_controller=dur(_require(c, "to_controller", where), where),
                 delay_from_controller=dur(_require(c, "from_controller", where), where),
             )
         )
 
     timeline = []
-    for i, e in enumerate(doc.get("timeline") or []):
+    for i, e in enumerate(_list(doc.get("timeline"), "timeline")):
         where = f"timeline[{i}]"
         e = _mapping(e, where)
         at = dur(_require(e, "at", where), f"{where}.at")
@@ -699,9 +738,9 @@ def decode_scenario(text: str) -> ScenarioSpec:
             timeline.append(LinkRemove(at, _port_from_list(_require(e, "a", where), where),
                                        _port_from_list(_require(e, "b", where), where)))
         elif kind == "switch_join":
-            timeline.append(SwitchJoin(at, int(_require(e, "dpid", where))))
+            timeline.append(SwitchJoin(at, _int(_require(e, "dpid", where), f"{where}.dpid")))
         elif kind == "switch_leave":
-            timeline.append(SwitchLeave(at, int(_require(e, "dpid", where))))
+            timeline.append(SwitchLeave(at, _int(_require(e, "dpid", where), f"{where}.dpid")))
         elif kind == "attack":
             timeline.append(
                 AttackStart(
@@ -726,5 +765,5 @@ def decode_scenario(text: str) -> ScenarioSpec:
         discovery_period=dur(_require(doc, "discovery_period", "scenario"), "discovery_period"),
         timeline=tuple(timeline),
         lldp_window=dur(doc.get("lldp_window", 500 * MS), "lldp_window"),
-        rng_seed=int(doc.get("rng_seed", 0)),
+        rng_seed=_int(doc.get("rng_seed", 0), "rng_seed"),
     )

@@ -107,13 +107,59 @@ def _set_bfd(doc):
     doc["bfd"] = 3
 
 
+def _inject_without_victim(doc):
+    doc["timeline"][0].update(kind="inject", params={"inject": [1, 1]})
+
+
+def _set_victim_port(doc):
+    doc["timeline"][0].update(kind="inject",
+                              params={"inject": [1, 1], "victim_port": [9, 1]})
+
+
+def _relay_without_inject_b(doc):
+    doc["timeline"][0].update(kind="relay", params={
+        "observe": [1, 1], "inject": [3, 1], "observe_b": [3, 1]})
+
+
+def _set_field(*path):
+    """Edit that sets the field at ``path`` (keys and list indexes) to
+    the last element of ``path``."""
+    *keys, value = path
+
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, element", [
     (_set_attack_kind, "timeline[0]: unknown attack kind 'nope'"),
     (_set_attack_duration, "timeline[0].params.duration"),
     (_set_attack_params, "timeline[0].params: expected a mapping"),
     (_set_bfd, "bfd: expected a mapping"),
+    (_inject_without_victim, "timeline[0].params.victim_port: missing"),
+    (_set_victim_port,
+     "timeline[0].params.victim_port: references unknown switch s9"),
+    (_relay_without_inject_b, "timeline[0].params.inject_b: missing"),
+    (_set_field("timeline", 0, "params", "observe", [1, 99]),
+     "timeline[0].params.observe: references undeclared port s1.p99"),
+    (_set_field("switches", 3), "switches: expected a list"),
+    (_set_field("links", 5), "links: expected a list"),
+    (_set_field("switches", 0, "dpid", "abc"),
+     "switches[0].dpid: expected an integer"),
+    (_set_field("switches", 0, "ports", "many"),
+     "switches[0].ports: expected an integer"),
+    (_set_field("bfd", "multiplier", "x"),
+     "bfd.multiplier: expected an integer"),
+    (_set_field("rng_seed", 1.5), "rng_seed: expected an integer"),
 ], ids=["unknown_kind", "bad_duration", "params_not_mapping",
-        "bfd_not_mapping"])
+        "bfd_not_mapping", "inject_without_victim_port",
+        "victim_port_unknown_switch", "relay_without_inject_b",
+        "observe_undeclared_port", "switches_not_list", "links_not_list",
+        "dpid_not_integer", "ports_not_integer", "multiplier_not_integer",
+        "rng_seed_not_integer"])
 def test_run_bad_document_names_the_element(tmp_path, capsys, edit, element):
     doc = yaml.safe_load(encode_scenario(
         scenarios.attack_scenario("spoof", Protocol.OFDP)))
@@ -197,8 +243,9 @@ def test_compare_rejects_unbuildable_sizes(capsys):
     assert "not buildable" in capsys.readouterr().err
 
 
-def test_compare_rejects_garbage_sizes():
-    assert run_cli("compare", "--sizes", "2,x") == 3
+def test_compare_rejects_garbage_sizes(capsys):
+    assert run_cli("compare", "--sizes", "2,x") == 2
+    assert "--sizes" in capsys.readouterr().err
 
 
 # -- attack ------------------------------------------------------------------
