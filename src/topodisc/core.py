@@ -625,7 +625,6 @@ def _encode_attack_params(params: dict) -> dict:
     return out
 
 
-
 def _decode_attack_params(raw: dict, where: str) -> dict:
     out = {}
     for k, v in raw.items():
