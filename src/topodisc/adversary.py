@@ -59,14 +59,28 @@ class AttackVerdict:
                 "evidence": self.evidence}
 
 
-def attack_span(decl) -> SimTime:
+# The params an attack may omit, per kind, and the value each takes then.
+DEFAULT_PARAMS = {
+    "fingerprint": {"duration": "3500ms"},
+    "flood": {"rate": 10_000, "duration": "1s"},
+    "inject": {"count": 3, "spacing": "500ms"},
+    "relay": {"tunnel_delay": "1ms", "duration": "3s"},
+    "spoof": {"duration": "3s"},
+}
+
+
+def _params(decl: AttackDecl) -> dict:
+    return {**DEFAULT_PARAMS[decl.kind], **decl.params}
+
+
+def attack_span(decl: AttackDecl) -> SimTime:
     """Sim time from launch until the verdict is recorded.  Used by the
     harness to size its default horizon so verdicts always land."""
-    p = decl.params
-    if "duration" in p:
-        span = parse_duration(p["duration"])
+    p = _params(decl)
+    if decl.kind == "inject":
+        span = (p["count"] - 1) * parse_duration(p["spacing"])
     else:
-        span = (int(p.get("count", 1)) - 1) * parse_duration(p.get("spacing", 0))
+        span = parse_duration(p["duration"])
     return span + VERDICT_SETTLE
 
 
@@ -80,7 +94,7 @@ def _packet_in_count(sim, lo: SimTime, hi: SimTime) -> int:
     n = 0
     for r in sim.engine.trace.records:
         if r.kind == "ctrl_delivered" and lo <= r.ts < hi \
-                and dict(r.detail)["msg"] == "PACKET_IN":
+                and r.detail["msg"] == "PACKET_IN":
             n += 1
     return n
 
@@ -97,10 +111,8 @@ def _ever_added_touching(sim, ports: set[PortRef]) -> int:
     strs = {str(p) for p in ports}
     n = 0
     for r in sim.engine.trace.records:
-        if r.kind != "map_add_link":
-            continue
-        d = dict(r.detail)
-        if d["egress"] in strs or d["ingress"] in strs:
+        if r.kind == "map_add_link" and (
+                r.detail["egress"] in strs or r.detail["ingress"] in strs):
             n += 1
     return n
 
@@ -109,7 +121,7 @@ def _ever_added_touching(sim, ports: set[PortRef]) -> int:
 
 def _launch_spoof(sim, params: dict) -> None:
     port: PortRef = params["observe"]
-    duration = parse_duration(params.get("duration", "3s"))
+    duration = parse_duration(params["duration"])
     seen: list[LldpFrame] = []
     sim.add_host_observer(
         port, lambda p, f: seen.append(f) if isinstance(f, LldpFrame) else None)
@@ -135,8 +147,8 @@ def _launch_spoof(sim, params: dict) -> None:
 def _launch_inject(sim, params: dict) -> None:
     inject_port: PortRef = params["inject"]
     victim: PortRef = params["victim_port"]
-    count = int(params.get("count", 3))
-    spacing = parse_duration(params.get("spacing", "500ms"))
+    count = params["count"]
+    spacing = parse_duration(params["spacing"])
     victim_mac = sim.spec.switch(victim.dpid).id.local_mac
     forged = LldpFrame(chassis_id=victim_mac.encode(),
                        port_id=str(victim).encode(),
@@ -167,8 +179,8 @@ def _launch_relay(sim, params: dict) -> None:
     pairs = [(params["observe"], params["inject"])]
     if "observe_b" in params:
         pairs.append((params["observe_b"], params["inject_b"]))
-    tunnel = parse_duration(params.get("tunnel_delay", "1ms"))
-    duration = parse_duration(params.get("duration", "3s"))
+    tunnel = parse_duration(params["tunnel_delay"])
+    duration = parse_duration(params["duration"])
     deadline = sim.engine.now + duration
     state = {"relayed": 0}
 
@@ -207,8 +219,8 @@ def _launch_relay(sim, params: dict) -> None:
 
 def _launch_flood(sim, params: dict) -> None:
     port: PortRef = params["inject"]
-    rate = int(params.get("rate", 10_000))
-    duration = parse_duration(params.get("duration", "1s"))
+    rate = params["rate"]
+    duration = parse_duration(params["duration"])
     start = sim.engine.now
     n_frames = max(1, rate * duration // SEC)
     spacing = duration // n_frames
@@ -245,7 +257,7 @@ def _launch_flood(sim, params: dict) -> None:
 
 def _launch_fingerprint(sim, params: dict) -> None:
     port: PortRef = params["observe"]
-    duration = parse_duration(params.get("duration", "3500ms"))
+    duration = parse_duration(params["duration"])
     start = sim.engine.now
     seen: list[tuple[SimTime, LldpFrame]] = []
     sim.add_host_observer(
@@ -300,4 +312,4 @@ def launch(sim, decl: AttackDecl) -> None:
     fn = _LAUNCHERS.get(decl.kind)
     if fn is None:
         raise ValueError(f"unknown attack kind {decl.kind!r}")
-    fn(sim, dict(decl.params))
+    fn(sim, _params(decl))

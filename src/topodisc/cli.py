@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -86,8 +87,7 @@ def atomic_write(path: str, text: str) -> None:
 def trace_ndjson(trace) -> str:
     lines = []
     for r in trace.records:
-        row = {"ts": r.ts, "kind": r.kind}
-        row.update(dict(r.detail))
+        row = {"ts": r.ts, "kind": r.kind, **r.detail}
         lines.append(json.dumps(row, sort_keys=True, default=str))
     return "\n".join(lines) + "\n"
 
@@ -167,8 +167,10 @@ def _compare_cell(n: int, protocol: Protocol, seed: int) -> dict:
         spec = scenarios.chain(n, protocol=protocol)
     spec = dataclasses.replace(
         spec, rng_seed=seed, timeline=_churn_timeline(spec, COMPARE_HORIZON))
-    sim = Simulation(spec, name=f"chain{n}").run(COMPARE_HORIZON)
-    m = sim.run_metrics()
+    m = Simulation(spec, name=f"chain{n}").run(COMPARE_HORIZON).run_metrics()
+    # The simulation is now garbage held in reference cycles; free it
+    # before the next cell so that the cells do not pile up in memory.
+    gc.collect()
     per_round = max((outs for (_, _, outs) in m.rounds), default=0)
     total = m.messages_total()
     seconds = COMPARE_HORIZON // SEC

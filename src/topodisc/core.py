@@ -320,6 +320,9 @@ _PORT_PARAM_KEYS = {"observe", "inject", "observe_b", "inject_b", "port", "victi
 # parse_duration, so validation does the same.
 _DURATION_PARAM_KEYS = ("duration", "spacing", "tunnel_delay")
 
+# Attack params that hold a positive count.
+_COUNT_PARAM_KEYS = {"count", "rate"}
+
 
 @dataclass(frozen=True)
 class AttackDecl:
@@ -535,6 +538,11 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
                         parse_duration(params[key])
                     except ValueError as exc:
                         out.append(Violation(f"{el}.params.{key}", str(exc)))
+            for key in sorted(_COUNT_PARAM_KEYS & params.keys()):
+                v = params[key]
+                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                    out.append(Violation(f"{el}.params.{key}",
+                                         f"expected an integer >= 1, got {v!r}"))
     return out
 
 
@@ -709,7 +717,11 @@ def decode_scenario(text: str) -> ScenarioSpec:
         b = _port_from_list(_require(l, "b", where), where)
         delay_ab = dur(_require(l, "delay_ab", where), f"{where}.delay_ab")
         delay_ba = dur(_require(l, "delay_ba", where), f"{where}.delay_ba")
-        links.append(Link(a, b, delay_ab, delay_ba, alive=bool(l.get("alive", True))))
+        alive = l.get("alive", True)
+        if not isinstance(alive, bool):
+            raise ScenarioFormatError(
+                f"{where}.alive: expected true or false, got {alive!r}")
+        links.append(Link(a, b, delay_ab, delay_ba, alive=alive))
 
     channels = []
     for i, c in enumerate(_list(_require(doc, "control_channels", "scenario"),

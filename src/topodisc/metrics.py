@@ -207,149 +207,111 @@ def _involves(detail: dict, dpid: int) -> bool:
     return False
 
 
+def _learned(entry: EventEntry, ts: SimTime) -> None:
+    entry.learning = ts - entry.at
+    entry.resolved = True
+
+
 def measure(trace: Trace) -> RunMetrics:
-    recs = trace.records
-    timeline = [r for r in recs if r.kind == "timeline"]
+    """Read the report entries and totals off a trace in one pass.
 
-    probe_sent_ts: dict[int, SimTime] = {}
-    delivered_ids: set[int] = set()
-    for r in recs:
-        d = dict(r.detail)
-        if r.kind == "probe_sent":
-            probe_sent_ts[d["probe_id"]] = r.ts
-        elif r.kind == "probe_delivered":
-            delivered_ids.add(d["probe_id"])
-
+    A record belongs to the entry of the last timeline instant at or
+    before its ts.  Records before the first instant belong to the
+    bootstrap entry, which exists once the controller has bootstrapped
+    and, like a join, is learned at its last bidirectional link.  A join
+    or leave entry may be resolved with a note that a later record of
+    its window overrules.
+    """
+    boot = entry = EventEntry("bootstrap", 0, resolved=True,
+                              detail={"links_learned": 0})
+    boot_at = boot_bidi = want = ports = None
     events: list[EventEntry] = []
-
-    boot = next((r for r in recs if r.kind == "bootstrap_dispatch"), None)
-    if boot is None:
-        boot = next((r for r in recs if r.kind == "round_dispatch"), None)
-    if boot is not None:
-        cutoff = timeline[0].ts if timeline else None
-        last_bidi = None
-        learned = 0
-        for r in recs:
-            if cutoff is not None and r.ts >= cutoff:
-                break
-            if r.kind == "map_link_bidirectional":
-                last_bidi = r.ts
-                learned += 1
-        events.append(EventEntry(
-            "bootstrap", boot.ts, resolved=True,
-            learning=None if last_bidi is None else last_bidi - boot.ts,
-            detail={"links_learned": learned}))
-
-    for i, tr in enumerate(timeline):
-        lo = tr.ts
-        hi = timeline[i + 1].ts if i + 1 < len(timeline) else None
-        d = dict(tr.detail)
-        kind = d["event"]
-        entry = EventEntry(kind, lo, detail=d)
-        window = [r for r in recs
-                  if lo <= r.ts and (hi is None or r.ts < hi)]
-
-        if kind == "link_add":
-            want = _canon_pair(d["a"], d["b"])
-            for r in window:
-                rd = dict(r.detail)
-                if r.kind == "map_link_bidirectional" and (rd["a"], rd["b"]) == want:
-                    entry.learning = r.ts - lo
-                    entry.resolved = True
-                    break
-            for r in window:
-                rd = dict(r.detail)
-                if r.kind == "adaptation_complete" and \
-                        rd.get("pair") == list(want):
-                    entry.adaptation = r.ts - lo
-                    break
-
-        elif kind == "link_remove":
-            ports = {d["a"], d["b"]}
-            for r in window:
-                rd = dict(r.detail)
-                if r.kind == "map_remove_link" and \
-                        {rd["egress"], rd["ingress"]} == ports:
-                    entry.learning = r.ts - lo
-                    entry.resolved = True
-                    break
-            recovered = [probe_sent_ts[pid] for pid in delivered_ids
-                         if probe_sent_ts.get(pid) is not None
-                         and probe_sent_ts[pid] >= lo
-                         and (hi is None or probe_sent_ts[pid] < hi)]
-            if recovered:
-                entry.loss_window = min(recovered) - lo
-
-        elif kind == "switch_join":
-            dpid = d["dpid"]
-            last_bidi = None
-            registered = None
-            for r in window:
-                rd = dict(r.detail)
-                if r.kind == "map_link_bidirectional" and _involves(rd, dpid):
-                    last_bidi = r.ts
-                elif r.kind == "switch_registered" and rd["dpid"] == dpid \
-                        and registered is None:
-                    registered = r.ts
-            if last_bidi is not None:
-                entry.learning = last_bidi - lo
-                entry.resolved = True
-            elif registered is not None:
-                entry.learning = registered - lo
-                entry.resolved = True
-                entry.detail["note"] = "registered, no links learned"
-
-        elif kind == "switch_leave":
-            dpid = d["dpid"]
-            for r in window:
-                rd = dict(r.detail)
-                if r.kind == "map_remove_switch" and rd["dpid"] == dpid:
-                    entry.learning = r.ts - lo
-                    entry.resolved = True
-                    break
-            if not entry.resolved:
-                # the switch may have already fallen out of the map when
-                # its last link went; replay map membership up to the event
-                in_map: set[int] = set()
-                for r in recs:
-                    if r.ts >= lo:
-                        break
-                    rd = dict(r.detail)
-                    if r.kind == "map_add_link":
-                        in_map.add(PortRef.parse(rd["egress"]).dpid)
-                        in_map.add(PortRef.parse(rd["ingress"]).dpid)
-                    elif r.kind == "map_remove_switch":
-                        in_map.discard(rd["dpid"])
-                if dpid not in in_map:
-                    entry.resolved = True
-                    entry.detail["note"] = "not in map at event"
-
-        elif kind == "attack":
-            entry.resolved = True
-
-        events.append(entry)
-
     msg_counts: Counter = Counter()
     per_second: dict[int, Counter] = {}
-    rounds = []
     suspicious = 0
+    rounds = []
     attacks = []
-    for r in recs:
-        d = dict(r.detail)
-        if r.kind == "ctrl_delivered":
+    in_map: set[int] = set()    # switches in the map as of the records read
+    sent: dict[int, tuple[SimTime, EventEntry]] = {}  # probe id -> (ts, window)
+    delivered: set[int] = set()
+
+    # The key is 2 ts for a timeline record and 2 ts + 1 for any other,
+    # so an instant's timeline records come before its other records and
+    # those land in the window of the last of them.  An int key, unlike a
+    # tuple, allocates nothing the garbage collector tracks.
+    for r in sorted(trace.records, key=lambda r: 2 * r.ts + (r.kind != "timeline")):
+        kind, d = r.kind, r.detail
+        if kind == "ctrl_delivered":
             msg_counts[d["msg"]] += 1
             per_second.setdefault(r.ts // SEC, Counter())[d["msg"]] += 1
-        elif r.kind == "round_dispatch":
-            rounds.append((r.ts, d["round"], d["packet_outs"]))
-        elif r.kind in ("suspicious_packet_in", "suspicious_bfd_status"):
+        elif kind in ("suspicious_packet_in", "suspicious_bfd_status"):
             suspicious += 1
-        elif r.kind == "attack_verdict":
+        elif kind == "timeline":
+            # a copy, so that notes stay out of the trace
+            entry = EventEntry(d["event"], r.ts, detail=d.copy())
+            events.append(entry)
+            want = _canon_pair(d["a"], d["b"]) if entry.kind == "link_add" else None
+            ports = {d["a"], d["b"]} if entry.kind == "link_remove" else None
+            if entry.kind == "attack":
+                entry.resolved = True
+            elif entry.kind == "switch_leave" and d["dpid"] not in in_map:
+                # it fell out of the map already, with its last link
+                entry.resolved = True
+                entry.detail["note"] = "not in map at event"
+        elif kind == "map_link_bidirectional":
+            if entry is boot:
+                boot_bidi = r.ts
+                boot.detail["links_learned"] += 1
+            elif (d["a"], d["b"]) == want and not entry.resolved:
+                _learned(entry, r.ts)
+            elif entry.kind == "switch_join" and _involves(d, entry.detail["dpid"]):
+                _learned(entry, r.ts)
+                entry.detail.pop("note", None)
+        elif kind == "switch_registered":
+            if entry.kind == "switch_join" and not entry.resolved \
+                    and d["dpid"] == entry.detail["dpid"]:
+                _learned(entry, r.ts)
+                entry.detail["note"] = "registered, no links learned"
+        elif kind == "adaptation_complete":
+            if want is not None and entry.adaptation is None \
+                    and d.get("pair") == list(want):
+                entry.adaptation = r.ts - entry.at
+        elif kind == "map_remove_link":
+            if {d["egress"], d["ingress"]} == ports and not entry.resolved:
+                _learned(entry, r.ts)
+        elif kind == "map_add_link":
+            in_map.add(PortRef.parse(d["egress"]).dpid)
+            in_map.add(PortRef.parse(d["ingress"]).dpid)
+        elif kind == "map_remove_switch":
+            in_map.discard(d["dpid"])
+            if entry.kind == "switch_leave" and entry.learning is None \
+                    and d["dpid"] == entry.detail["dpid"]:
+                _learned(entry, r.ts)
+                entry.detail.pop("note", None)
+        elif kind == "probe_sent":
+            sent[d["probe_id"]] = (r.ts, entry)
+        elif kind == "probe_delivered":
+            delivered.add(d["probe_id"])
+            sent_at, window = sent.get(d["probe_id"], (0, boot))
+            if window.kind == "link_remove" and (
+                    window.loss_window is None
+                    or sent_at - window.at < window.loss_window):
+                window.loss_window = sent_at - window.at
+        elif kind == "round_dispatch":
+            rounds.append((r.ts, d["round"], d["packet_outs"]))
+        elif kind == "attack_verdict":
             attacks.append({"ts": r.ts, **d})
+        elif kind == "bootstrap_dispatch" and boot_at is None:
+            boot_at = r.ts
 
+    if boot_at is not None:
+        boot.at = boot_at
+        boot.learning = None if boot_bidi is None else boot_bidi - boot_at
+        events.insert(0, boot)
     return RunMetrics(
         events=events, msg_counts=dict(msg_counts), per_second=per_second,
         rounds=rounds, suspicious=suspicious,
-        probes_sent=len(probe_sent_ts), probes_delivered=len(delivered_ids),
+        probes_sent=len(sent), probes_delivered=len(delivered),
         attacks=attacks)
 
 

@@ -48,10 +48,10 @@ class SimEvent:
 class TraceRecord:
     ts: SimTime
     kind: str
-    detail: tuple  # sorted (key, value) pairs, values are primitives
+    detail: dict  # primitive values; keys sorted, as the digest and report.json expect
 
     def payload_json(self) -> str:
-        return json.dumps(dict(self.detail), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.detail, separators=(",", ":"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.payload_json().encode()).hexdigest()[:12]
@@ -77,8 +77,8 @@ class Trace:
         self.records: list[TraceRecord] = []
 
     def record(self, ts: SimTime, kind: str, **detail) -> TraceRecord:
-        items = tuple(sorted((k, _primitive(v)) for k, v in detail.items()))
-        rec = TraceRecord(ts, kind, items)
+        rec = TraceRecord(ts, kind,
+                          {k: _primitive(detail[k]) for k in sorted(detail)})
         self.records.append(rec)
         return rec
 
@@ -97,8 +97,7 @@ class Trace:
         for r in self.records:
             if r.kind != kind:
                 continue
-            d = dict(r.detail)
-            if all(d.get(k) == _primitive(v) for k, v in match.items()):
+            if all(r.detail.get(k) == _primitive(v) for k, v in match.items()):
                 out.append(r)
         return out
 

@@ -7,10 +7,13 @@ which starves every host-side attack of input; the in-window variants
 document that hosts cannot race the pending windows either, because
 windows never open on host-facing ports.
 """
+import dataclasses
+
 import pytest
 
 from topodisc.core import (
     ATTACK_KINDS,
+    REQUIRED_PORT_PARAMS,
     AttackDecl,
     AttackStart,
     Protocol,
@@ -41,6 +44,23 @@ def test_attack_span_burst_form():
     assert adversary.attack_span(decl) == SEC + adversary.VERDICT_SETTLE
     single = AttackDecl("inject", {"count": 1, "spacing": "500ms"})
     assert adversary.attack_span(single) == adversary.VERDICT_SETTLE
+
+
+@pytest.mark.parametrize("kind, params", [
+    *((kind, {}) for kind in ATTACK_KINDS),
+    ("inject", {"count": 5}),
+], ids=[*ATTACK_KINDS, "inject_count_5"])
+def test_default_horizon_covers_the_default_params(kind, params):
+    # only the required ports are given: every other param takes the
+    # launcher's default, and the default horizon must still reach the
+    # verdict
+    spec = scenarios.attack_scenario(kind, Protocol.SOFTDP)
+    ev = spec.timeline[0]
+    ports = {k: ev.attack.params[k] for k in REQUIRED_PORT_PARAMS[kind]}
+    spec = dataclasses.replace(spec, timeline=(
+        AttackStart(ev.at, AttackDecl(kind, {**ports, **params})),))
+    sim = run_scenario(spec)
+    assert [v.kind for v in sim.attack_results] == [kind]
 
 
 def test_launch_rejects_unknown_kind():

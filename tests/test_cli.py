@@ -154,12 +154,26 @@ def _set_field(*path):
     (_set_field("bfd", "multiplier", "x"),
      "bfd.multiplier: expected an integer"),
     (_set_field("rng_seed", 1.5), "rng_seed: expected an integer"),
+    (_set_field("timeline", 0, "params", "count", "abc"),
+     "timeline[0].params.count: expected an integer >= 1"),
+    (_set_field("timeline", 0, "params", "count", 0),
+     "timeline[0].params.count: expected an integer >= 1"),
+    (_set_field("timeline", 0, "params", "count", 2.5),
+     "timeline[0].params.count: expected an integer >= 1"),
+    (_set_field("timeline", 0, "params", "count", True),
+     "timeline[0].params.count: expected an integer >= 1"),
+    (_set_field("timeline", 0, "params", "rate", "abc"),
+     "timeline[0].params.rate: expected an integer >= 1"),
+    (_set_field("links", 0, "alive", "false"),
+     "links[0].alive: expected true or false"),
 ], ids=["unknown_kind", "bad_duration", "params_not_mapping",
         "bfd_not_mapping", "inject_without_victim_port",
         "victim_port_unknown_switch", "relay_without_inject_b",
         "observe_undeclared_port", "switches_not_list", "links_not_list",
         "dpid_not_integer", "ports_not_integer", "multiplier_not_integer",
-        "rng_seed_not_integer"])
+        "rng_seed_not_integer", "count_not_integer", "count_zero",
+        "count_float", "count_bool", "rate_not_integer",
+        "alive_not_boolean"])
 def test_run_bad_document_names_the_element(tmp_path, capsys, edit, element):
     doc = yaml.safe_load(encode_scenario(
         scenarios.attack_scenario("spoof", Protocol.OFDP)))

@@ -12,6 +12,7 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topodisc import cli, metrics, scenarios
 from topodisc.core import ATTACK_KINDS, PortRef, Protocol, SEC, link_key
@@ -302,3 +303,55 @@ def test_probe_delivered_after_the_next_instant():
     assert first.loss_window == 4      # probe 0 was lost, probe 1 got through
     assert second.loss_window == 1
     assert (m.probes_sent, m.probes_delivered) == (3, 2)
+
+
+PORTS = ("s1.p1", "s2.p1", "s2.p2", "s3.p1")
+_port = st.sampled_from(PORTS)
+_dpid = st.integers(1, 3)
+_pair = st.tuples(_port, _port).filter(lambda ab: ab[0] != ab[1])
+_RECORDS = st.one_of(
+    _pair.map(lambda ab: ("timeline", {"event": "link_add", "a": ab[0], "b": ab[1]})),
+    _pair.map(lambda ab: ("timeline", {"event": "link_remove", "a": ab[0], "b": ab[1]})),
+    _dpid.map(lambda d: ("timeline", {"event": "switch_join", "dpid": d})),
+    _dpid.map(lambda d: ("timeline", {"event": "switch_leave", "dpid": d})),
+    st.just(("timeline", {"event": "attack", "attack": "spoof"})),
+    _pair.map(lambda ab: ("map_link_bidirectional", {"a": ab[0], "b": ab[1]})),
+    _pair.map(lambda ab: ("adaptation_complete", {"pair": list(ab), "mode": "probe"})),
+    _pair.map(lambda ab: ("map_add_link", {"egress": ab[0], "ingress": ab[1]})),
+    _pair.map(lambda ab: ("map_remove_link", {"egress": ab[0], "ingress": ab[1]})),
+    _dpid.map(lambda d: ("map_remove_switch", {"dpid": d})),
+    _dpid.map(lambda d: ("switch_registered", {"dpid": d})),
+    st.just(("probe_sent", {})),
+    st.integers(0, 50).map(lambda i: ("probe_delivered", {"probe_id": i})),
+    st.just(BOOT[1:]),
+    st.sampled_from(("PACKET_IN", "BFD_STATUS")).map(
+        lambda m: ("ctrl_delivered", {"msg": m})),
+    st.just(("round_dispatch", {"round": 0, "packet_outs": 2})),
+    st.just(("suspicious_packet_in", {})),
+    st.just(("attack_verdict", {"attack": "spoof", "succeeded": False})),
+)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), _RECORDS), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_random_traces_match_the_reference(steps):
+    # As in a simulated trace: ts never decreases (and here often
+    # repeats), probe ids are unique, a probe is delivered only after it
+    # was sent, and discovery rounds start only after the bootstrap.  The
+    # reference falls back to the first round for the bootstrap entry,
+    # which no simulated trace needs.
+    trace, ts, probes, booted = Trace(), 0, 0, False
+    for delta, (kind, detail) in steps:
+        ts += delta
+        booted = booted or kind == "bootstrap_dispatch"
+        if kind == "round_dispatch" and not booted:
+            continue
+        if kind == "probe_sent":
+            detail = {"probe_id": probes}
+            probes += 1
+        elif kind == "probe_delivered":
+            if not probes:
+                continue
+            detail = {"probe_id": detail["probe_id"] % probes}
+        trace.record(ts, kind, **detail)
+    assert_matches_reference(trace)
