@@ -13,6 +13,7 @@ from typing import Optional
 
 from .core import (
     ATTACK_KINDS,
+    DEFAULT_PARAMS,
     AttackDecl,
     LldpFrame,
     PortRef,
@@ -57,16 +58,6 @@ class AttackVerdict:
     def as_dict(self) -> dict:
         return {"kind": self.kind, "succeeded": self.succeeded,
                 "evidence": self.evidence}
-
-
-# The params an attack may omit, per kind, and the value each takes then.
-DEFAULT_PARAMS = {
-    "fingerprint": {"duration": "3500ms"},
-    "flood": {"rate": 10_000, "duration": "1s"},
-    "inject": {"count": 3, "spacing": "500ms"},
-    "relay": {"tunnel_delay": "1ms", "duration": "3s"},
-    "spoof": {"duration": "3s"},
-}
 
 
 def _params(decl: AttackDecl) -> dict:

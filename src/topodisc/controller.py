@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import inf
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -81,6 +83,20 @@ class PathTags:
     primary: tuple[int, ...]
     backups: tuple[tuple[int, ...], ...] = ()
 
+    def edges(self) -> set[tuple[int, int]]:
+        """Switch edges, as (low, high) dpid pairs, that the primary or a
+        backup crosses."""
+        return {(u, v) if u < v else (v, u)
+                for path in (self.primary, *self.backups)
+                for u, v in zip(path, path[1:])}
+
+    @property
+    def limit(self) -> int:
+        """Hop count of the backup, or of the primary without one.  A
+        walk through a changed edge no longer than this can shorten or
+        re-tie either path."""
+        return len((self.backups or (self.primary,))[0]) - 1
+
 
 @dataclass
 class RegisteredSwitch:
@@ -91,13 +107,28 @@ class RegisteredSwitch:
 
 class TopologyMap:
     """What the controller believes about the fabric: present switches,
-    directed confirmed links, and per-pair path tags."""
+    directed confirmed links, and per-pair path tags.
+
+    Links change only through ``add_link``/``remove_link`` and tags only
+    through ``set_tags``/``drop_tags``, which keep the indexes below in
+    step, so every lookup here costs the degree of a switch, not the
+    size of the map."""
 
     def __init__(self) -> None:
         self.switches: dict[int, SwitchId] = {}
         self.directed_links: set[tuple[PortRef, PortRef]] = set()
         self.path_tags: dict[tuple[int, int], PathTags] = {}
         self.safe_to_remove: set[tuple[PortRef, PortRef]] = set()
+        # switch -> the directed links touching it
+        self._touching: dict[int, set[tuple[PortRef, PortRef]]] = {}
+        # switch -> neighbour switch -> its links to that neighbour that
+        # are confirmed in both directions, as (own port, far port); a
+        # neighbour stays while one of several parallel links remains
+        self.adj: dict[int, dict[int, set[tuple[PortRef, PortRef]]]] = {}
+        # switch edge -> tagged pairs whose primary or backup crosses it
+        self.pairs_on: dict[tuple[int, int], set[tuple[int, int]]] = {}
+        # switch -> tag limit -> the switches it shares a tag of that limit with
+        self.partners: dict[int, dict[int, set[int]]] = {}
 
     def has_link(self, a: PortRef, b: PortRef) -> bool:
         return (a, b) in self.directed_links
@@ -105,25 +136,73 @@ class TopologyMap:
     def bidirectional(self, a: PortRef, b: PortRef) -> bool:
         return (a, b) in self.directed_links and (b, a) in self.directed_links
 
+    def add_link(self, a: PortRef, b: PortRef) -> bool:
+        """Record the directed link a -> b; False when it was known."""
+        if (a, b) in self.directed_links:
+            return False
+        self.directed_links.add((a, b))
+        for dpid in {a.dpid, b.dpid}:
+            self._touching.setdefault(dpid, set()).add((a, b))
+        if (b, a) in self.directed_links:
+            for p, q in ((a, b), (b, a)):
+                self.adj.setdefault(p.dpid, {}).setdefault(q.dpid, set()).add((p, q))
+        return True
+
+    def remove_link(self, a: PortRef, b: PortRef) -> bool:
+        """Forget the directed link a -> b; False when it was unknown."""
+        if (a, b) not in self.directed_links:
+            return False
+        self.directed_links.remove((a, b))
+        for dpid in {a.dpid, b.dpid}:
+            links = self._touching[dpid]
+            links.remove((a, b))
+            if not links:
+                del self._touching[dpid]
+        if (b, a) in self.directed_links:
+            for p, q in ((a, b), (b, a)):
+                hops = self.adj[p.dpid]
+                hops[q.dpid].remove((p, q))
+                if not hops[q.dpid]:
+                    del hops[q.dpid]
+                    if not hops:
+                        del self.adj[p.dpid]
+        return True
+
     def links_touching(self, port: PortRef) -> list[tuple[PortRef, PortRef]]:
-        return sorted(l for l in self.directed_links if port in l)
+        return sorted(l for l in self._touching.get(port.dpid, ()) if port in l)
 
     def links_of_switch(self, dpid: int) -> list[tuple[PortRef, PortRef]]:
-        return sorted(l for l in self.directed_links
-                      if l[0].dpid == dpid or l[1].dpid == dpid)
+        return sorted(self._touching.get(dpid, ()))
 
     def first_hop_port(self, src: int, nxt: int) -> Optional[PortRef]:
         """Lowest port of switch ``src`` on a link to switch ``nxt`` that is
         confirmed in both directions; None when there is no such link."""
-        options = [p for (p, q) in self.directed_links
-                   if p.dpid == src and q.dpid == nxt
-                   and (q, p) in self.directed_links]
-        return min(options) if options else None
+        links = self.adj.get(src, {}).get(nxt)
+        return min(links)[0] if links else None
 
-    def bidirectional_edges(self) -> set[tuple[PortRef, PortRef]]:
-        """Canonical (a, b) port pairs confirmed in both directions."""
-        return {link_key(a, b) for (a, b) in self.directed_links
-                if (b, a) in self.directed_links}
+    def set_tags(self, pair: tuple[int, int], tags: PathTags) -> None:
+        if pair in self.path_tags:
+            self.drop_tags(pair)
+        self.path_tags[pair] = tags
+        for edge in tags.edges():
+            self.pairs_on.setdefault(edge, set()).add(pair)
+        for x, y in (pair, pair[::-1]):
+            self.partners.setdefault(x, {}).setdefault(tags.limit, set()).add(y)
+
+    def drop_tags(self, pair: tuple[int, int]) -> None:
+        tags = self.path_tags.pop(pair)
+        for edge in tags.edges():
+            pairs = self.pairs_on[edge]
+            pairs.remove(pair)
+            if not pairs:
+                del self.pairs_on[edge]
+        for x, y in (pair, pair[::-1]):
+            by_limit = self.partners[x]
+            by_limit[tags.limit].remove(y)
+            if not by_limit[tags.limit]:
+                del by_limit[tags.limit]
+                if not by_limit:
+                    del self.partners[x]
 
     def dump(self) -> str:
         lines = ["switches: " + (", ".join(
@@ -175,9 +254,11 @@ class Controller:
         self.bootstrap_done = False
         self.round_no = 0
         self._last_confirm: dict[tuple[PortRef, PortRef], int] = {}
-        # bridges and edges of the graph the last retag saw
-        self._bridges: set[frozenset] = set()
-        self._edges: set[frozenset] = set()
+        # bridges, edges and component labels of the graph the last
+        # retag saw
+        self._bridges: set[tuple[int, int]] = set()
+        self._edges: set[tuple[int, int]] = set()
+        self._comp: dict[int, int] = {}
         self._sent_groups: dict[tuple[int, int], tuple] = {}
 
     # -- plumbing ----------------------------------------------------------
@@ -353,15 +434,14 @@ class Controller:
         self._learn_directed(egress, ingress)
 
     def _learn_directed(self, egress: PortRef, ingress: PortRef) -> None:
-        if (egress, ingress) in self.map.directed_links:
+        if not self.map.add_link(egress, ingress):
             return
-        self.map.directed_links.add((egress, ingress))
         for dpid in (egress.dpid, ingress.dpid):
             if dpid not in self.map.switches and dpid in self.registry:
                 self.map.switches[dpid] = self.registry[dpid].id
         self.services.record("map_add_link", egress=str(egress),
                              ingress=str(ingress))
-        if (ingress, egress) in self.map.directed_links:
+        if self.map.has_link(ingress, egress):
             a, b = link_key(egress, ingress)
             self.services.record("map_link_bidirectional", a=str(a), b=str(b))
             if self.protocol is Protocol.SOFTDP:
@@ -396,8 +476,7 @@ class Controller:
         lost their last link, then retag."""
         removed_keys = set()
         for entry in directed:
-            if entry in self.map.directed_links:
-                self.map.directed_links.remove(entry)
+            if self.map.remove_link(*entry):
                 self._last_confirm.pop(entry, None)
                 self.services.record("map_remove_link", egress=str(entry[0]),
                                      ingress=str(entry[1]), cause=cause)
@@ -485,18 +564,9 @@ class Controller:
         self._learn_directed(egress, body.ingress)
 
     # -- path tagging ------------------------------------------------------
-    def _graph(self) -> tuple[dict[int, tuple[int, ...]], set[frozenset]]:
-        """Undirected adjacency over links confirmed in both directions."""
-        adj: dict[int, set] = {}
-        edges: set[frozenset] = set()
-        for (a, b) in self.map.bidirectional_edges():
-            adj.setdefault(a.dpid, set()).add(b.dpid)
-            adj.setdefault(b.dpid, set()).add(a.dpid)
-            edges.add(frozenset((a.dpid, b.dpid)))
-        return ({v: tuple(sorted(n)) for v, n in sorted(adj.items())}, edges)
-
     @staticmethod
     def _bfs(adj: dict, src: int) -> dict[int, int]:
+        """Hop counts from ``src``, inserted in nondecreasing order."""
         dist = {src: 0}
         frontier = [src]
         while frontier:
@@ -510,18 +580,21 @@ class Controller:
         return dist
 
     @staticmethod
-    def _bridge_set(adj: dict) -> set[frozenset]:
+    def _bridges_and_components(adj: dict) -> tuple[set[tuple[int, int]], dict[int, int]]:
         """Edges whose removal disconnects their component (iterative
-        low-link computation)."""
+        low-link computation), and each switch's component, labelled by
+        the switch its search started from."""
         visited: dict[int, int] = {}
         low: dict[int, int] = {}
-        bridges: set[frozenset] = set()
+        comp: dict[int, int] = {}
+        bridges: set[tuple[int, int]] = set()
         counter = 0
-        for root in sorted(adj):
+        for root in adj:
             if root in visited:
                 continue
             stack = [(root, None, iter(adj[root]))]
             visited[root] = low[root] = counter
+            comp[root] = root
             counter += 1
             while stack:
                 v, parent, children = stack[-1]
@@ -529,6 +602,7 @@ class Controller:
                 for n in children:
                     if n not in visited:
                         visited[n] = low[n] = counter
+                        comp[n] = root
                         counter += 1
                         stack.append((n, v, iter(adj[n])))
                         advanced = True
@@ -541,99 +615,183 @@ class Controller:
                 if parent is not None:
                     low[parent] = min(low[parent], low[v])
                     if low[v] > visited[parent]:
-                        bridges.add(frozenset((parent, v)))
-        return bridges
+                        bridges.add((parent, v) if parent < v else (v, parent))
+        return bridges, comp
 
-    @staticmethod
-    def _lex_min_shortest(a: int, b: int, dist_from_b: dict, adj: dict) -> tuple[int, ...]:
+    def _lex_min_shortest(self, a: int, b: int, dist_from_b: dict,
+                          step: dict) -> tuple[int, ...]:
         """Among all shortest a-b paths, the one whose switch-id sequence
         is lexicographically smallest: always step to the smallest
-        neighbor one hop closer to b."""
+        neighbor one hop closer to b.  ``step`` memoizes those steps."""
+        adj = self.map.adj
         path = [a]
         cur = a
         while cur != b:
-            cur = min(n for n in adj[cur]
-                      if dist_from_b.get(n, -1) == dist_from_b[cur] - 1)
-            path.append(cur)
+            nxt = step.get(cur)
+            if nxt is None:
+                k = dist_from_b[cur] - 1
+                nxt = step[cur] = min(n for n in adj[cur] if dist_from_b[n] == k)
+            path.append(nxt)
+            cur = nxt
         return tuple(path)
 
     def _backup_path(self, a: int, b: int, primary: tuple[int, ...],
-                     adj: dict, bridges: set) -> Optional[tuple[int, ...]]:
+                     dist_from_b: dict, step: dict,
+                     bridges: set) -> Optional[tuple[int, ...]]:
         """Shortest alternative that avoids the first primary edge whose
-        removal keeps a and b connected; None when the primary is the only
-        path (every primary edge is a bridge)."""
-        avoid = None
-        for u, v in zip(primary, primary[1:]):
-            if frozenset((u, v)) not in bridges:
-                avoid = frozenset((u, v))
+        removal keeps a and b connected, lexicographically smallest among
+        equals; None when the primary is the only path (every primary
+        edge is a bridge).
+
+        Without that edge p-q (q one hop closer to b) only the switches
+        all of whose shortest routes to b cross it get farther from b.
+        They are found level by level outward from p and re-measured from
+        their other neighbours; every other distance stands, and so does
+        every memoized step that neither leaves nor enters them."""
+        for p, q in zip(primary, primary[1:]):
+            if ((p, q) if p < q else (q, p)) not in bridges:
                 break
-        if avoid is None:
+        else:
             return None
-        pruned = {v: tuple(n for n in ns if frozenset((v, n)) != avoid)
-                  for v, ns in adj.items()}
-        return self._lex_min_shortest(a, b, self._bfs(pruned, b), pruned)
+        adj, dist = self.map.adj, dist_from_b
+        cut: set[int] = set()
+        level = [p]
+        while level:
+            level = [v for v in level
+                     if all(n in cut for n in adj[v]
+                            if dist[n] == dist[v] - 1 and (v, n) != (p, q))]
+            cut.update(level)
+            level = {n for v in level for n in adj[v] if dist[n] == dist[v] + 1}
+        if cut:
+            heap = [(dist[n] + 1, v) for v in cut for n in adj[v]
+                    if n not in cut and (v, n) != (p, q)]
+            heapify(heap)
+            repaired = dict.fromkeys(cut, -1)   # -1: no route to b is left
+            while heap:
+                d, v = heappop(heap)
+                if repaired[v] < 0:
+                    repaired[v] = d
+                    for n in adj[v]:
+                        if n in cut and repaired[n] < 0:
+                            heappush(heap, (d + 1, n))
+            dist = dist | repaired
+        path = [a]
+        cur = a
+        while cur != b:
+            nxt = step.get(cur)
+            if nxt is None or cur in cut or nxt in cut or (cur, nxt) == (p, q):
+                k = dist[cur] - 1
+                nxt = min(n for n in adj[cur] if dist[n] == k and (cur, n) != (p, q))
+            path.append(nxt)
+            cur = nxt
+        return tuple(path)
+
+    def _newly_connected(self, comp: dict[int, int]) -> set[tuple[int, int]]:
+        """Pairs in one component now that were in different components,
+        or not in the graph, at the last retag."""
+        groups: dict[int, dict] = {}
+        for v, root in comp.items():
+            # a switch the last retag did not see is a group of its own
+            groups.setdefault(root, {}).setdefault(
+                self._comp.get(v, (v,)), []).append(v)
+        pairs = set()
+        for parts in groups.values():
+            for xs, ys in combinations(parts.values(), 2):
+                pairs.update((x, y) if x < y else (y, x) for x in xs for y in ys)
+        return pairs
+
+    def _walk_hits(self, du: dict, dv: dict) -> set[tuple[int, int]]:
+        """Tagged pairs (x, y) with a walk x..u-v..y no longer than their
+        tag's limit, given the hop counts from the edge's ends u and v."""
+        balls: list[set] = []       # balls[k]: switches within k hops of v
+        for n, k in dv.items():
+            if k == len(balls):
+                balls.append(set(balls[-1]) if balls else set())
+            balls[k].add(n)
+        hits = set()
+        for x, dx in du.items():
+            for limit, ys in self.map.partners.get(x, {}).items():
+                k = min(limit - 1 - dx, len(balls) - 1)
+                if k >= 0:
+                    hits.update((x, y) if x < y else (y, x) for y in ys & balls[k])
+        return hits
 
     def retag_paths(self, changed_links: Iterable[tuple[PortRef, PortRef]]) -> list:
         """Recompute path tags for every switch pair the change could have
         affected, and push fast-failover groups to pair endpoints whose
         tags changed and have a backup.  Returns the (dpid, group_id)
-        pairs actually pushed."""
+        pairs actually pushed.
+
+        A pair keeps its tag unless it is newly connected, its distance
+        changed, a tag edge went stale (died or flipped bridge status), or
+        a changed edge lies on a walk no longer than the tag's limit.
+        Only pairs that can meet one of these are visited, in sorted
+        order: those the map indexes under a stale edge, those newly
+        connected, and those a changed edge's walk test reaches.  A
+        distance grows only when a primary edge died, and shrinks only
+        through an added edge, which the caller names; an added edge it
+        does not name puts every tagged pair under test."""
         if self.protocol is not Protocol.SOFTDP:
             return []
         changed_links = list(changed_links)
-        adj, alive_edges = self._graph()
-        nodes = sorted(adj)
-        dist = {v: self._bfs(adj, v) for v in nodes}
-        bridges = self._bridge_set(adj)
+        adj, tags = self.map.adj, self.map.path_tags
+        bridges, comp = self._bridges_and_components(adj)
+        alive_edges = {(u, v) for u in adj for v in adj[u] if u <= v}
         # Every tag edge was alive at the previous retag, so the tag edges
         # that died since are among the edges the graph lost.
-        stale = (bridges ^ self._bridges) | (self._edges - alive_edges)
-        changed_present = [(a.dpid, b.dpid) for (a, b) in changed_links
-                           if frozenset((a.dpid, b.dpid)) in alive_edges]
+        stale_pairs = set().union(*(
+            self.map.pairs_on.get(e, ()) for e in
+            (bridges ^ self._bridges) | (self._edges - alive_edges)))
+        tested = {(min(a.dpid, b.dpid), max(a.dpid, b.dpid))
+                  for (a, b) in changed_links} & alive_edges
+        dist: dict[int, dict[int, int]] = {}    # hop counts from a switch
+        steps: dict[int, dict[int, int]] = {}   # lex-min steps toward one
 
-        old_tags = self.map.path_tags
-        new_tags: dict[tuple[int, int], PathTags] = {}
+        def dist_from(v: int) -> dict[int, int]:
+            if v not in dist:
+                dist[v] = self._bfs(adj, v)
+            return dist[v]
+
+        candidates = stale_pairs | self._newly_connected(comp)
+        walks = []
+        for (u, v) in tested:
+            du, dv = dist_from(u), dist_from(v)
+            walks.append((du, dv))
+            candidates |= self._walk_hits(du, dv)
+        if alive_edges - self._edges - tested:
+            candidates.update(tags)
+
         group_sends: list[tuple[int, int]] = []
         recomputed = 0
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                d = dist[a].get(b)
-                if d is None:
-                    continue
-                old = old_tags.get((a, b))
-                if old is not None and len(old.primary) - 1 == d and not any(
-                        frozenset(e) in stale
-                        for path in (old.primary, *old.backups)
-                        for e in zip(path, path[1:])):
-                    # The tag still holds unless a changed edge lies on an
-                    # a-b walk no longer than the backup (d without one):
-                    # such an edge can shorten or re-tie the backup, or lie
-                    # on a shortest path.  A walk through a live edge is
-                    # never shorter than d and a backup never shorter than
-                    # its primary, so this one limit covers both.  Full-
-                    # graph distance bounds pruned-graph distance below.
-                    limit = len(old.backups[0]) - 1 if old.backups else d
-                    da, db = dist[a], dist[b]
-                    if all(1 + min(da.get(u, inf) + db.get(v, inf),
-                                   da.get(v, inf) + db.get(u, inf)) > limit
-                           for (u, v) in changed_present):
-                        new_tags[(a, b)] = old
-                        continue
-                primary = self._lex_min_shortest(a, b, dist[b], adj)
-                backup = self._backup_path(a, b, primary, adj, bridges)
-                entry = PathTags(primary, (backup,) if backup is not None else ())
-                new_tags[(a, b)] = entry
-                recomputed += 1
-                if old != entry:
-                    group_sends.extend(self._push_groups(a, b, entry))
+        for (a, b) in sorted(candidates):
+            old = tags.get((a, b))
+            root = comp.get(a)
+            if root is None or root != comp.get(b):
+                if old is not None:
+                    self.map.drop_tags((a, b))
+                continue
+            db = dist_from(b)
+            if (old is not None and len(old.primary) - 1 == db[a]
+                    and (a, b) not in stale_pairs
+                    and all(1 + min(du.get(a, inf) + dv.get(b, inf),
+                                    dv.get(a, inf) + du.get(b, inf)) > old.limit
+                            for du, dv in walks)):
+                continue
+            step = steps.setdefault(b, {})
+            primary = self._lex_min_shortest(a, b, db, step)
+            backup = self._backup_path(a, b, primary, db, step, bridges)
+            entry = PathTags(primary, (backup,) if backup is not None else ())
+            recomputed += 1
+            if old != entry:
+                self.map.set_tags((a, b), entry)
+                group_sends.extend(self._push_groups(a, b, entry))
 
-        self.map.path_tags = new_tags
-        self._bridges, self._edges = bridges, alive_edges
+        self._bridges, self._edges, self._comp = bridges, alive_edges, comp
         for (pa, pb) in changed_links:
             key = link_key(pa, pb)
             pair = (min(pa.dpid, pb.dpid), max(pa.dpid, pb.dpid))
-            tags = new_tags.get(pair)
-            if frozenset((pa.dpid, pb.dpid)) in alive_edges and tags and tags.backups:
+            entry = tags.get(pair)
+            if pair in alive_edges and entry and entry.backups:
                 self.map.safe_to_remove.add(key)
             else:
                 self.map.safe_to_remove.discard(key)

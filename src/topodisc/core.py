@@ -312,9 +312,25 @@ REQUIRED_PORT_PARAMS = {
 }
 ATTACK_KINDS = tuple(REQUIRED_PORT_PARAMS)
 
+# The params an attack may omit, per kind, and the value each takes then.
+DEFAULT_PARAMS = {
+    "fingerprint": {"duration": "3500ms"},
+    "flood": {"rate": 10_000, "duration": "1s"},
+    "inject": {"count": 3, "spacing": "500ms"},
+    "relay": {"tunnel_delay": "1ms", "duration": "3s"},
+    "spoof": {"duration": "3s"},
+}
+
+# Every param each kind reads: its ports, its defaulted knobs, and a
+# relay's optional second direction.
+_READ_PARAMS = {
+    kind: {*REQUIRED_PORT_PARAMS[kind], *DEFAULT_PARAMS[kind],
+           *(("observe_b", "inject_b") if kind == "relay" else ())}
+    for kind in ATTACK_KINDS}
+
 # Attack params that hold a port; scenario files write them as
 # [dpid, port_no].
-_PORT_PARAM_KEYS = {"observe", "inject", "observe_b", "inject_b", "port", "victim_port"}
+_PORT_PARAM_KEYS = {"observe", "inject", "observe_b", "inject_b", "victim_port"}
 
 # Attack params that hold a duration; the adversary parses them with
 # parse_duration, so validation does the same.
@@ -523,6 +539,10 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
             kind, params = ev.attack.kind, ev.attack.params
             if kind not in ATTACK_KINDS:
                 out.append(Violation(el, f"unknown attack kind {kind!r}"))
+            else:
+                for key in sorted(params.keys() - _READ_PARAMS[kind]):
+                    out.append(Violation(f"{el}.params.{key}",
+                                         f"unknown param: {kind} never reads it"))
             required = REQUIRED_PORT_PARAMS.get(kind, ())
             if kind == "relay" and "observe_b" in params:
                 required += ("inject_b",)

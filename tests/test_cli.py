@@ -121,6 +121,12 @@ def _relay_without_inject_b(doc):
         "observe": [1, 1], "inject": [3, 1], "observe_b": [3, 1]})
 
 
+def _inject_with_misspelled_spacing(doc):
+    doc["timeline"][0].update(kind="inject", params={
+        "inject": [1, 1], "victim_port": [3, 1], "spacng": "2s",
+        "duration": "10s"})
+
+
 def _set_field(*path):
     """Edit that sets the field at ``path`` (keys and list indexes) to
     the last element of ``path``."""
@@ -143,6 +149,8 @@ def _set_field(*path):
     (_set_victim_port,
      "timeline[0].params.victim_port: references unknown switch s9"),
     (_relay_without_inject_b, "timeline[0].params.inject_b: missing"),
+    (_inject_with_misspelled_spacing,
+     "timeline[0].params.spacng: unknown param: inject never reads it"),
     (_set_field("timeline", 0, "params", "observe", [1, 99]),
      "timeline[0].params.observe: references undeclared port s1.p99"),
     (_set_field("switches", 3), "switches: expected a list"),
@@ -169,6 +177,7 @@ def _set_field(*path):
 ], ids=["unknown_kind", "bad_duration", "params_not_mapping",
         "bfd_not_mapping", "inject_without_victim_port",
         "victim_port_unknown_switch", "relay_without_inject_b",
+        "inject_misspelled_spacing",
         "observe_undeclared_port", "switches_not_list", "links_not_list",
         "dpid_not_integer", "ports_not_integer", "multiplier_not_integer",
         "rng_seed_not_integer", "count_not_integer", "count_zero",

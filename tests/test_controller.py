@@ -397,8 +397,8 @@ def _fill_map(ctrl, edges):
         next_port[u] = pu.port_no
         pv = PortRef(v, next_port.get(v, 0) + 1)
         next_port[v] = pv.port_no
-        ctrl.map.directed_links.add((pu, pv))
-        ctrl.map.directed_links.add((pv, pu))
+        ctrl.map.add_link(pu, pv)
+        ctrl.map.add_link(pv, pu)
         for d in (u, v):
             ctrl.map.switches.setdefault(d, SwitchId(d, _mac(d)))
 
@@ -477,8 +477,8 @@ def test_incremental_retag_equals_full_recompute():
             u, v = rng.choice(sorted(present))
             present.discard((u, v))
             pu, pv = port_of[(u, v)]
-            ctrl.map.directed_links.discard((pu, pv))
-            ctrl.map.directed_links.discard((pv, pu))
+            ctrl.map.remove_link(pu, pv)
+            ctrl.map.remove_link(pv, pu)
         else:
             candidates = [e for e in edges if e not in present]
             if not candidates:
@@ -486,13 +486,14 @@ def test_incremental_retag_equals_full_recompute():
             u, v = rng.choice(candidates)
             present.add((u, v))
             pu, pv = port_of[(u, v)]
-            ctrl.map.directed_links.add((pu, pv))
-            ctrl.map.directed_links.add((pv, pu))
+            ctrl.map.add_link(pu, pv)
+            ctrl.map.add_link(pv, pu)
         pu, pv = port_of[(u, v)]
         ctrl.retag_paths([link_key(pu, pv)])
 
         fresh, _srv = _registered(0)
-        fresh.map.directed_links = set(ctrl.map.directed_links)
+        for link in sorted(ctrl.map.directed_links):
+            fresh.map.add_link(*link)
         fresh.retag_paths([])
         assert ctrl.map.path_tags == fresh.map.path_tags
 

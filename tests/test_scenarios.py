@@ -5,6 +5,7 @@ import random
 import pytest
 
 from topodisc.core import (
+    ATTACK_KINDS,
     AttackStart,
     LinkAdd,
     LinkRemove,
@@ -27,6 +28,16 @@ def referenced_ports(spec):
 def test_all_named_builders_validate():
     for name, build in scenarios.BUILDERS.items():
         assert validate_scenario(build()) == [], name
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_every_attack_scenario_validates(kind):
+    # validation rejects params a kind never reads, so the shipped attack
+    # scenarios must name only params their launcher reads
+    for protocol in Protocol:
+        for in_window in (False, True):
+            spec = scenarios.attack_scenario(kind, protocol, in_window=in_window)
+            assert validate_scenario(spec) == [], (protocol, in_window)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
