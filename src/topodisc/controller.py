@@ -181,28 +181,37 @@ class TopologyMap:
         return min(links)[0] if links else None
 
     def set_tags(self, pair: tuple[int, int], tags: PathTags) -> None:
-        if pair in self.path_tags:
-            self.drop_tags(pair)
+        old = self.path_tags.get(pair)
         self.path_tags[pair] = tags
-        for edge in tags.edges():
-            self.pairs_on.setdefault(edge, set()).add(pair)
-        for x, y in (pair, pair[::-1]):
-            self.partners.setdefault(x, {}).setdefault(tags.limit, set()).add(y)
+        self._reindex(pair, old, tags)
 
     def drop_tags(self, pair: tuple[int, int]) -> None:
-        tags = self.path_tags.pop(pair)
-        for edge in tags.edges():
+        self._reindex(pair, self.path_tags.pop(pair), None)
+
+    def _reindex(self, pair: tuple[int, int], old: Optional[PathTags],
+                 new: Optional[PathTags]) -> None:
+        """Move ``pair`` in the tag indexes from tag ``old`` to ``new``."""
+        before = old.edges() if old else set()
+        after = new.edges() if new else set()
+        for edge in after - before:
+            self.pairs_on.setdefault(edge, set()).add(pair)
+        for edge in before - after:
             pairs = self.pairs_on[edge]
             pairs.remove(pair)
             if not pairs:
                 del self.pairs_on[edge]
+        if old and new and old.limit == new.limit:
+            return
         for x, y in (pair, pair[::-1]):
-            by_limit = self.partners[x]
-            by_limit[tags.limit].remove(y)
-            if not by_limit[tags.limit]:
-                del by_limit[tags.limit]
-                if not by_limit:
-                    del self.partners[x]
+            if old:
+                by_limit = self.partners[x]
+                by_limit[old.limit].remove(y)
+                if not by_limit[old.limit]:
+                    del by_limit[old.limit]
+                    if not by_limit:
+                        del self.partners[x]
+            if new:
+                self.partners.setdefault(x, {}).setdefault(new.limit, set()).add(y)
 
     def dump(self) -> str:
         lines = ["switches: " + (", ".join(
@@ -623,65 +632,96 @@ class Controller:
         """Among all shortest a-b paths, the one whose switch-id sequence
         is lexicographically smallest: always step to the smallest
         neighbor one hop closer to b.  ``step`` memoizes those steps."""
-        adj = self.map.adj
         path = [a]
-        cur = a
-        while cur != b:
-            nxt = step.get(cur)
-            if nxt is None:
-                k = dist_from_b[cur] - 1
-                nxt = step[cur] = min(n for n in adj[cur] if dist_from_b[n] == k)
-            path.append(nxt)
-            cur = nxt
+        while a != b:
+            a = step.get(a) or self._step(a, dist_from_b, step)
+            path.append(a)
         return tuple(path)
 
-    def _backup_path(self, a: int, b: int, primary: tuple[int, ...],
-                     dist_from_b: dict, step: dict,
-                     bridges: set) -> Optional[tuple[int, ...]]:
-        """Shortest alternative that avoids the first primary edge whose
-        removal keeps a and b connected, lexicographically smallest among
-        equals; None when the primary is the only path (every primary
-        edge is a bridge).
+    def _step(self, v: int, dist_from_b: dict, step: dict) -> int:
+        k = dist_from_b[v] - 1
+        step[v] = min(n for n in self.map.adj[v] if dist_from_b[n] == k)
+        return step[v]
 
-        Without that edge p-q (q one hop closer to b) only the switches
-        all of whose shortest routes to b cross it get farther from b.
-        They are found level by level outward from p and re-measured from
-        their other neighbours; every other distance stands, and so does
-        every memoized step that neither leaves nor enters them."""
-        for p, q in zip(primary, primary[1:]):
+    def _backup_path(self, primary: tuple[int, ...], dist_from_b: dict,
+                     step: dict, detours: dict,
+                     bridges: set) -> Optional[tuple[int, ...]]:
+        """Shortest alternative to ``primary`` that avoids its first edge
+        whose removal keeps its ends connected, lexicographically
+        smallest among equals; None when the primary is the only path
+        (every primary edge is a bridge).  The primary up to that edge
+        is bridges that every path crosses, so the alternative is that
+        stretch plus a detour from the edge's near end, which
+        ``detours`` shares between the pairs with the same far end."""
+        for i, (p, q) in enumerate(zip(primary, primary[1:])):
             if ((p, q) if p < q else (q, p)) not in bridges:
                 break
         else:
             return None
+        if p not in detours:
+            detours[p] = self._detour(p, q, primary[-1], dist_from_b, step)
+        return primary[:i] + detours[p]
+
+    def _detour(self, p: int, q: int, b: int, dist_from_b: dict,
+                step: dict) -> tuple[int, ...]:
+        """The lexicographically smallest shortest p-b path without the
+        edge p-q, where q is one hop closer to b than p.
+
+        Without that edge only the switches all of whose shortest routes
+        to b cross it, the cut, get farther from b; every other distance
+        stands, and so does every step toward b that neither leaves nor
+        enters the cut.  The cut is found level by level outward from p,
+        and only as far as the walk from p can need it: p's own level
+        when p keeps its distance, otherwise while the cut's new
+        distances are settled from its intact neighbours in increasing
+        order, until p's is."""
         adj, dist = self.map.adj, dist_from_b
         cut: set[int] = set()
-        level = [p]
-        while level:
-            level = [v for v in level
-                     if all(n in cut for n in adj[v]
-                            if dist[n] == dist[v] - 1 and (v, n) != (p, q))]
-            cut.update(level)
-            level = {n for v in level for n in adj[v] if dist[n] == dist[v] + 1}
-        if cut:
-            heap = [(dist[n] + 1, v) for v in cut for n in adj[v]
-                    if n not in cut and (v, n) != (p, q)]
-            heapify(heap)
-            repaired = dict.fromkeys(cut, -1)   # -1: no route to b is left
-            while heap:
-                d, v = heappop(heap)
-                if repaired[v] < 0:
-                    repaired[v] = d
-                    for n in adj[v]:
-                        if n in cut and repaired[n] < 0:
-                            heappush(heap, (d + 1, n))
-            dist = dist | repaired
-        path = [a]
-        cur = a
+        settled: dict[int, int] = {}     # new distances within the cut
+        heap: list[tuple[int, int]] = []
+        level, top = [p], dist[p]        # the candidates at level `top`
+
+        def classify() -> None:
+            nonlocal level, top
+            new = [v for v in level
+                   if all(n in cut for n in adj[v]
+                          if dist[n] == top - 1 and (v, n) != (p, q))]
+            cut.update(new)
+            for v in new:
+                for n in adj[v]:
+                    if n in settled:
+                        heappush(heap, (settled[n] + 1, v))
+                    elif n not in cut and dist[n] <= top and (v, n) != (p, q):
+                        heappush(heap, (dist[n] + 1, v))
+            for w in level:
+                if w not in cut:
+                    # an intact switch one level above the cut
+                    for n in adj[w]:
+                        if n in cut and dist[n] == top - 1:
+                            heappush(heap, (top + 1, n))
+            level = {n for v in new for n in adj[v] if dist[n] == top + 1}
+            top += 1
+
+        classify()
+        while p in cut and p not in settled:
+            # a distance d settles only once every level below d is known
+            while level and (not heap or heap[0][0] > top):
+                classify()
+            d, v = heappop(heap)
+            if v not in settled:
+                settled[v] = d
+                for n in adj[v]:
+                    if n in cut and n not in settled:
+                        heappush(heap, (d + 1, n))
+        path = [p]
+        cur = p
         while cur != b:
-            nxt = step.get(cur)
-            if nxt is None or cur in cut or nxt in cut or (cur, nxt) == (p, q):
-                k = dist[cur] - 1
-                nxt = min(n for n in adj[cur] if dist[n] == k and (cur, n) != (p, q))
+            nxt = None if cur in cut else step.get(cur) or self._step(cur, dist, step)
+            if nxt is None or nxt in cut or (cur, nxt) == (p, q):
+                k = (settled[cur] if cur in cut else dist[cur]) - 1
+                nxt = min(n for n in adj[cur]
+                          if (settled.get(n, -1) if n in cut else dist[n]) == k
+                          and (cur, n) != (p, q))
             path.append(nxt)
             cur = nxt
         return tuple(path)
@@ -744,8 +784,11 @@ class Controller:
             (bridges ^ self._bridges) | (self._edges - alive_edges)))
         tested = {(min(a.dpid, b.dpid), max(a.dpid, b.dpid))
                   for (a, b) in changed_links} & alive_edges
-        dist: dict[int, dict[int, int]] = {}    # hop counts from a switch
-        steps: dict[int, dict[int, int]] = {}   # lex-min steps toward one
+        # per switch: hop counts from it, and the memoized lex-min steps
+        # and backup detours toward it
+        dist: dict[int, dict[int, int]] = {}
+        steps: dict[int, dict[int, int]] = {}
+        detours: dict[int, dict[int, tuple[int, ...]]] = {}
 
         def dist_from(v: int) -> dict[int, int]:
             if v not in dist:
@@ -779,7 +822,8 @@ class Controller:
                 continue
             step = steps.setdefault(b, {})
             primary = self._lex_min_shortest(a, b, db, step)
-            backup = self._backup_path(a, b, primary, db, step, bridges)
+            backup = self._backup_path(primary, db, step,
+                                       detours.setdefault(b, {}), bridges)
             entry = PathTags(primary, (backup,) if backup is not None else ())
             recomputed += 1
             if old != entry:
@@ -808,30 +852,25 @@ class Controller:
         if self.te_override:
             return []
         sends = []
-        for src, dst, path in ((a, b, entry.primary),
-                               (b, a, tuple(reversed(entry.primary)))):
-            hops = [path]
-            if entry.backups:
-                bk = entry.backups[0]
-                hops.append(bk if src == a else tuple(reversed(bk)))
-            buckets = []
-            for p in hops:
-                port = self.map.first_hop_port(src, p[1])
-                if port is not None:
-                    buckets.append(GroupBucket(watch=port, out=port))
-            if not buckets:
+        # the second switch of each path seen from a, and from b
+        for src, dst, hop in ((a, b, 1), (b, a, -2)):
+            watch = tuple(port for port in (
+                self.map.first_hop_port(src, path[hop])
+                for path in (entry.primary, *entry.backups[:1]))
+                if port is not None)
+            if not watch:
                 continue
-            config = tuple(buckets)
             if not entry.backups and (src, dst) not in self._sent_groups:
                 # Nothing installed earlier and no alternative to fail
                 # over to: a single-bucket group buys nothing.
                 continue
-            if self._sent_groups.get((src, dst)) == config:
+            if self._sent_groups.get((src, dst)) == watch:
                 continue
-            self._sent_groups[(src, dst)] = config
+            self._sent_groups[(src, dst)] = watch
+            buckets = tuple(GroupBucket(watch=port, out=port) for port in watch)
             self._send(MsgKind.GROUP_MOD, src,
-                       GroupModBody(dpid=src, group_id=dst, buckets=config))
+                       GroupModBody(dpid=src, group_id=dst, buckets=buckets))
             self.services.record("group_dispatch", dpid=src, group_id=dst,
-                                 buckets=[f"{bk.watch}" for bk in config])
+                                 buckets=[str(port) for port in watch])
             sends.append((src, dst))
         return sends

@@ -8,7 +8,8 @@ port by scanning all directed links.  It keeps its own copy of the map
 state it reads and writes.
 
 The controller and the reference see the same history of link learning,
-link removal, explicit retags and TE-override toggles, on random
+link removal, map edits that no retag follows at once, explicit retags
+and TE-override toggles, on random
 multigraphs with parallel links and links confirmed in one direction
 only.  After every step they must agree on the path tags, the
 ``safe_to_remove`` set, the group sends a retag returns, the GROUP_MOD
@@ -288,7 +289,9 @@ def replay(n: int, links, ops) -> None:
     """Apply ``ops`` to a controller and to the reference, comparing every
     observable after each step.  Ops: ``("learn", i, reverse)`` confirms
     one direction of cable i; ``("remove", [(i, reverse), ...])`` removes
-    directed entries; ``("retag", [i, ...])`` retags naming cables;
+    directed entries; ``("edit", i, reverse, add)`` adds or removes one
+    directed entry in the map with no retag, so a later retag meets a
+    change nobody named; ``("retag", [i, ...])`` retags naming cables;
     ``("te",)`` toggles the TE override."""
     ctrl, services = _controller(n)
     ref = ReferenceRetag()
@@ -312,6 +315,15 @@ def replay(n: int, links, ops) -> None:
             ctrl._remove_links(entries, cause="oracle")
             ref.remove(entries)
             got = want = None   # _remove_links discards the sends
+        elif op[0] == "edit":
+            link = directed(op[1], op[2])
+            if op[3]:
+                ctrl.map.add_link(*link)
+                ref.directed_links.add(link)
+            else:
+                ctrl.map.remove_link(*link)
+                ref.directed_links.discard(link)
+            continue
         elif op[0] == "retag":
             changed = [link_key(*links[i]) for i in op[1]]
             got = ctrl.retag_paths(changed)
@@ -354,9 +366,11 @@ def _random_history(rng: random.Random, n: int, cables: int, steps: int):
             k = rng.randint(1, 3)
             ops.append(("remove", [(rng.randrange(len(links)), rng.random() < 0.5)
                                    for _ in range(k)]))
-        elif r < 0.95:
+        elif r < 0.9:
             ops.append(("retag", rng.sample(range(len(links)),
                                             rng.randint(0, min(2, len(links))))))
+        elif r < 0.95:
+            ops.append(("edit", i, rng.random() < 0.5, rng.random() < 0.7))
         else:
             ops.append(("te",))
     return links, ops
@@ -397,6 +411,7 @@ def _histories(draw):
                   st.lists(st.tuples(cable, st.booleans()), min_size=1,
                            max_size=3)),
         st.tuples(st.just("retag"), st.lists(cable, max_size=2)),
+        st.tuples(st.just("edit"), cable, st.booleans(), st.booleans()),
         st.tuples(st.just("te"))), max_size=40))
     return n, links, ops
 
