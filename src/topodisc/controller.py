@@ -639,6 +639,7 @@ class Controller:
         return tuple(path)
 
     def _step(self, v: int, dist_from_b: dict, step: dict) -> int:
+        """Memoize and return v's smallest neighbour one hop closer to b."""
         k = dist_from_b[v] - 1
         step[v] = min(n for n in self.map.adj[v] if dist_from_b[n] == k)
         return step[v]
