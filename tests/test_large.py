@@ -4,8 +4,8 @@
 protocols.  Each run must keep its full trace digest (pinned before the
 topology map was indexed and path tagging made incremental), end with a
 map equal to ground truth, and under sOFTDP hold primary and backup tags
-equal to the networkx oracle over the live links.  The n=200 sOFTDP run
-and its oracle take the better part of a minute, so the tier is kept
+equal to the networkx oracle over the live links.  The six runs and the
+two oracles take about two minutes on two cores, so the tier is kept
 out of the default run (``addopts`` in ``pyproject.toml``).
 """
 import dataclasses
