@@ -22,26 +22,10 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topodisc.core import (
-    BfdParams,
-    ControlChannel,
-    ControlMessage,
-    FeatureReplyBody,
-    GroupBucket,
-    GroupModBody,
-    MsgKind,
-    PortRef,
-    Protocol,
-    SEC,
-    ScenarioSpec,
-    SwitchDecl,
-    SwitchId,
-    from_ms,
-    link_key,
-)
-from topodisc.controller import Controller, PathTags
+from topodisc.core import GroupBucket, GroupModBody, MsgKind, PortRef, link_key
+from topodisc.controller import PathTags
 
-from conftest import StubServices
+from test_controller import _registered
 
 COMPARED_RECORDS = ("retag", "group_dispatch")
 
@@ -251,27 +235,7 @@ class ReferenceRetag:
         return sends
 
 
-# -- the controller under test ----------------------------------------------
-
-def _controller(n: int):
-    """sOFTDP controller with switches 1..n registered (no port up)."""
-    spec = ScenarioSpec(
-        switches=tuple(SwitchDecl(SwitchId(i, f"02:00:00:00:00:{i:02x}"), 16)
-                       for i in range(1, n + 1)),
-        links=(),
-        control_channels=tuple(ControlChannel(i, from_ms(1), from_ms(1))
-                               for i in range(1, n + 1)),
-        bfd=BfdParams(from_ms(1), 1),
-        protocol=Protocol.SOFTDP,
-        discovery_period=SEC)
-    services = StubServices()
-    ctrl = Controller(spec, services)
-    for i in range(1, n + 1):
-        ctrl.handle(ControlMessage(
-            MsgKind.FEATURE_REPLY, src=i, dst="controller",
-            body=FeatureReplyBody(i, f"02:00:00:00:00:{i:02x}", 16, ())))
-    return ctrl, services
-
+# -- histories -------------------------------------------------------------
 
 def _physical_links(n: int, pairs):
     """One cable per switch pair listed (repeats make parallel cables),
@@ -293,7 +257,7 @@ def replay(n: int, links, ops) -> None:
     directed entry in the map with no retag, so a later retag meets a
     change nobody named; ``("retag", [i, ...])`` retags naming cables;
     ``("te",)`` toggles the TE override."""
-    ctrl, services = _controller(n)
+    ctrl, services = _registered(n)
     ref = ReferenceRetag()
 
     def directed(i, reverse):
