@@ -31,7 +31,7 @@ from topodisc.core import (
     link_key,
     mac_bytes,
 )
-from topodisc.controller import Controller, IdentityHasher, PathTags
+from topodisc.controller import Controller, IdentityHasher, PathTags, TopologyMap
 from topodisc import scenarios
 
 from conftest import StubServices
@@ -384,6 +384,28 @@ def test_baseline_prune_keeps_the_reconfirmed_direction():
         ctrl._dispatch_round()
     assert ctrl.map.directed_links == {fwd}
     assert sorted(ctrl.map.switches) == [1, 2]
+
+
+# -- topology map indexes ----------------------------------------------------
+
+def test_map_adjacency_counts_parallel_links_and_skips_one_way_links():
+    m = TopologyMap()
+    a1, b1, a2, b2 = PortRef(1, 1), PortRef(2, 1), PortRef(1, 2), PortRef(2, 2)
+    m.add_link(a1, b1)
+    assert m.first_hop_port(1, 2) is None      # confirmed one way only
+    assert 1 not in m.adj
+    for link in ((b1, a1), (a2, b2), (b2, a2)):
+        assert m.add_link(*link)
+    assert not m.add_link(a2, b2)
+    assert (m.first_hop_port(1, 2), m.first_hop_port(2, 1)) == (a1, b1)
+    m.remove_link(a1, b1)
+    # the parallel link keeps s1 and s2 adjacent
+    assert (m.first_hop_port(1, 2), m.first_hop_port(2, 1)) == (a2, b2)
+    assert m.links_touching(a1) == [(b1, a1)]
+    m.remove_link(a2, b2)
+    assert m.adj == {}
+    assert m.links_of_switch(1) == [(b1, a1), (b2, a2)]
+    assert not m.remove_link(a2, b2)
 
 
 # -- path tags vs networkx oracle -------------------------------------------
