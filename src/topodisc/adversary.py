@@ -13,7 +13,11 @@ from typing import Optional
 
 from .core import (
     ATTACK_KINDS,
-    DEFAULT_PARAMS,
+    ATTACK_PARAMS,
+    DURATION,
+    OPTIONAL,
+    PARAM_HOLDS,
+    REQUIRED,
     AttackDecl,
     LldpFrame,
     PortRef,
@@ -61,7 +65,11 @@ class AttackVerdict:
 
 
 def _params(decl: AttackDecl) -> dict:
-    return {**DEFAULT_PARAMS[decl.kind], **decl.params}
+    """The declared params over the kind's defaults, durations in ns."""
+    params = {key: default for key, (_, default) in ATTACK_PARAMS[decl.kind].items()
+              if default not in (REQUIRED, OPTIONAL)} | decl.params
+    return {key: parse_duration(v) if PARAM_HOLDS.get(key) == DURATION else v
+            for key, v in params.items()}
 
 
 def attack_span(decl: AttackDecl) -> SimTime:
@@ -69,9 +77,9 @@ def attack_span(decl: AttackDecl) -> SimTime:
     harness to size its default horizon so verdicts always land."""
     p = _params(decl)
     if decl.kind == "inject":
-        span = (p["count"] - 1) * parse_duration(p["spacing"])
+        span = (p["count"] - 1) * p["spacing"]
     else:
-        span = parse_duration(p["duration"])
+        span = p["duration"]
     return span + VERDICT_SETTLE
 
 
@@ -112,7 +120,7 @@ def _ever_added_touching(sim, ports: set[PortRef]) -> int:
 
 def _launch_spoof(sim, params: dict) -> None:
     port: PortRef = params["observe"]
-    duration = parse_duration(params["duration"])
+    duration = params["duration"]
     seen: list[LldpFrame] = []
     sim.add_host_observer(
         port, lambda p, f: seen.append(f) if isinstance(f, LldpFrame) else None)
@@ -139,7 +147,7 @@ def _launch_inject(sim, params: dict) -> None:
     inject_port: PortRef = params["inject"]
     victim: PortRef = params["victim_port"]
     count = params["count"]
-    spacing = parse_duration(params["spacing"])
+    spacing = params["spacing"]
     victim_mac = sim.spec.switch(victim.dpid).id.local_mac
     forged = LldpFrame(chassis_id=victim_mac.encode(),
                        port_id=str(victim).encode(),
@@ -170,8 +178,8 @@ def _launch_relay(sim, params: dict) -> None:
     pairs = [(params["observe"], params["inject"])]
     if "observe_b" in params:
         pairs.append((params["observe_b"], params["inject_b"]))
-    tunnel = parse_duration(params["tunnel_delay"])
-    duration = parse_duration(params["duration"])
+    tunnel = params["tunnel_delay"]
+    duration = params["duration"]
     deadline = sim.engine.now + duration
     state = {"relayed": 0}
 
@@ -211,7 +219,7 @@ def _launch_relay(sim, params: dict) -> None:
 def _launch_flood(sim, params: dict) -> None:
     port: PortRef = params["inject"]
     rate = params["rate"]
-    duration = parse_duration(params["duration"])
+    duration = params["duration"]
     start = sim.engine.now
     n_frames = max(1, rate * duration // SEC)
     spacing = duration // n_frames
@@ -248,7 +256,7 @@ def _launch_flood(sim, params: dict) -> None:
 
 def _launch_fingerprint(sim, params: dict) -> None:
     port: PortRef = params["observe"]
-    duration = parse_duration(params["duration"])
+    duration = params["duration"]
     start = sim.engine.now
     seen: list[tuple[SimTime, LldpFrame]] = []
     sim.add_host_observer(

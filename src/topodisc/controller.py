@@ -326,21 +326,29 @@ class Controller:
         self.services.record("switch_registered", dpid=body.dpid,
                              ports_up=list(body.ports_up))
         if not self.bootstrap_done:
-            self._await_boot.discard(body.dpid)
-            if not self._await_boot:
-                self._bootstrap()
+            self._boot_settled(body.dpid)
+        elif self.protocol is Protocol.SOFTDP:
+            # PORT_STATUS sent before the FEATURE_REPLY was refused
+            self._probe_ports_up(body.dpid)
+
+    def _boot_settled(self, dpid: int) -> None:
+        """Stop waiting for a boot switch that registered or left."""
+        self._await_boot.discard(dpid)
+        if not self._await_boot:
+            self._bootstrap()
+
+    def _probe_ports_up(self, dpid: int) -> int:
+        ports_up = self.registry[dpid].ports_up_at_join
+        for port_no in ports_up:
+            port = PortRef(dpid, port_no)
+            self.port_epoch.setdefault(port, 1)
+            self._probe(port)
+        return len(ports_up)
 
     def _bootstrap(self) -> None:
         self.bootstrap_done = True
         if self.protocol is Protocol.SOFTDP:
-            probes = 0
-            for dpid in sorted(self.registry):
-                reg = self.registry[dpid]
-                for port_no in reg.ports_up_at_join:
-                    port = PortRef(dpid, port_no)
-                    self.port_epoch.setdefault(port, 1)
-                    self._probe(port)
-                    probes += 1
+            probes = sum(self._probe_ports_up(dpid) for dpid in sorted(self.registry))
             self.services.record("bootstrap_dispatch",
                                  protocol=self.protocol.value, probes=probes)
         else:
@@ -503,6 +511,8 @@ class Controller:
         so the switch and everything attached to it leaves the map.  A
         switch is in the map only while a link touches it, so removing its
         links removes the switch too."""
+        if dpid in self._await_boot:
+            self._boot_settled(dpid)
         links = self.map.links_of_switch(dpid)
         if links:
             self._remove_links(_both_ways(links), cause="channel_closed")

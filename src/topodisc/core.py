@@ -169,18 +169,16 @@ class Protocol(Enum):
 # ---------------------------------------------------------------------------
 # frames and control messages
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LldpFrame:
     """Discovery frame.  Under the baselines chassis/port/description are
     cleartext; the event-driven protocol carries salted digests plus a
-    per-window nonce.  ``ingress_window_tag`` is stamped by a switch when a
-    window rule (not a baseline default rule) forwarded the frame."""
+    per-window nonce.  Slotted, because a flood makes tens of thousands."""
 
     chassis_id: bytes
     port_id: bytes
     system_description: bytes
     nonce: bytes = b""
-    ingress_window_tag: Optional[bytes] = None
 
 
 class MsgKind(Enum):
@@ -301,43 +299,30 @@ class SwitchLeave:
     dpid: int
 
 
-# Port params each attack kind needs to launch; a relay also needs
-# inject_b when it is given observe_b.
-REQUIRED_PORT_PARAMS = {
-    "fingerprint": ("observe",),
-    "flood": ("inject",),
-    "inject": ("inject", "victim_port"),
-    "relay": ("observe", "inject"),
-    "spoof": ("observe",),
+# What an attack param holds: a port ([dpid, port_no] in scenario files),
+# a duration, or a count (an integer >= 1).
+PORT, DURATION, COUNT = "port", "duration", "count"
+# An attack cannot launch without a REQUIRED param.  A kind's OPTIONAL
+# params come as a set: all of them or none.
+REQUIRED, OPTIONAL = "required", "optional"
+
+# Every param each attack kind reads: what it holds, and the value it
+# takes when omitted (or REQUIRED / OPTIONAL).  A param name holds the
+# same thing in every kind.
+ATTACK_PARAMS = {
+    "fingerprint": {"observe": (PORT, REQUIRED), "duration": (DURATION, "3500ms")},
+    "flood": {"inject": (PORT, REQUIRED), "rate": (COUNT, 10_000),
+              "duration": (DURATION, "1s")},
+    "inject": {"inject": (PORT, REQUIRED), "victim_port": (PORT, REQUIRED),
+               "count": (COUNT, 3), "spacing": (DURATION, "500ms")},
+    "relay": {"observe": (PORT, REQUIRED), "inject": (PORT, REQUIRED),
+              "observe_b": (PORT, OPTIONAL), "inject_b": (PORT, OPTIONAL),
+              "tunnel_delay": (DURATION, "1ms"), "duration": (DURATION, "3s")},
+    "spoof": {"observe": (PORT, REQUIRED), "duration": (DURATION, "3s")},
 }
-ATTACK_KINDS = tuple(REQUIRED_PORT_PARAMS)
-
-# The params an attack may omit, per kind, and the value each takes then.
-DEFAULT_PARAMS = {
-    "fingerprint": {"duration": "3500ms"},
-    "flood": {"rate": 10_000, "duration": "1s"},
-    "inject": {"count": 3, "spacing": "500ms"},
-    "relay": {"tunnel_delay": "1ms", "duration": "3s"},
-    "spoof": {"duration": "3s"},
-}
-
-# Every param each kind reads: its ports, its defaulted knobs, and a
-# relay's optional second direction.
-_READ_PARAMS = {
-    kind: {*REQUIRED_PORT_PARAMS[kind], *DEFAULT_PARAMS[kind],
-           *(("observe_b", "inject_b") if kind == "relay" else ())}
-    for kind in ATTACK_KINDS}
-
-# Attack params that hold a port; scenario files write them as
-# [dpid, port_no].
-_PORT_PARAM_KEYS = {"observe", "inject", "observe_b", "inject_b", "victim_port"}
-
-# Attack params that hold a duration; the adversary parses them with
-# parse_duration, so validation does the same.
-_DURATION_PARAM_KEYS = ("duration", "spacing", "tunnel_delay")
-
-# Attack params that hold a positive count.
-_COUNT_PARAM_KEYS = {"count", "rate"}
+ATTACK_KINDS = tuple(ATTACK_PARAMS)
+PARAM_HOLDS = {key: holds for params in ATTACK_PARAMS.values()
+               for key, (holds, _) in params.items()}
 
 
 @dataclass(frozen=True)
@@ -520,6 +505,7 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
         out.append(Violation("discovery_period", "must be > 0"))
 
     last_at = None
+    present = spec.initially_present()
     for idx, ev in enumerate(spec.timeline):
         el = f"timeline[{idx}]"
         if last_at is not None and ev.at < last_at:
@@ -532,37 +518,45 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
             check_port(ev.b, el)
             if link_key(ev.a, ev.b) not in seen_keys:
                 out.append(Violation(el, f"no declared link {ev.a}<->{ev.b}"))
+            if isinstance(ev, LinkAdd) and not (ev.a.dpid in present and ev.b.dpid in present):
+                for dpid in sorted(({ev.a.dpid, ev.b.dpid} & dpid_set) - present):
+                    out.append(Violation(el, f"link_add while s{dpid} is absent"))
         elif isinstance(ev, (SwitchJoin, SwitchLeave)):
             if ev.dpid not in dpid_set:
                 out.append(Violation(el, f"references unknown switch s{ev.dpid}"))
+            elif isinstance(ev, SwitchLeave):
+                present.discard(ev.dpid)
+            elif ev.dpid in present:
+                out.append(Violation(el, f"switch_join while s{ev.dpid} is present"))
+            else:
+                present.add(ev.dpid)
         elif isinstance(ev, AttackStart):
             kind, params = ev.attack.kind, ev.attack.params
-            if kind not in ATTACK_KINDS:
+            table = ATTACK_PARAMS.get(kind)
+            if table is None:
                 out.append(Violation(el, f"unknown attack kind {kind!r}"))
             else:
-                for key in sorted(params.keys() - _READ_PARAMS[kind]):
+                for key in sorted(params.keys() - table.keys(), key=str):
                     out.append(Violation(f"{el}.params.{key}",
                                          f"unknown param: {kind} never reads it"))
-            required = REQUIRED_PORT_PARAMS.get(kind, ())
-            if kind == "relay" and "observe_b" in params:
-                required += ("inject_b",)
-            for key in required:
-                if key not in params:
-                    out.append(Violation(f"{el}.params.{key}",
-                                         f"missing: {kind} needs this port"))
-            for key in sorted(_PORT_PARAM_KEYS & params.keys()):
-                check_port(params[key], f"{el}.params.{key}")
-            for key in _DURATION_PARAM_KEYS:
-                if key in params:
+                given = {table[key][1] for key in params.keys() & table.keys()}
+                needed = {REQUIRED} | ({OPTIONAL} & given)
+                for key, (_, default) in table.items():
+                    if default in needed and key not in params:
+                        out.append(Violation(f"{el}.params.{key}",
+                                             f"missing: {kind} needs this port"))
+            for key in sorted(params.keys() & PARAM_HOLDS.keys()):
+                where, v, holds = f"{el}.params.{key}", params[key], PARAM_HOLDS[key]
+                if holds == PORT:
+                    check_port(v, where)
+                elif holds == DURATION:
                     try:
-                        parse_duration(params[key])
+                        parse_duration(v)
                     except ValueError as exc:
-                        out.append(Violation(f"{el}.params.{key}", str(exc)))
-            for key in sorted(_COUNT_PARAM_KEYS & params.keys()):
-                v = params[key]
-                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                    out.append(Violation(f"{el}.params.{key}",
-                                         f"expected an integer >= 1, got {v!r}"))
+                        out.append(Violation(where, str(exc)))
+                elif holds == COUNT and (isinstance(v, bool) or not isinstance(v, int)
+                                         or v < 1):
+                    out.append(Violation(where, f"expected an integer >= 1, got {v!r}"))
     return out
 
 
@@ -644,23 +638,13 @@ def _encode_event(ev: TimelineEvent) -> dict:
 
 
 def _encode_attack_params(params: dict) -> dict:
-    out = {}
-    for k, v in sorted(params.items()):
-        if isinstance(v, PortRef):
-            out[k] = _port_to_list(v)
-        else:
-            out[k] = v
-    return out
+    return {k: _port_to_list(v) if isinstance(v, PortRef) else v
+            for k, v in sorted(params.items())}
 
 
 def _decode_attack_params(raw: dict, where: str) -> dict:
-    out = {}
-    for k, v in raw.items():
-        if k in _PORT_PARAM_KEYS:
-            out[k] = _port_from_list(v, f"{where}.{k}")
-        else:
-            out[k] = v
-    return out
+    return {k: _port_from_list(v, f"{where}.{k}") if PARAM_HOLDS.get(k) == PORT else v
+            for k, v in raw.items()}
 
 
 def _mapping(value, where: str) -> dict:

@@ -13,7 +13,7 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .core import (
     CONTROLLER,
@@ -60,16 +60,6 @@ class TraceRecord:
         return f"{self.ts} {self.kind} {self.digest()}"
 
 
-def _primitive(v: Any):
-    if isinstance(v, (str, int, bool, float)) or v is None:
-        return v
-    if isinstance(v, bytes):
-        return v.hex()
-    if isinstance(v, (list, tuple)):
-        return [_primitive(x) for x in v]
-    return str(v)
-
-
 class Trace:
     """Append-only event log with a run digest over its ordered lines."""
 
@@ -77,8 +67,9 @@ class Trace:
         self.records: list[TraceRecord] = []
 
     def record(self, ts: SimTime, kind: str, **detail) -> TraceRecord:
-        rec = TraceRecord(ts, kind,
-                          {k: _primitive(detail[k]) for k in sorted(detail)})
+        """Writers pass JSON primitives (str, int, float, bool, None and
+        lists of them); the record keeps them as given, keys sorted."""
+        rec = TraceRecord(ts, kind, dict(sorted(detail.items())))
         self.records.append(rec)
         return rec
 
@@ -93,13 +84,8 @@ class Trace:
         return h.hexdigest()
 
     def find(self, kind: str, **match) -> list[TraceRecord]:
-        out = []
-        for r in self.records:
-            if r.kind != kind:
-                continue
-            if all(r.detail.get(k) == _primitive(v) for k, v in match.items()):
-                out.append(r)
-        return out
+        return [r for r in self.records if r.kind == kind
+                and all(r.detail.get(k) == v for k, v in match.items())]
 
 
 class Engine:
@@ -205,7 +191,6 @@ class Fabric:
         self.channels = {ch.dpid: ch for ch in spec.control_channels}
         self.connected: set[int] = set()
         self.channel_generation: Counter = Counter()
-        self.host_frames: dict[PortRef, list[tuple[SimTime, LldpFrame]]] = {}
         self.counters: Counter = Counter()
 
         self.deliver_to_switch: Callable[[ControlMessage], None] = lambda msg: None
@@ -287,16 +272,15 @@ class Fabric:
         self.engine.schedule(delay, f"ctrl:{msg.kind.value}", arrive)
 
     def send_frame(self, egress: PortRef, frame: LldpFrame) -> None:
-        """Emit a frame out a switch port.  Host-facing ports deliver to the
-        attached host's observation log; linked ports cross the link unless
-        it is (or goes) down."""
+        """Emit a frame out a switch port.  Host-facing ports hand it to the
+        attached host's observers; linked ports cross the link unless it is
+        (or goes) down."""
         self.counters["frames_sent"] += 1
         st = self.port_link.get(egress)
         if st is None:
             self.counters["frames_to_hosts"] += 1
-            self.host_frames.setdefault(egress, []).append((self.engine.now, frame))
             self.engine.record("frame_at_host", port=str(egress),
-                               nonce=getattr(frame, "nonce", b""))
+                               nonce=getattr(frame, "nonce", b"").hex())
             if self.host_frame_hook is not None:
                 self.host_frame_hook(egress, frame)
             return

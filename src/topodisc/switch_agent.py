@@ -10,7 +10,6 @@ clock.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -101,7 +100,6 @@ class FlowRule:
     hard_timeout: Optional[SimTime]
     installed_at: SimTime
     seq: int
-    tag: Optional[bytes] = None  # identity stamped onto frames this rule forwards
 
     def expires_at(self) -> Optional[SimTime]:
         if self.hard_timeout is None:
@@ -230,10 +228,15 @@ class SwitchAgent:
         self._send(MsgKind.PORT_STATUS, PortStatusBody(port, up, state.epoch))
 
     def on_carrier_down(self, port: PortRef) -> None:
-        """Physical link death.  Flag only: the group table reacts to
-        link_up instantly, and the controller hears about it through BFD,
-        not PORT_STATUS."""
-        self.port(port).link_up = False
+        """Physical link death.  The group table reacts to link_up
+        instantly, and the controller hears about it through BFD, not
+        PORT_STATUS, unless the port's BFD session never came up: no
+        session can time out then, so the port reports the loss itself."""
+        state = self.port(port)
+        state.link_up = False
+        session = self.bfd_sessions.get(port)
+        if session is not None and session.state != BFD_UP:
+            self._send(MsgKind.PORT_STATUS, PortStatusBody(port, False, state.epoch))
 
     def _port_up_actions(self, state: PortState, port: PortRef,
                          peer: Optional[PortRef]) -> None:
@@ -248,11 +251,9 @@ class SwitchAgent:
                 epoch=state.epoch)
 
     def _arm_window_rule(self, port: PortRef) -> None:
-        tag = hashlib.sha256(
-            f"window|{port}|{self.services.now()}".encode()).digest()[:8]
         self._install_rule(priority=WINDOW_RULE_PRIORITY, match_ingress=port,
                            action=("to_controller",),
-                           hard_timeout=self.services.lldp_window, tag=tag)
+                           hard_timeout=self.services.lldp_window)
 
     # -- BFD --------------------------------------------------------------
     def bfd_session_established(self, port: PortRef, up_at: SimTime) -> None:
@@ -293,8 +294,6 @@ class SwitchAgent:
             return ("drop", "no_matching_rule")
         if best.action[0] == "drop":
             return ("drop", "rule_drop")
-        if best.tag is not None:
-            frame = replace(frame, ingress_window_tag=best.tag)
         self._send(MsgKind.PACKET_IN, PacketInBody(ingress, frame))
         return ("to_controller",)
 
@@ -348,12 +347,11 @@ class SwitchAgent:
             self.services.send_frame(ref, frame)
 
     def _install_rule(self, priority: int, match_ingress: Optional[PortRef],
-                      action: tuple, hard_timeout: Optional[SimTime],
-                      tag: Optional[bytes] = None) -> FlowRule:
+                      action: tuple, hard_timeout: Optional[SimTime]) -> FlowRule:
         now = self.services.now()
         rule = FlowRule(priority=priority, match_ingress=match_ingress, action=action,
                         hard_timeout=hard_timeout, installed_at=now,
-                        seq=self._rule_seq, tag=tag)
+                        seq=self._rule_seq)
         self._rule_seq += 1
         # same (priority, match) replaces the previous rule
         self.flow_table = [r for r in self.flow_table if r.match_key() != rule.match_key()]

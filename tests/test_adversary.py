@@ -13,7 +13,8 @@ import pytest
 
 from topodisc.core import (
     ATTACK_KINDS,
-    REQUIRED_PORT_PARAMS,
+    ATTACK_PARAMS,
+    REQUIRED,
     AttackDecl,
     AttackStart,
     Protocol,
@@ -56,7 +57,8 @@ def test_default_horizon_covers_the_default_params(kind, params):
     # verdict
     spec = scenarios.attack_scenario(kind, Protocol.SOFTDP)
     ev = spec.timeline[0]
-    ports = {k: ev.attack.params[k] for k in REQUIRED_PORT_PARAMS[kind]}
+    ports = {k: ev.attack.params[k] for k, (_, default) in ATTACK_PARAMS[kind].items()
+             if default == REQUIRED}
     spec = dataclasses.replace(spec, timeline=(
         AttackStart(ev.at, AttackDecl(kind, {**ports, **params})),))
     sim = run_scenario(spec)

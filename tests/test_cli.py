@@ -12,10 +12,12 @@ from topodisc import cli
 from topodisc.core import (
     ControlChannel,
     Link,
+    LinkAdd,
     PortRef,
     Protocol,
     ScenarioSpec,
     SEC,
+    SwitchLeave,
     encode_scenario,
 )
 from topodisc import scenarios
@@ -121,6 +123,15 @@ def _relay_without_inject_b(doc):
         "observe": [1, 1], "inject": [3, 1], "observe_b": [3, 1]})
 
 
+def _relay_without_observe_b(doc):
+    doc["timeline"][0].update(kind="relay", params={
+        "observe": [1, 1], "inject": [3, 1], "inject_b": [1, 1]})
+
+
+def _unknown_params_with_an_integer_key(doc):
+    doc["timeline"][0]["params"].update({1: 2, "zz": 3})
+
+
 def _inject_with_misspelled_spacing(doc):
     doc["timeline"][0].update(kind="inject", params={
         "inject": [1, 1], "victim_port": [3, 1], "spacng": "2s",
@@ -149,8 +160,11 @@ def _set_field(*path):
     (_set_victim_port,
      "timeline[0].params.victim_port: references unknown switch s9"),
     (_relay_without_inject_b, "timeline[0].params.inject_b: missing"),
+    (_relay_without_observe_b, "timeline[0].params.observe_b: missing"),
     (_inject_with_misspelled_spacing,
      "timeline[0].params.spacng: unknown param: inject never reads it"),
+    (_unknown_params_with_an_integer_key,
+     "timeline[0].params.1: unknown param: spoof never reads it"),
     (_set_field("timeline", 0, "params", "observe", [1, 99]),
      "timeline[0].params.observe: references undeclared port s1.p99"),
     (_set_field("switches", 3), "switches: expected a list"),
@@ -177,7 +191,8 @@ def _set_field(*path):
 ], ids=["unknown_kind", "bad_duration", "params_not_mapping",
         "bfd_not_mapping", "inject_without_victim_port",
         "victim_port_unknown_switch", "relay_without_inject_b",
-        "inject_misspelled_spacing",
+        "relay_without_observe_b",
+        "inject_misspelled_spacing", "unknown_params_integer_key",
         "observe_undeclared_port", "switches_not_list", "links_not_list",
         "dpid_not_integer", "ports_not_integer", "multiplier_not_integer",
         "rng_seed_not_integer", "count_not_integer", "count_zero",
@@ -191,6 +206,15 @@ def test_run_bad_document_names_the_element(tmp_path, capsys, edit, element):
     path.write_text(yaml.safe_dump(doc))
     assert run_cli("run", "--scenario", str(path)) == 2
     assert element in capsys.readouterr().err
+
+
+def test_run_link_add_to_an_absent_switch_is_a_scenario_error(tmp_path, capsys):
+    spec = scenarios.square(timeline=(
+        SwitchLeave(SEC, 2), LinkAdd(2 * SEC, PortRef(1, 1), PortRef(2, 1))))
+    path = tmp_path / "absent.yaml"
+    path.write_text(encode_scenario(spec))
+    assert run_cli("run", "--scenario", str(path)) == 2
+    assert "timeline[1]: link_add while s2 is absent" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])

@@ -155,6 +155,21 @@ def test_timeline_event_for_undeclared_link():
     assert any("no declared link" in m for m in msgs)
 
 
+def test_timeline_events_respect_presence():
+    def msgs(*timeline):
+        return [str(v) for v in validate_scenario(scenarios.square(timeline=timeline))]
+
+    add = LinkAdd(2 * SEC, PortRef(1, 1), PortRef(2, 1))
+    assert msgs(SwitchLeave(SEC, 2), add) == ["timeline[1]: link_add while s2 is absent"]
+    # a switch whose first event is a join is absent until then
+    assert msgs(dataclasses.replace(add, at=SEC), SwitchJoin(2 * SEC, 2)) == [
+        "timeline[0]: link_add while s2 is absent"]
+    assert msgs(SwitchJoin(SEC, 2), SwitchJoin(2 * SEC, 2)) == [
+        "timeline[1]: switch_join while s2 is present"]
+    assert msgs(SwitchLeave(SEC, 2), SwitchJoin(2 * SEC, 2),
+                dataclasses.replace(add, at=3 * SEC)) == []
+
+
 def test_builders_all_validate():
     for name, build in scenarios.BUILDERS.items():
         assert validate_scenario(build()) == [], name

@@ -10,6 +10,7 @@ from topodisc.core import (
     ControlChannel,
     Link,
     LinkAdd,
+    LinkRemove,
     MS,
     PortRef,
     Protocol,
@@ -17,6 +18,8 @@ from topodisc.core import (
     ScenarioSpec,
     SwitchDecl,
     SwitchId,
+    SwitchJoin,
+    SwitchLeave,
     from_ms,
 )
 from topodisc.harness import Simulation, run_scenario
@@ -120,6 +123,41 @@ def test_leave_learned_through_neighbors_when_channel_notice_is_slow():
     assert len(gone) == 1
     assert dict(gone[0].detail)["cause"] == "bfd"
     assert gone[0].ts < 2 * SEC + from_ms(10)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_boot_switch_leaving_before_it_registers_still_bootstraps(protocol):
+    # s4 leaves before its FEATURE_REPLY: the bootstrap stops waiting for
+    # it once the channel close is noticed
+    spec = scenarios.chain(4, protocol, timeline=(SwitchLeave(from_ms(1), 4),))
+    sim = run_scenario(spec, until=5 * SEC)
+    assert len(records_of(sim, "bootstrap_dispatch")) == 1
+    if protocol is not Protocol.SOFTDP:
+        assert records_of(sim, "round_dispatch")
+    assert sim.map_matches_ground_truth()
+
+
+def test_port_up_before_registration_is_probed_at_registration():
+    # s3's PORT_STATUS for the added link reaches the controller before
+    # its FEATURE_REPLY and is refused, so only the ports_up it registers
+    # with can get its side of the link probed
+    spec = scenarios.chain(3, timeline=(
+        SwitchJoin(1 * SEC, 3), LinkAdd(from_ms(1001), PortRef(2, 2), PortRef(3, 1))))
+    sim = run_scenario(spec, until=3 * SEC)
+    assert records_of(sim, "protocol_error")
+    assert (PortRef(3, 1), PortRef(2, 2)) in sim.controller.map.directed_links
+    assert sim.map_matches_ground_truth()
+
+
+def test_link_lost_before_its_bfd_session_is_up_leaves_the_map():
+    # the flap back up replaces the BFD session before the first loss is
+    # detected, and the second loss lands before the new session is up
+    a, b = PortRef(1, 1), PortRef(2, 1)
+    spec = scenarios.square(timeline=(
+        LinkRemove(SEC, a, b), LinkAdd(SEC + MS, a, b), LinkRemove(SEC + 2 * MS, a, b)))
+    sim = run_scenario(spec, until=3 * SEC)
+    assert (a, b) not in sim.controller.map.directed_links
+    assert sim.map_matches_ground_truth()
 
 
 def test_dormant_link_stays_down_until_its_add_event():

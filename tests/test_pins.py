@@ -182,6 +182,9 @@ def outputs_of(case: str) -> tuple[str, str, str]:
     the two files rendered exactly as ``topodisc run --out`` writes them."""
     spec, until = CASES[case]()
     sim = Simulation(spec, name=case).run(until)
+    # every writer passes primitives, so a record's detail is its JSON
+    for r in sim.engine.trace.records:
+        assert r.detail == json.loads(r.payload_json()), r
     report = json.dumps(sim.report(), indent=2, default=str) + "\n"
     csv = to_csv_text(sim.run_metrics())
     return (sim.engine.trace.digest(),

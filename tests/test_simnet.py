@@ -184,8 +184,7 @@ def test_host_port_frame_is_observable():
     host_port = PortRef(1, 2)
     fab.send_frame(host_port, LldpFrame(b"c", b"p", b"d"))
     eng.run_all()
-    assert list(fab.host_frames) == [host_port]
-    assert len(fab.host_frames[host_port]) == 1
+    assert fab.counters["frames_to_hosts"] == 1
     assert eng.trace.find("frame_at_host", port=str(host_port))
 
 

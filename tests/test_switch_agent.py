@@ -153,14 +153,6 @@ def test_window_rule_outranks_default_then_expires():
     assert agent.forward(LLDP, PortRef(1, 1))[0] == "drop"
 
 
-def test_window_rule_stamps_ingress_tag():
-    agent, services = _agent(Protocol.SOFTDP)
-    agent.boot_port_up(PortRef(1, 1), peer=PortRef(2, 1))
-    agent.forward(LLDP, PortRef(1, 1))
-    body = services.sent[-1].body
-    assert body.frame.ingress_window_tag not in (None, b"")
-
-
 def test_same_match_replaces_and_tie_newest_wins():
     agent, services = _agent(Protocol.SOFTDP)
     base = len(agent.flow_table)
@@ -246,9 +238,20 @@ def test_boot_port_up_is_silent():
 def test_carrier_down_is_silent_flag_change():
     agent, services = _agent()
     agent.boot_port_up(PortRef(1, 1), peer=PortRef(2, 1))
+    agent.bfd_session_established(PortRef(1, 1), up_at=0)
     agent.on_carrier_down(PortRef(1, 1))
     assert services.sent == []
     assert not agent.port(PortRef(1, 1)).link_up
+
+
+def test_carrier_down_before_bfd_is_up_reports_port_status():
+    # no session is up to time out, so the port reports the loss itself
+    agent, services = _agent()
+    agent.boot_port_up(PortRef(1, 1), peer=PortRef(2, 1))
+    agent.on_carrier_down(PortRef(1, 1))
+    assert services.sent_kinds() == ["PORT_STATUS"]
+    body = services.sent[0].body
+    assert (body.port, body.up, body.epoch) == (PortRef(1, 1), False, 1)
 
 
 def test_bfd_down_emits_single_status():
