@@ -1,14 +1,15 @@
 """Behaviour-identity gate: full trace digests of a fixed set of runs,
-plus the sha256 of the ``report.json`` and ``metrics.csv`` text of the
-same runs.  The report's map dump covers state the trace does not, such
-as ``safe_to_remove`` and the path tags of pairs that pushed no group.
+plus the sha256 of the ``report.json``, ``metrics.csv`` and
+``trace.ndjson`` text of the same runs.  The report's map dump covers
+state the trace does not, such as ``safe_to_remove`` and the path tags
+of pairs that pushed no group.
 
 The trace digests were taken before the map-update paths of the three
 engines were merged and the dead code was removed, the report and
-metrics pins before the sOFTDP discovery state was simplified; a
-refactor that keeps them keeps every trace byte and every output byte
-of these runs.  A change that moves
-one on purpose re-pins it and says why in CHANGES.md.
+metrics pins before the sOFTDP discovery state was simplified, and the
+ndjson pins before the trace export was streamed; a refactor that keeps
+them keeps every trace byte and every output byte of these runs.  A
+change that moves one on purpose re-pins it and says why in CHANGES.md.
 """
 
 import dataclasses
@@ -174,12 +175,51 @@ CSV_PINS = {
     "walkthrough-ofdpv2": "8d9cddd8300a13b5731fa891cf2adca77970aff6d5aee235d9c583c989a39807",
     "walkthrough-softdp": "fdd0f0823777ab50540d049580c6118261a5576a2581a979590684eb3667dca3",
 }
+NDJSON_PINS = {
+    "chain4-churn-ofdp": "81c042e7f2cdab493d88475e45945d3c734ad28acb11d3443a1c9cf4e7f60025",
+    "chain4-churn-ofdpv2": "d2912464a99e36228440d2ef973a5ffd78b891d08bc67487cc4bd72229a166c3",
+    "chain4-churn-softdp": "4f740c9cbf1dd4770ef97ae0736923a11a071a99c7a6ab21dfba4c6c604d9993",
+    "chain8-churn-ofdp": "b3b5065f7ba2a525b5829ac89ff2364fd559881ae38f283f3bc189765ce2af2b",
+    "chain8-churn-ofdpv2": "029575018caf434733bd9bc99a97b1766841e70d01a569d10fe7bbad0476b68d",
+    "chain8-churn-softdp": "d361d3899979c2d3da32089240e8a0022a9a402268515416b50e3696c10713a8",
+    "fingerprint-ofdp": "c8c4e391f8798d5e760f09da2e11454e8b32db8554069d9d9f99d03cd3ef5dd7",
+    "fingerprint-ofdpv2": "da65cfdb38bf07a002b221ac346d7270deda081fe2b842a919ebeaa340881d2c",
+    "fingerprint-softdp": "8616129a6af3b393ce818fb0f5858952587b68120b8d655fb1b6d767360b2e4d",
+    "flood-ofdp": "a83710d2d32e2d3fec0b3d1cb6c556cbf6d9d4598c33c7fbd01b9d48354b0c24",
+    "flood-ofdpv2": "7c244d9aef5e56e2a924e37931313bed06eb0061bd7205d9dc8b612e5088ca7a",
+    "flood-softdp": "b07c4ca1c94ac944f9ceb2cd8c459ca3ec2e1a98a307ebe41663e11f916b6483",
+    "inject-ofdp": "b527497616a87892f87675fdc0503e6f7f89b479ad254f8902821763a52c649a",
+    "inject-ofdpv2": "79cc1c7fe680c113c3af5f5970846b67c70f75e88e45595016450622bfaba3b2",
+    "inject-softdp": "9e443dbc658800c6b4faf6f6ac7f8952031b9c67adcb6856c2849141d96b6327",
+    "random1-ofdp": "7d62eef6337449d3dc5559a7d35f53f3e88fc64109c62b1272efae9d18af0575",
+    "random1-ofdpv2": "956fc593cc1790b8e01793aa67c5733d936e1d397b07e4c74d9a3dd8b9e32f83",
+    "random1-softdp": "6e68e1f82f89066bedb4d333f07af7c67035cf4cda5a0b8f63618a0c2b3c52f7",
+    "random2-ofdp": "f9175ac8ad6cb0e407baeccec8e1f15f20dc7667d4b28847f3cbc4dbcd30efc9",
+    "random2-ofdpv2": "e9e2fe7841f12cf4fd67ebf2ea17164944376a6612c533bb871bc7942ed4ce85",
+    "random2-softdp": "c2f84b867e363b668f74f286a1fed3ee9823ef400be42e985bcd05b243964374",
+    "random3-ofdp": "eeaf24f05212492ec77ff834d6cb3d6f12854e1835695160e94d15bf8c707573",
+    "random3-ofdpv2": "fc44412d75be7d01a0212a90376f99198a485c052e8dad2abf08cd05fd4e74e7",
+    "random3-softdp": "8950c536d2053b8831d7494acbd27b3b555cd8ef67cb8e6710cd89e30bb61f8f",
+    "relay-in-window-ofdp": "fcc53a19eff546b36d38e3d7f1d1623a948a77f8a21f80106d35ee3f82ab3983",
+    "relay-in-window-ofdpv2": "fb83a9256450ab537350c33f95ca5b499b42110d85603b54dcf7dd91249473ab",
+    "relay-in-window-softdp": "b4547854ebb531ac2f26434d334ed80ce9ca1702f35028c43c2bce595a5982ed",
+    "relay-ofdp": "6787e895a59e472c368f738868768fb021dccf6efd0d33bcf88ddaa45a4b2202",
+    "relay-ofdpv2": "97690b1365c9dba259b8b61f9b35960e89b33f8dc5b447265cec073eea3b32fe",
+    "relay-softdp": "7240797193c51597484da379e285127c4b6d736e76b84267c60439edc8e39317",
+    "spoof-ofdp": "f705f8d1e605c591fed49c22ff82294f201675f02da5f5af8a535866c299ca69",
+    "spoof-ofdpv2": "fd36b3e120e790d2385053b13190215e6e1e447b54e5d466b4cd67086dccfd56",
+    "spoof-softdp": "c64e9c2f921d0f723cf6f1fc4955852e6256f84a2cb766d83d5b57c07aac95cb",
+    "walkthrough-ofdp": "5115d9e35dec643e9bf4c176b46c75b63173aaefd080b4be1ec47a5ffc7a8a73",
+    "walkthrough-ofdpv2": "765b9f5605c7af0594c6a6508955f9dd9120b7cd74bd768d2ba561542bf2c7ea",
+    "walkthrough-softdp": "ce139ac92a4748e32625d03633161334cae0d1466652421d701f2d6f8570519e",
+}
 
 
 @functools.lru_cache(maxsize=None)
-def outputs_of(case: str) -> tuple[str, str, str]:
-    """(trace digest, sha256 of report.json, sha256 of metrics.csv), with
-    the two files rendered exactly as ``topodisc run --out`` writes them."""
+def outputs_of(case: str) -> tuple[str, str, str, str]:
+    """(trace digest, sha256 of report.json, sha256 of metrics.csv, sha256
+    of trace.ndjson), with the three files rendered exactly as
+    ``topodisc run --out`` writes them."""
     spec, until = CASES[case]()
     sim = Simulation(spec, name=case).run(until)
     # every writer passes primitives, so a record's detail is its JSON
@@ -187,14 +227,16 @@ def outputs_of(case: str) -> tuple[str, str, str]:
         assert r.detail == json.loads(r.payload_json()), r
     report = json.dumps(sim.report(), indent=2, default=str) + "\n"
     csv = to_csv_text(sim.run_metrics())
+    ndjson = cli.trace_ndjson(sim.engine.trace)
     return (sim.engine.trace.digest(),
             hashlib.sha256(report.encode()).hexdigest(),
-            hashlib.sha256(csv.encode()).hexdigest())
+            hashlib.sha256(csv.encode()).hexdigest(),
+            hashlib.sha256(ndjson.encode()).hexdigest())
 
 
 def test_every_case_is_pinned():
     assert sorted(PINS) == sorted(REPORT_PINS) == sorted(CSV_PINS) \
-        == sorted(CASES)
+        == sorted(NDJSON_PINS) == sorted(CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -204,5 +246,10 @@ def test_trace_digest_is_pinned(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_and_metrics_are_pinned(case):
-    _, report, csv = outputs_of(case)
+    _, report, csv, _ = outputs_of(case)
     assert (report, csv) == (REPORT_PINS[case], CSV_PINS[case])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_ndjson_is_pinned(case):
+    assert outputs_of(case)[3] == NDJSON_PINS[case]
