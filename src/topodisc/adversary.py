@@ -153,9 +153,8 @@ def _launch_inject(sim, params: dict) -> None:
                        port_id=str(victim).encode(),
                        system_description=b"forged")
     suspicious_before = sim.controller.counters.get("suspicious", 0)
-    for k in range(count):
-        sim.engine.schedule(k * spacing, "attack_inject",
-                            lambda: sim.fabric.inject_frame(inject_port, forged))
+    sim.engine.schedule_series(0, spacing, count, "attack_inject",
+                               lambda k: sim.fabric.inject_frame(inject_port, forged))
 
     def verdict():
         ports = {victim, inject_port}
@@ -224,14 +223,12 @@ def _launch_flood(sim, params: dict) -> None:
     n_frames = max(1, rate * duration // SEC)
     spacing = duration // n_frames
 
-    def make_frame(k: int) -> LldpFrame:
-        return LldpFrame(chassis_id=b"flood",
-                         port_id=f"flood{k}".encode(),
-                         system_description=b"flood")
+    def send(k: int) -> None:
+        sim.fabric.inject_frame(port, LldpFrame(chassis_id=b"flood",
+                                                port_id=f"flood{k}".encode(),
+                                                system_description=b"flood"))
 
-    for k in range(n_frames):
-        sim.engine.schedule(k * spacing, "attack_flood",
-                            lambda fr=make_frame(k): sim.fabric.inject_frame(port, fr))
+    sim.engine.schedule_series(0, spacing, n_frames, "attack_flood", send)
 
     def verdict():
         now = sim.engine.now

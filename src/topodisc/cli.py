@@ -14,6 +14,7 @@ leaves a truncated result behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import json
@@ -71,12 +72,15 @@ def load_scenario(ref: str, seed: int) -> tuple[str, ScenarioSpec]:
     return name, spec
 
 
-def atomic_write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """Yield a temp file beside ``path`` and rename it to ``path`` once the
+    block completes; on any error the temp file is removed instead."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -84,12 +88,17 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def trace_ndjson(trace) -> str:
-    lines = []
+# One encoder for every row; json.dumps builds a fresh one for each call
+# with non-default arguments.
+_ndjson_row = json.JSONEncoder(sort_keys=True).encode
+
+
+def trace_ndjson(trace, fh) -> None:
+    """Write one JSON object per record to ``fh``, row by row."""
     for r in trace.records:
-        row = {"ts": r.ts, "kind": r.kind, **r.detail}
-        lines.append(json.dumps(row, sort_keys=True, default=str))
-    return "\n".join(lines) + "\n"
+        fh.write(_ndjson_row({"ts": r.ts, "kind": r.kind, **r.detail}) + "\n")
+    if not trace.records:
+        fh.write("\n")  # an empty trace is one empty line
 
 
 def _parse_until(value: Optional[str]):
@@ -127,12 +136,12 @@ def cmd_run(args) -> int:
     report = sim.report()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        atomic_write(os.path.join(args.out, "trace.ndjson"),
-                     trace_ndjson(sim.engine.trace))
-        atomic_write(os.path.join(args.out, "metrics.csv"),
-                     to_csv_text(sim.run_metrics()))
-        atomic_write(os.path.join(args.out, "report.json"),
-                     json.dumps(report, indent=2, default=str) + "\n")
+        with atomic_write(os.path.join(args.out, "trace.ndjson")) as fh:
+            trace_ndjson(sim.engine.trace, fh)
+        with atomic_write(os.path.join(args.out, "metrics.csv")) as fh:
+            fh.write(to_csv_text(sim.run_metrics()))
+        with atomic_write(os.path.join(args.out, "report.json")) as fh:
+            fh.write(json.dumps(report, indent=2, default=str) + "\n")
         print(f"{name}: protocol={report['protocol']} "
               f"events={len(report['metrics']['events'])} "
               f"digest={report['digest'][:12]} -> {args.out}")
@@ -224,8 +233,8 @@ def cmd_compare(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         csv_lines = [",".join(COMPARE_COLUMNS)]
         csv_lines += [",".join(str(r[c]) for c in COMPARE_COLUMNS) for r in rows]
-        atomic_write(os.path.join(args.out, "compare.csv"),
-                     "\n".join(csv_lines) + "\n")
+        with atomic_write(os.path.join(args.out, "compare.csv")) as fh:
+            fh.write("\n".join(csv_lines) + "\n")
 
     if violations:
         for v in violations:
@@ -271,8 +280,8 @@ def cmd_attack(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         payload = {"scenario": name, "protocol": spec.protocol.value,
                    "verdicts": [v.as_dict() for v in sim.attack_results]}
-        atomic_write(os.path.join(args.out, "attack.json"),
-                     json.dumps(payload, indent=2, default=str) + "\n")
+        with atomic_write(os.path.join(args.out, "attack.json")) as fh:
+            fh.write(json.dumps(payload, indent=2, default=str) + "\n")
     return EXIT_OK
 
 

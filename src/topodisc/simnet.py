@@ -1,7 +1,8 @@
 """Discrete-event engine and physical fabric.
 
 The engine fires events in (fire_at, insertion seq) order on an integer
-nanosecond clock, so two runs of the same scenario produce byte-identical
+nanosecond clock (a series reserves the seqs of all its events when it is
+scheduled), so two runs of the same scenario produce byte-identical
 traces.  The fabric moves frames across links and control messages across
 per-switch channels; frames in flight on a link that dies before arrival
 are dropped and counted, never silently lost.
@@ -32,7 +33,12 @@ from .core import (
 # ---------------------------------------------------------------------------
 # engine
 
-@dataclass
+# One encoder for every record, with json.dumps's defaults otherwise;
+# json.dumps builds a fresh encoder for each call with non-default args.
+_payload_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+@dataclass(slots=True)
 class SimEvent:
     fire_at: SimTime
     seq: int
@@ -44,20 +50,14 @@ class SimEvent:
         self.cancelled = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     ts: SimTime
     kind: str
     detail: dict  # primitive values; keys sorted, as the digest and report.json expect
 
     def payload_json(self) -> str:
-        return json.dumps(self.detail, separators=(",", ":"))
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.payload_json().encode()).hexdigest()[:12]
-
-    def line(self) -> str:
-        return f"{self.ts} {self.kind} {self.digest()}"
+        return _payload_json(self.detail)
 
 
 class Trace:
@@ -73,14 +73,15 @@ class Trace:
         self.records.append(rec)
         return rec
 
-    def lines(self) -> list[str]:
-        return [r.line() for r in self.records]
-
     def digest(self) -> str:
+        """sha256 over one line per record, ``<ts> <kind> <detail hash>``,
+        the detail hash being the first 12 hex digits of the sha256 of
+        the record's ``payload_json``.  Hashed record by record."""
         h = hashlib.sha256()
-        for line in self.lines():
-            h.update(line.encode())
-            h.update(b"\n")
+        for r in self.records:
+            detail_hash = hashlib.sha256(
+                _payload_json(r.detail).encode()).hexdigest()[:12]
+            h.update(f"{r.ts} {r.kind} {detail_hash}\n".encode())
         return h.hexdigest()
 
     def find(self, kind: str, **match) -> list[TraceRecord]:
@@ -99,18 +100,45 @@ class Engine:
         self._seq = 0
         self.fired = 0
 
+    def _push(self, at: SimTime, seq: int, kind: str,
+              action: Callable[[], None]) -> SimEvent:
+        ev = SimEvent(at, seq, kind, action)
+        heapq.heappush(self._heap, (at, seq, ev))
+        return ev
+
     def schedule_at(self, at: SimTime, kind: str, action: Callable[[], None]) -> SimEvent:
         if at < self.now:
             raise ValueError(f"cannot schedule {kind!r} at {at} before now={self.now}")
-        ev = SimEvent(at, self._seq, kind, action)
+        ev = self._push(at, self._seq, kind, action)
         self._seq += 1
-        heapq.heappush(self._heap, (at, ev.seq, ev))
         return ev
 
     def schedule(self, delay: SimTime, kind: str, action: Callable[[], None]) -> SimEvent:
         if delay < 0:
             raise ValueError(f"negative delay for {kind!r}")
         return self.schedule_at(self.now + delay, kind, action)
+
+    def schedule_series(self, delay: SimTime, spacing: SimTime, count: int,
+                        kind: str, action: Callable[[int], None]) -> None:
+        """Call ``action(k)`` at now + delay + k * spacing for each k < count.
+
+        The series fires exactly as ``count`` schedule() calls made now
+        would, because it reserves their ``count`` consecutive seqs now.
+        It keeps one event pending: event k pushes event k + 1 when it
+        fires, so a long series costs no heap or memory up front."""
+        if min(delay, spacing, count) < 0:
+            raise ValueError(f"negative delay, spacing or count for {kind!r}")
+        start, first = self.now + delay, self._seq
+        self._seq += count
+
+        def fire(k: int) -> None:
+            if k + 1 < count:
+                self._push(start + (k + 1) * spacing, first + k + 1, kind,
+                           lambda: fire(k + 1))
+            action(k)
+
+        if count > 0:
+            self._push(start, first, kind, lambda: fire(0))
 
     def record(self, kind: str, **detail) -> TraceRecord:
         return self.trace.record(self.now, kind, **detail)

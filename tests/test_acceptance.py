@@ -4,6 +4,7 @@ end; expected values come from the analytic predictors or from
 independent recomputation (networkx for paths), never from the code
 under test.
 """
+import io
 import time
 
 import networkx as nx
@@ -238,7 +239,9 @@ def test_criterion_7_convergence_and_path_oracle():
 def test_criterion_8_trace_determinism():
     def one_run():
         sim = run_scenario(scenarios.random_scenario(7))
-        return trace_ndjson(sim.engine.trace), sim.engine.trace.digest()
+        buf = io.StringIO()
+        trace_ndjson(sim.engine.trace, buf)
+        return buf.getvalue(), sim.engine.trace.digest()
 
     text_a, digest_a = one_run()
     text_b, digest_b = one_run()

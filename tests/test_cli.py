@@ -1,6 +1,7 @@
 """Exit codes, file outputs, determinism, and table shape of the three
 subcommands, driven through main() the way the console script would."""
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from topodisc.core import (
     encode_scenario,
 )
 from topodisc import scenarios
+from topodisc.simnet import Engine
 
 
 def run_cli(*argv):
@@ -41,6 +43,25 @@ def test_run_builder_writes_all_three_outputs(tmp_path):
     # the composite walkthrough yields five event entries: bootstrap
     # plus join, leave, add, remove
     assert len(report["metrics"]["events"]) == 5
+
+
+def test_trace_ndjson_failing_mid_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "trace.ndjson"
+    path.write_text("old\n")
+    eng = Engine()
+    eng.record("ok", value=1)
+    eng.record("bad", blob=b"\x00")  # not a JSON primitive
+    with pytest.raises(TypeError):
+        with cli.atomic_write(str(path)) as fh:
+            cli.trace_ndjson(eng.trace, fh)
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.ndjson"]
+    assert path.read_text() == "old\n"
+
+
+def test_empty_trace_is_one_empty_line():
+    buf = io.StringIO()
+    cli.trace_ndjson(Engine().trace, buf)
+    assert buf.getvalue() == "\n"
 
 
 def test_run_without_out_prints_report(capsys):

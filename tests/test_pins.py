@@ -15,6 +15,7 @@ change that moves one on purpose re-pins it and says why in CHANGES.md.
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 
 import pytest
@@ -227,11 +228,12 @@ def outputs_of(case: str) -> tuple[str, str, str, str]:
         assert r.detail == json.loads(r.payload_json()), r
     report = json.dumps(sim.report(), indent=2, default=str) + "\n"
     csv = to_csv_text(sim.run_metrics())
-    ndjson = cli.trace_ndjson(sim.engine.trace)
+    ndjson = io.StringIO()
+    cli.trace_ndjson(sim.engine.trace, ndjson)
     return (sim.engine.trace.digest(),
             hashlib.sha256(report.encode()).hexdigest(),
             hashlib.sha256(csv.encode()).hexdigest(),
-            hashlib.sha256(ndjson.encode()).hexdigest())
+            hashlib.sha256(ndjson.getvalue().encode()).hexdigest())
 
 
 def test_every_case_is_pinned():

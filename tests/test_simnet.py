@@ -9,7 +9,9 @@ from topodisc.core import (
     MS,
     MsgKind,
     PortRef,
+    Protocol,
 )
+from topodisc.harness import Simulation
 from topodisc.simnet import Engine, Fabric
 from topodisc import scenarios
 
@@ -69,6 +71,81 @@ def test_cancelled_event_does_not_fire():
     ev.cancel()
     eng.run_all()
     assert out == []
+
+
+# -- event series -----------------------------------------------------------
+
+# (delay, delays of the children the event's action schedules); small
+# times, so that events of every origin collide at one instant
+_timed = st.tuples(st.integers(0, 6), st.lists(st.integers(0, 3), max_size=2))
+# (delay, spacing, count, delays of the children each event schedules)
+_series = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 6),
+                    st.lists(st.integers(0, 3), max_size=2))
+_programs = st.fixed_dictionaries({
+    "start": st.integers(0, 3),
+    "before": st.lists(_timed, max_size=4),
+    "series": st.lists(_series, min_size=1, max_size=3),
+    "after": st.lists(_timed, max_size=4),
+    "cut": st.integers(0, 20),
+    "late": st.lists(_timed, max_size=4),
+})
+
+
+def _fired(program, series: bool) -> list:
+    """Run ``program`` and return the fired (time, kind, tag) sequence.
+    With ``series`` each series goes through ``schedule_series``, else
+    through ``count`` schedule() calls up front."""
+    eng = Engine()
+    fired = []
+
+    def event(kind, tag, children):
+        def act():
+            fired.append((eng.now, kind, tag))
+            for i, delay in enumerate(children):
+                eng.schedule(delay, "child", event("child", f"{kind}.{tag}/{i}", ()))
+        return act
+
+    def timed(name, items):
+        for i, (delay, children) in enumerate(items):
+            eng.schedule(delay, name, event(name, i, children))
+
+    eng.run_until(program["start"])
+    timed("before", program["before"])
+    for j, (delay, spacing, count, children) in enumerate(program["series"]):
+        kind = f"series{j}"
+        if series:
+            eng.schedule_series(
+                delay, spacing, count, kind,
+                lambda k, kind=kind, ch=children: event(kind, k, ch)())
+        else:
+            for k in range(count):
+                eng.schedule(delay + k * spacing, kind, event(kind, k, children))
+    timed("after", program["after"])
+    eng.run_until(eng.now + program["cut"])  # often in the middle of a series
+    timed("late", program["late"])
+    eng.run_all()
+    return fired
+
+
+@given(_programs)
+def test_series_fires_like_schedule_calls_made_up_front(program):
+    assert _fired(program, series=True) == _fired(program, series=False)
+
+
+def test_launched_flood_keeps_one_event_pending():
+    spec = scenarios.attack_scenario("flood", Protocol.OFDP)
+    sim = Simulation(spec)
+    (launch,) = [ev.at for ev in spec.timeline]
+
+    def pending():
+        return sum(ev.kind == "attack_flood" for _, _, ev in sim.engine._heap)
+
+    for t in (launch, launch + 100 * MS, launch + 500 * MS):
+        sim.engine.run_until(t)
+        assert pending() == 1
+    sim.run()
+    assert pending() == 0
+    assert sim.fabric.counters["frames_injected"] == 10_000
 
 
 # -- trace ------------------------------------------------------------------
