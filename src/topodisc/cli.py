@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import gc
 import json
 import os
 import sys
@@ -94,11 +93,10 @@ _ndjson_row = json.JSONEncoder(sort_keys=True).encode
 
 
 def trace_ndjson(trace, fh) -> None:
-    """Write one JSON object per record to ``fh``, row by row."""
+    """Write one JSON object per record to ``fh``, row by row; an empty
+    trace writes nothing."""
     for r in trace.records:
         fh.write(_ndjson_row({"ts": r.ts, "kind": r.kind, **r.detail}) + "\n")
-    if not trace.records:
-        fh.write("\n")  # an empty trace is one empty line
 
 
 def _parse_until(value: Optional[str]):
@@ -132,7 +130,8 @@ def cmd_run(args) -> int:
         sim = Simulation(spec, name=name)
     except ValueError as exc:
         raise ScenarioError(str(exc))
-    sim.run(until)
+    with sim:
+        sim.run(until)
     report = sim.report()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -176,10 +175,8 @@ def _compare_cell(n: int, protocol: Protocol, seed: int) -> dict:
         spec = scenarios.chain(n, protocol=protocol)
     spec = dataclasses.replace(
         spec, rng_seed=seed, timeline=_churn_timeline(spec, COMPARE_HORIZON))
-    m = Simulation(spec, name=f"chain{n}").run(COMPARE_HORIZON).run_metrics()
-    # The simulation is now garbage held in reference cycles; free it
-    # before the next cell so that the cells do not pile up in memory.
-    gc.collect()
+    with Simulation(spec, name=f"chain{n}") as sim:
+        m = sim.run(COMPARE_HORIZON).run_metrics()
     per_round = max((outs for (_, _, outs) in m.rounds), default=0)
     total = m.messages_total()
     seconds = COMPARE_HORIZON // SEC
@@ -267,7 +264,8 @@ def cmd_attack(args) -> int:
         sim = Simulation(spec, name=name)
     except ValueError as exc:
         raise ScenarioError(str(exc))
-    sim.run(until)
+    with sim:
+        sim.run(until)
     if not sim.attack_results:
         print("no verdict reached inside the horizon", file=sys.stderr)
         return EXIT_FAILURE

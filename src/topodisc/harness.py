@@ -13,6 +13,12 @@ absent with their links dead.  A join brings back every dead link of the
 joiner whose declared state is alive and whose peer is present; links
 declared dormant (``alive: false``) wait for their own link-add event.
 A leaving switch takes its live links down with it.
+
+Lifetime: a running simulation is full of reference cycles (pending
+events, the fabric's callbacks, the controller's hook).  ``close()``, or
+leaving ``with Simulation(spec) as sim:``, breaks all of them, so a
+closed run holds no cycle and dropping it frees it by reference counting
+alone, with no cyclic collection.
 """
 from __future__ import annotations
 
@@ -45,27 +51,25 @@ class Services:
     """What agents and the controller are allowed to touch: the clock,
     the trace, the scheduler, and the transport."""
 
-    def __init__(self, sim: "Simulation"):
-        self._sim = sim
+    def __init__(self, engine: Engine, fabric: Fabric, spec: ScenarioSpec):
+        self._engine = engine
+        self._fabric = fabric
+        self.lldp_window: SimTime = spec.lldp_window
 
     def now(self) -> SimTime:
-        return self._sim.engine.now
+        return self._engine.now
 
     def send_control(self, msg) -> None:
-        self._sim.fabric.send_control(msg)
+        self._fabric.send_control(msg)
 
     def send_frame(self, egress: PortRef, frame) -> None:
-        self._sim.fabric.send_frame(egress, frame)
+        self._fabric.send_frame(egress, frame)
 
     def schedule(self, delay: SimTime, kind: str, action):
-        return self._sim.engine.schedule(delay, kind, action)
+        return self._engine.schedule(delay, kind, action)
 
     def record(self, kind: str, **detail):
-        return self._sim.engine.record(kind, **detail)
-
-    @property
-    def lldp_window(self) -> SimTime:
-        return self._sim.spec.lldp_window
+        return self._engine.record(kind, **detail)
 
 
 class Simulation:
@@ -81,7 +85,7 @@ class Simulation:
         self.name = name
         self.engine = Engine()
         self.fabric = Fabric(self.engine, spec)
-        self.services = Services(self)
+        self.services = Services(self.engine, self.fabric, spec)
         self.agents: dict[int, SwitchAgent] = {
             d.id.dpid: SwitchAgent(d, spec.protocol, spec.bfd, self.services)
             for d in spec.switches
@@ -369,6 +373,25 @@ class Simulation:
     def run(self, until: Optional[SimTime] = None) -> "Simulation":
         self.engine.run_until(self.default_until() if until is None else until)
         return self
+
+    def close(self) -> None:
+        """End the run for good.  Drops the pending events and cuts the
+        callbacks that tie the fabric, the controller and the attack
+        observers back to this simulation, so a closed run holds no
+        reference cycle and is freed as soon as the last reference to it
+        goes.  The trace, ``report()``, the map, the counters and the
+        ground truth stay readable; ``run()`` raises RuntimeError.
+        Closing twice is harmless."""
+        self.engine.close()
+        self.fabric.detach()
+        self.controller.link_learned_hook = None
+        self._host_listeners.clear()
+
+    def __enter__(self) -> "Simulation":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def ground_truth(self) -> tuple[set[int], set[tuple[PortRef, PortRef]]]:
         """What the map should contain right now: both directions of every

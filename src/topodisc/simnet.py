@@ -14,6 +14,7 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .core import (
@@ -43,11 +44,14 @@ class SimEvent:
     fire_at: SimTime
     seq: int
     kind: str
-    action: Callable[[], None]
+    action: Optional[Callable[[], None]]
     cancelled: bool = False
 
     def cancel(self) -> None:
+        """The event will not fire, so it lets go of its action, and of
+        whatever the action holds, at once."""
         self.cancelled = True
+        self.action = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +95,7 @@ class Trace:
 
 class Engine:
     """Event queue + clock + trace.  schedule() refuses events in the past;
-    cancelled events never fire."""
+    cancelled events never fire; a closed engine never runs again."""
 
     def __init__(self) -> None:
         self.now: SimTime = 0
@@ -99,6 +103,7 @@ class Engine:
         self._heap: list[tuple[SimTime, int, SimEvent]] = []
         self._seq = 0
         self.fired = 0
+        self.closed = False
 
     def _push(self, at: SimTime, seq: int, kind: str,
               action: Callable[[], None]) -> SimEvent:
@@ -130,15 +135,18 @@ class Engine:
             raise ValueError(f"negative delay, spacing or count for {kind!r}")
         start, first = self.now + delay, self._seq
         self._seq += count
-
-        def fire(k: int) -> None:
-            if k + 1 < count:
-                self._push(start + (k + 1) * spacing, first + k + 1, kind,
-                           lambda: fire(k + 1))
-            action(k)
-
         if count > 0:
-            self._push(start, first, kind, lambda: fire(0))
+            self._push(start, first, kind, partial(
+                self._fire_series, (start, first, spacing, count, kind, action), 0))
+
+    def _fire_series(self, series: tuple, k: int) -> None:
+        # A method, not a closure that names itself: the series is then
+        # referenced only by its one pending event.
+        start, first, spacing, count, kind, action = series
+        if k + 1 < count:
+            self._push(start + (k + 1) * spacing, first + k + 1, kind,
+                       partial(self._fire_series, series, k + 1))
+        action(k)
 
     def record(self, kind: str, **detail) -> TraceRecord:
         return self.trace.record(self.now, kind, **detail)
@@ -154,9 +162,20 @@ class Engine:
             return ev
         return None
 
+    def close(self) -> None:
+        """Drop every pending event unfired, with its action, so no
+        closure the run scheduled outlives it.  The clock, the trace and
+        the fired count stay readable; running again raises RuntimeError."""
+        for _, _, ev in self._heap:
+            ev.action = None
+        self._heap.clear()
+        self.closed = True
+
     def run_until(self, t: SimTime) -> None:
         """Fire every event with fire_at <= t (including ones scheduled
         while running), then set the clock to t."""
+        if self.closed:
+            raise RuntimeError("the engine is closed")
         if t < self.now:
             raise ValueError(f"cannot run backwards to {t} from {self.now}")
         while True:
@@ -169,6 +188,8 @@ class Engine:
         self.now = t
 
     def run_all(self) -> None:
+        if self.closed:
+            raise RuntimeError("the engine is closed")
         while True:
             ev = self._pop_due(None)
             if ev is None:
@@ -194,6 +215,10 @@ class LinkState:
         return self.spec.delay_ab if egress == self.spec.a else self.spec.delay_ba
 
 
+def _ignore(*args) -> None:
+    """The callback of a fabric that nothing is attached to."""
+
+
 class Fabric:
     """Physical topology state and transport.
 
@@ -204,6 +229,9 @@ class Fabric:
       deliver_to_controller(msg)    control message reached the controller
       frame_arrival(port, frame)    frame reached a switch port (ingress)
       link_flag_change(port, up)    carrier changed on a switch port
+      host_frame_hook(port, frame)  frame left a host-facing port
+
+    ``detach()`` puts every callback back to a no-op.
     """
 
     def __init__(self, engine: Engine, spec: ScenarioSpec) -> None:
@@ -220,12 +248,16 @@ class Fabric:
         self.connected: set[int] = set()
         self.channel_generation: Counter = Counter()
         self.counters: Counter = Counter()
+        self.detach()
 
-        self.deliver_to_switch: Callable[[ControlMessage], None] = lambda msg: None
-        self.deliver_to_controller: Callable[[ControlMessage], None] = lambda msg: None
-        self.frame_arrival: Callable[[PortRef, LldpFrame], None] = lambda p, f: None
-        self.link_flag_change: Callable[[PortRef, bool], None] = lambda p, up: None
-        self.host_frame_hook: Optional[Callable[[PortRef, LldpFrame], None]] = None
+    def detach(self) -> None:
+        """Point every callback at a no-op, letting go of the protocol
+        logic attached through them."""
+        self.deliver_to_switch: Callable[[ControlMessage], None] = _ignore
+        self.deliver_to_controller: Callable[[ControlMessage], None] = _ignore
+        self.frame_arrival: Callable[[PortRef, LldpFrame], None] = _ignore
+        self.link_flag_change: Callable[[PortRef, bool], None] = _ignore
+        self.host_frame_hook: Callable[[PortRef, LldpFrame], None] = _ignore
 
     # -- link lifecycle ---------------------------------------------------
     def link_state(self, a: PortRef, b: PortRef) -> LinkState:
@@ -309,8 +341,7 @@ class Fabric:
             self.counters["frames_to_hosts"] += 1
             self.engine.record("frame_at_host", port=str(egress),
                                nonce=getattr(frame, "nonce", b"").hex())
-            if self.host_frame_hook is not None:
-                self.host_frame_hook(egress, frame)
+            self.host_frame_hook(egress, frame)
             return
         if not st.alive:
             self.counters["frames_dropped"] += 1

@@ -58,10 +58,10 @@ def test_trace_ndjson_failing_mid_write_leaves_the_old_file(tmp_path):
     assert path.read_text() == "old\n"
 
 
-def test_empty_trace_is_one_empty_line():
+def test_empty_trace_writes_an_empty_file():
     buf = io.StringIO()
     cli.trace_ndjson(Engine().trace, buf)
-    assert buf.getvalue() == "\n"
+    assert buf.getvalue() == ""
 
 
 def test_run_without_out_prints_report(capsys):

@@ -1,6 +1,9 @@
 """End-to-end runs of whole scenarios: boot sequencing, presence rules,
 liveness handshake timing, convergence to ground truth, adaptation
-stamping, and the run report."""
+stamping, the run report, and a closed run's lifetime."""
+import gc
+import weakref
+
 import pytest
 
 from topodisc.core import (
@@ -23,7 +26,7 @@ from topodisc.core import (
     from_ms,
 )
 from topodisc.harness import Simulation, run_scenario
-from topodisc import scenarios
+from topodisc import cli, scenarios
 from topodisc.adversary import VERDICT_SETTLE
 
 
@@ -258,3 +261,83 @@ def test_different_protocols_diverge_in_digest():
     a = run_scenario(scenarios.square(Protocol.SOFTDP), until=2 * SEC)
     b = run_scenario(scenarios.square(Protocol.OFDP), until=2 * SEC)
     assert a.engine.trace.digest() != b.engine.trace.digest()
+
+
+# -- lifetime ----------------------------------------------------------------
+
+@pytest.fixture
+def collector_off(monkeypatch):
+    """Only reference counting may free anything inside the test: the
+    automatic collector is off and an explicit collection does nothing."""
+    monkeypatch.setattr(gc, "collect", lambda generation=2: 0)
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _weakrefs(sim) -> dict:
+    parts = {"simulation": sim, "engine": sim.engine, "fabric": sim.fabric,
+             "controller": sim.controller, "trace": sim.engine.trace}
+    parts.update({f"agent s{dpid}": agent for dpid, agent in sim.agents.items()})
+    return {name: weakref.ref(obj) for name, obj in parts.items()}
+
+
+def _alive(refs: dict) -> list:
+    return sorted(name for name, ref in refs.items() if ref() is not None)
+
+
+def _run(spec, until=None):
+    return Simulation(spec).run(until)
+
+
+LIFETIME_CASES = {
+    **{f"walkthrough-{p.value}": (lambda p=p: _run(scenarios.walkthrough(p)))
+       for p in Protocol},
+    # stopped while the boot probes' LLDP windows are still open
+    "walkthrough-softdp-open-windows":
+        lambda: _run(scenarios.walkthrough(), until=5 * MS),
+    **{f"{kind}-{p.value}": (lambda kind=kind, p=p:
+                             _run(scenarios.attack_scenario(kind, protocol=p)))
+       for kind in ("flood", "inject", "relay")
+       for p in (Protocol.OFDP, Protocol.SOFTDP)},
+    "random-7-20-20-softdp": lambda: _run(scenarios.random_scenario(7, 20, 20)),
+}
+
+
+@pytest.mark.parametrize("run", LIFETIME_CASES.values(), ids=LIFETIME_CASES)
+def test_closed_run_is_freed_by_reference_counting(run, collector_off):
+    sim = run()
+    refs = _weakrefs(sim)
+    sim.close()
+    del sim
+    assert _alive(refs) == []
+
+
+def test_compare_cell_frees_its_simulation(monkeypatch, collector_off):
+    built = []
+
+    class Recorded(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(_weakrefs(self))
+
+    monkeypatch.setattr(cli, "Simulation", Recorded)
+    cli._compare_cell(4, Protocol.SOFTDP, 0)
+    assert len(built) == 1
+    assert _alive(built[0]) == []
+
+
+def test_closed_run_stays_readable_and_refuses_to_run():
+    with Simulation(scenarios.walkthrough(), name="walk") as sim:
+        sim.run()
+        report = sim.report()
+    assert sim.engine.closed
+    assert (sim.name, sim.spec.protocol) == ("walk", Protocol.SOFTDP)
+    assert sim.report() == report
+    assert sim.map_matches_ground_truth()
+    with pytest.raises(RuntimeError, match="closed"):
+        sim.run()
+    sim.close()  # a second close is harmless
+    assert sim.engine.trace.digest() == report["digest"]

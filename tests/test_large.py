@@ -4,9 +4,12 @@
 protocols.  Each run must keep its full trace digest (pinned before the
 topology map was indexed and path tagging made incremental), end with a
 map equal to ground truth, and under sOFTDP hold primary and backup tags
-equal to the networkx oracle over the live links.  The six runs and the
-two oracles take about two minutes on two cores, so the tier is kept
-out of the default run (``addopts`` in ``pyproject.toml``).
+equal to the networkx oracle over the live links and meet the timing
+formulas of criteria 2 and 3: every link add learned exactly when
+predicted, every link removal no later than one BFD interval after.
+The six runs and the two oracles take about two minutes on two cores,
+so the tier is kept out of the default run (``addopts`` in
+``pyproject.toml``).
 """
 import dataclasses
 
@@ -41,3 +44,10 @@ def test_large_random_scenario(n, protocol):
         live = {(min(a.dpid, b.dpid), max(a.dpid, b.dpid))
                 for (a, b) in sim.ground_truth()[1]}
         assert sim.controller.map.path_tags == _oracle_tags(sorted(live))
+        deltas = [d for d in sim.report()["prediction_deltas"] if d is not None]
+        adds = [d["delta"] for d in deltas if d["quantity"] == "link_add_learn"]
+        removes = [d["delta"] for d in deltas
+                   if d["quantity"] == "link_remove_learn"]
+        assert adds and all(delta == 0 for delta in adds)
+        assert removes and all(delta is not None and 0 <= delta <= spec.bfd.interval
+                               for delta in removes)
