@@ -2,20 +2,24 @@
 
 ``random_scenario(7, n, 100)`` at 100 and 200 switches under all three
 protocols.  Each run must keep its full trace digest (pinned before the
-topology map was indexed and path tagging made incremental), end with a
-map equal to ground truth, and under sOFTDP hold primary and backup tags
-equal to the networkx oracle over the live links and meet the timing
-formulas of criteria 2 and 3: every link add learned exactly when
-predicted, every link removal no later than one BFD interval after.
-The six runs and the two oracles take about two minutes on two cores,
-so the tier is kept out of the default run (``addopts`` in
-``pyproject.toml``).
+topology map was indexed and path tagging made incremental) and the
+sha256 of its ``trace.ndjson`` text (pinned before equal trace payloads
+shared one detail dict), and a second run at 100 switches must repeat
+both byte for byte.  Each run must end with a map equal to ground
+truth, and under sOFTDP hold primary and backup tags equal to the
+networkx oracle over the live links and meet the timing formulas of
+criteria 2 and 3: every link add learned exactly when predicted, every
+link removal no later than one BFD interval after.  The nine runs and
+the two oracles take about three minutes on two cores, so the tier is
+kept out of the default run (``addopts`` in ``pyproject.toml``).
 """
 import dataclasses
+import hashlib
+import io
 
 import pytest
 
-from topodisc import scenarios
+from topodisc import cli, scenarios
 from topodisc.core import Protocol
 from topodisc.harness import Simulation
 
@@ -29,16 +33,35 @@ PINS = {
     (200, Protocol.OFDPV2): "a802464508770110d1a822f6f98e10f35f7ebf21c006ef4490c3bb79466e34b6",
     (200, Protocol.SOFTDP): "464a005aa177ec03919179e52cba738f1d78ed851b084081fe8c46a3eebeda2a",
 }
+NDJSON_PINS = {
+    (100, Protocol.OFDP): "c148cb44256f9905d3e1b9d0a25ee1dcac3c3eec3745470776439ed08eda7aa8",
+    (100, Protocol.OFDPV2): "ccd04411639e0ed3b999e1bac043cedd52113735a105a83c90fca698b5ca2af5",
+    (100, Protocol.SOFTDP): "6692bbf748c4d119b3e9668c6f1f2869e33b26dddccd4f135d92517184245da7",
+    (200, Protocol.OFDP): "e7e0eaeecba39f1334ba70e74d7ee53f49343effc9308771e7bf7ad3e32bfe30",
+    (200, Protocol.OFDPV2): "f986c25996f214c631aa30ae0894b7b2ab54bcacf2ba1ab6bd4e31fa98f20278",
+    (200, Protocol.SOFTDP): "5e3ec4fe983178d3c7fa91002ed295e5a60b462a275acf06ada07f85624c0fa5",
+}
+
+
+def _run(n, protocol):
+    spec = dataclasses.replace(scenarios.random_scenario(7, n, 100),
+                               protocol=protocol)
+    return spec, Simulation(spec).run()
+
+
+def _ndjson_sha256(sim) -> str:
+    buf = io.StringIO()
+    cli.trace_ndjson(sim.engine.trace, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.large
 @pytest.mark.parametrize("n, protocol", sorted(PINS, key=lambda k: (k[0], k[1].value)),
                          ids=lambda v: getattr(v, "value", v))
 def test_large_random_scenario(n, protocol):
-    spec = dataclasses.replace(scenarios.random_scenario(7, n, 100),
-                               protocol=protocol)
-    sim = Simulation(spec).run()
+    spec, sim = _run(n, protocol)
     assert sim.engine.trace.digest() == PINS[(n, protocol)]
+    assert _ndjson_sha256(sim) == NDJSON_PINS[(n, protocol)]
     assert sim.map_matches_ground_truth()
     if protocol is Protocol.SOFTDP:
         live = {(min(a.dpid, b.dpid), max(a.dpid, b.dpid))
@@ -51,3 +74,12 @@ def test_large_random_scenario(n, protocol):
         assert adds and all(delta == 0 for delta in adds)
         assert removes and all(delta is not None and 0 <= delta <= spec.bfd.interval
                                for delta in removes)
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("protocol", sorted(Protocol, key=lambda p: p.value),
+                         ids=lambda p: p.value)
+def test_large_run_repeats_byte_for_byte(protocol):
+    runs = [_run(100, protocol)[1] for _ in range(2)]
+    assert runs[0].engine.trace.digest() == runs[1].engine.trace.digest()
+    assert _ndjson_sha256(runs[0]) == _ndjson_sha256(runs[1])

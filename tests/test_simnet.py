@@ -1,6 +1,12 @@
-"""Event queue determinism and fabric delivery semantics."""
+"""Event queue determinism, trace export and fabric delivery semantics."""
+
+import hashlib
+import io
+import json
 
 from hypothesis import given, strategies as st
+
+from topodisc import cli
 
 from topodisc.core import (
     CONTROLLER,
@@ -12,7 +18,7 @@ from topodisc.core import (
     Protocol,
 )
 from topodisc.harness import Simulation
-from topodisc.simnet import Engine, Fabric
+from topodisc.simnet import Engine, Fabric, Trace, TraceRecord
 from topodisc import scenarios
 
 
@@ -167,6 +173,71 @@ def test_trace_find_matches_detail():
     eng.record("mark", value=2)
     assert len(eng.trace.find("mark")) == 2
     assert [dict(r.detail)["value"] for r in eng.trace.find("mark", value=2)] == [2]
+
+
+# The per-record export of a trace before equal payloads shared one
+# detail dict: every record's detail encoded and hashed on its own.
+
+_REFERENCE_PAYLOAD = json.JSONEncoder(separators=(",", ":")).encode
+_REFERENCE_ROW = json.JSONEncoder(sort_keys=True).encode
+
+
+def reference_digest(records) -> str:
+    h = hashlib.sha256()
+    for ts, kind, detail in records:
+        detail_hash = hashlib.sha256(
+            _REFERENCE_PAYLOAD(detail).encode()).hexdigest()[:12]
+        h.update(f"{ts} {kind} {detail_hash}\n".encode())
+    return h.hexdigest()
+
+
+def reference_ndjson(records) -> str:
+    return "".join(_REFERENCE_ROW({"ts": ts, "kind": kind, **detail}) + "\n"
+                   for ts, kind, detail in records)
+
+
+def _ndjson(trace) -> str:
+    buf = io.StringIO()
+    cli.trace_ndjson(trace, buf)
+    return buf.getvalue()
+
+
+# Values that compare (and hash) equal but encode differently, so a
+# payload shared by equality alone would export the wrong bytes.
+_colliding = st.sampled_from(
+    [1, True, 1.0, 0, False, 0.0, -0.0, None, "", "1", "true",
+     [], [1], [True], [0.0], [-0.0], [None]])
+# keys sorting before, between and after the row's "kind" and "ts"
+_details = st.dictionaries(
+    st.sampled_from(["a", "k", "kinds", "m", "t", "tsx", "u"]), _colliding,
+    max_size=3)
+_trace_ops = st.lists(st.one_of(
+    st.tuples(st.just("record"), st.integers(0, 3), st.sampled_from("xy"),
+              _details),
+    # a TraceRecord appended directly, reusing the detail of an earlier record
+    st.tuples(st.just("reuse"), st.integers(0, 3), st.sampled_from("xyz"),
+              st.integers(0, 50)),
+), max_size=40)
+
+
+@given(_trace_ops, _details)
+def test_trace_export_matches_per_record_encoding(ops, direct):
+    trace, expected = Trace(), []
+    for op, ts, kind, arg in ops:
+        if op == "record":
+            trace.record(ts, kind, **arg)
+            expected.append((ts, kind, dict(sorted(arg.items()))))
+        elif expected:
+            i = arg % len(expected)
+            trace.records.append(TraceRecord(ts, kind, trace.records[i].detail))
+            expected.append((ts, kind, expected[i][2]))
+    # one dict appended directly under two kinds
+    for kind in ("x", "w"):
+        trace.records.append(TraceRecord(7, kind, direct))
+        expected.append((7, kind, direct))
+    for _ in range(2):  # a second pass reads the same bytes
+        assert trace.digest() == reference_digest(expected)
+        assert _ndjson(trace) == reference_ndjson(expected)
 
 
 # -- fabric -----------------------------------------------------------------
