@@ -87,16 +87,10 @@ def atomic_write(path: str):
         raise
 
 
-# One encoder for every row; json.dumps builds a fresh one for each call
-# with non-default arguments.
-_ndjson_row = json.JSONEncoder(sort_keys=True).encode
-
-
 def trace_ndjson(trace, fh) -> None:
     """Write one JSON object per record to ``fh``, row by row; an empty
     trace writes nothing."""
-    for r in trace.records:
-        fh.write(_ndjson_row({"ts": r.ts, "kind": r.kind, **r.detail}) + "\n")
+    fh.writelines(trace.ndjson_rows())
 
 
 def _parse_until(value: Optional[str]):

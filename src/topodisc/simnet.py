@@ -6,6 +6,10 @@ scheduled), so two runs of the same scenario produce byte-identical
 traces.  The fabric moves frames across links and control messages across
 per-switch channels; frames in flight on a link that dies before arrival
 are dropped and counted, never silently lost.
+
+A trace record's detail is read-only: records of one kind with equal
+payloads of str, int, bool and None values may hold one and the same
+dict, which the digest and the ndjson export encode once.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import (
     CONTROLLER,
@@ -37,6 +41,12 @@ from .core import (
 # One encoder for every record, with json.dumps's defaults otherwise;
 # json.dumps builds a fresh encoder for each call with non-default args.
 _payload_json = json.JSONEncoder(separators=(",", ":")).encode
+# An ndjson row: the record's ts and kind beside its detail's keys.
+_ndjson_row = json.JSONEncoder(sort_keys=True).encode
+
+# The value types whose equal values always encode alike (1 == True and
+# 0.0 == -0.0 differ in type or encoding), and that can be dict keys.
+_SHAREABLE = frozenset({str, int, bool, type(None)})
 
 
 @dataclass(slots=True)
@@ -69,24 +79,69 @@ class Trace:
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
+        # (kind, keys, values, value types), in the writer's key order and
+        # in sorted order -> the one detail dict of that payload
+        self._shared: dict[tuple, dict] = {}
 
     def record(self, ts: SimTime, kind: str, **detail) -> TraceRecord:
         """Writers pass JSON primitives (str, int, float, bool, None and
-        lists of them); the record keeps them as given, keys sorted."""
-        rec = TraceRecord(ts, kind, dict(sorted(detail.items())))
+        lists of them); the record keeps them as given, keys sorted.  The
+        detail is read-only: records of this kind whose values are all
+        str, int, bool or None and equal in type and value get one dict."""
+        values = detail.values()
+        types = tuple(map(type, values))
+        if _SHAREABLE.issuperset(types):
+            key = (kind, *detail, *values, *types)
+            payload = self._shared.get(key)
+            if payload is None:
+                payload = dict(sorted(detail.items()))
+                values = payload.values()
+                payload = self._shared.setdefault(
+                    (kind, *payload, *values, *map(type, values)), payload)
+                self._shared[key] = payload
+        else:
+            payload = dict(sorted(detail.items()))
+        rec = TraceRecord(ts, kind, payload)
         self.records.append(rec)
         return rec
+
+    def _shared_ids(self) -> set[int]:
+        return {id(d) for d in self._shared.values()}
 
     def digest(self) -> str:
         """sha256 over one line per record, ``<ts> <kind> <detail hash>``,
         the detail hash being the first 12 hex digits of the sha256 of
-        the record's ``payload_json``.  Hashed record by record."""
+        the record's ``payload_json``.  Hashed record by record, a shared
+        detail once per call."""
         h = hashlib.sha256()
+        shared, hashes = self._shared_ids(), {}
         for r in self.records:
-            detail_hash = hashlib.sha256(
-                _payload_json(r.detail).encode()).hexdigest()[:12]
+            detail_hash = hashes.get(id(r.detail))
+            if detail_hash is None:
+                detail_hash = hashlib.sha256(
+                    _payload_json(r.detail).encode()).hexdigest()[:12]
+                if id(r.detail) in shared:
+                    hashes[id(r.detail)] = detail_hash
             h.update(f"{r.ts} {r.kind} {detail_hash}\n".encode())
         return h.hexdigest()
+
+    def ndjson_rows(self) -> Iterator[str]:
+        """Yield each record as one JSON object with its ``ts``, ``kind``
+        and detail keys sorted, newline included.  A shared detail is
+        encoded once per kind and call, as the text before and after its
+        ts: ``record()`` cannot write a ``ts`` or ``kind`` key."""
+        shared, parts = self._shared_ids(), {}
+        for r in self.records:
+            key = (r.kind, id(r.detail))
+            part = parts.get(key)
+            if part is None:
+                if key[1] not in shared:
+                    yield _ndjson_row({"ts": r.ts, "kind": r.kind, **r.detail}) + "\n"
+                    continue
+                row = _ndjson_row({"ts": 0, "kind": r.kind, **r.detail})
+                at = row.index('"ts": 0') + len('"ts": ')
+                part = parts[key] = (row[:at], row[at + 1:] + "\n")
+            yield part[0] + str(r.ts) + part[1]
 
     def find(self, kind: str, **match) -> list[TraceRecord]:
         return [r for r in self.records if r.kind == kind
@@ -237,8 +292,9 @@ class Fabric:
     def __init__(self, engine: Engine, spec: ScenarioSpec) -> None:
         self.engine = engine
         self.spec = spec
+        alive = spec.initially_alive()
         self.links: dict[tuple, LinkState] = {
-            l.key(): LinkState(l, alive=l.key() in spec.initially_alive()) for l in spec.links
+            l.key(): LinkState(l, alive=l.key() in alive) for l in spec.links
         }
         self.port_link: dict[PortRef, LinkState] = {}
         for st in self.links.values():

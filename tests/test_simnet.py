@@ -4,9 +4,7 @@ import hashlib
 import io
 import json
 
-from hypothesis import given, strategies as st
-
-from topodisc import cli
+from hypothesis import example, given, strategies as st
 
 from topodisc.core import (
     CONTROLLER,
@@ -16,10 +14,11 @@ from topodisc.core import (
     MsgKind,
     PortRef,
     Protocol,
+    ScenarioSpec,
 )
 from topodisc.harness import Simulation
 from topodisc.simnet import Engine, Fabric, Trace, TraceRecord
-from topodisc import scenarios
+from topodisc import cli, scenarios
 
 
 # -- engine ordering --------------------------------------------------------
@@ -205,22 +204,35 @@ def _ndjson(trace) -> str:
 # Values that compare (and hash) equal but encode differently, so a
 # payload shared by equality alone would export the wrong bytes.
 _colliding = st.sampled_from(
-    [1, True, 1.0, 0, False, 0.0, -0.0, None, "", "1", "true",
-     [], [1], [True], [0.0], [-0.0], [None]])
+    [1, True, 1.0, 0, False, 0.0, -0.0, None, "", [1], [True], [-0.0]])
 # keys sorting before, between and after the row's "kind" and "ts"
-_details = st.dictionaries(
-    st.sampled_from(["a", "k", "kinds", "m", "t", "tsx", "u"]), _colliding,
-    max_size=3)
-_trace_ops = st.lists(st.one_of(
-    st.tuples(st.just("record"), st.integers(0, 3), st.sampled_from("xy"),
-              _details),
-    # a TraceRecord appended directly, reusing the detail of an earlier record
-    st.tuples(st.just("reuse"), st.integers(0, 3), st.sampled_from("xyz"),
-              st.integers(0, 50)),
-), max_size=40)
+_keys = st.sampled_from(["a", "m", "tsx"])
 
 
-@given(_trace_ops, _details)
+@st.composite
+def _trace_ops(draw):
+    """Records of two kinds whose details hold one key set, given in
+    either order, so that equal and colliding payloads are common; about
+    one op in four appends a TraceRecord directly, reusing the detail of
+    an earlier record under any kind."""
+    keys = draw(st.lists(_keys, unique=True, max_size=2))
+    ops = []
+    for _ in range(draw(st.integers(1, 30))):
+        ts = draw(st.integers(0, 3))
+        if draw(st.integers(0, 3)):
+            names = keys if draw(st.booleans()) else keys[::-1]
+            ops.append(("record", ts, draw(st.sampled_from("xy")),
+                        {k: draw(_colliding) for k in names}))
+        else:
+            ops.append(("reuse", ts, draw(st.sampled_from("xyz")),
+                        draw(st.integers(0, 50))))
+    return ops
+
+
+@given(_trace_ops(), st.dictionaries(_keys, _colliding, max_size=2))
+@example([("record", 0, "x", {"a": v}) for v in (1, True, 1.0, [1], [True])]
+         + [("record", 1, "x", {"m": v, "a": None}) for v in (0, False, 0.0, -0.0)]
+         + [("reuse", 2, "y", 0), ("reuse", 3, "y", 5)], {"tsx": 1})
 def test_trace_export_matches_per_record_encoding(ops, direct):
     trace, expected = Trace(), []
     for op, ts, kind, arg in ops:
@@ -240,12 +252,42 @@ def test_trace_export_matches_per_record_encoding(ops, direct):
         assert _ndjson(trace) == reference_ndjson(expected)
 
 
+def test_equal_primitive_payloads_of_one_kind_share_one_dict():
+    trace = Trace()
+    first = trace.record(1, "m", s="a", i=1, b=False, n=None)
+    again = trace.record(2, "m", n=None, b=False, i=1, s="a")
+    assert again.detail is first.detail
+    assert list(again.detail) == ["b", "i", "n", "s"]
+    assert trace.record(3, "m").detail is trace.record(4, "m").detail
+    # equal as keys, yet encoded differently: never one object
+    assert trace.record(5, "m", v=1).detail is not trace.record(6, "m", v=True).detail
+    assert trace.record(7, "m", v=0.0).detail is not trace.record(8, "m", v=-0.0).detail
+    # a list payload is not shared, and is still written whole
+    assert trace.record(9, "m", v=[1]).detail is not trace.record(10, "m", v=[1]).detail
+    assert [r.ts for r in trace.records] == list(range(1, 11))
+
+
 # -- fabric -----------------------------------------------------------------
 
 def _fabric():
     spec = scenarios.square()
     eng = Engine()
     return spec, eng, Fabric(eng, spec)
+
+
+def test_fabric_reads_the_initially_alive_links_once(monkeypatch):
+    calls = []
+    original = ScenarioSpec.initially_alive
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(ScenarioSpec, "initially_alive", counting)
+    spec = scenarios.square()
+    fabric = Fabric(Engine(), spec)
+    assert len(spec.links) > 1 and len(calls) == 1
+    assert {k for k, state in fabric.links.items() if state.alive} == original(spec)
 
 
 def test_control_delivery_delay_and_drop_on_closed_channel():
