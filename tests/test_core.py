@@ -6,12 +6,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topodisc.core import (
+    CONTROLLER,
     BfdParams,
     ControlChannel,
+    ControlMessage,
+    GroupBucket,
+    GroupModBody,
     Link,
     LinkAdd,
     LinkRemove,
+    LldpFrame,
     MS,
+    MsgKind,
+    PacketInBody,
+    PacketOutBody,
     PortRef,
     Protocol,
     SEC,
@@ -29,6 +37,7 @@ from topodisc.core import (
     parse_duration,
     validate_scenario,
 )
+from topodisc.simnet import TraceRecord
 from topodisc import scenarios
 
 
@@ -76,6 +85,56 @@ def test_portref_parse_and_str():
     assert str(p) == "s3.p17"
     with pytest.raises(ValueError):
         PortRef.parse("s3p17")
+
+
+_port_ids = st.integers(min_value=0, max_value=2**40)
+
+
+@given(_port_ids, _port_ids, _port_ids, _port_ids)
+def test_portref_is_an_immutable_pair(d, p, d2, p2):
+    ref, other = PortRef(d, p), PortRef(d2, p2)
+    # sets and dicts of ports, and so the traces, iterate in this order
+    assert hash(ref) == hash((d, p))
+    assert (ref < other) == ((d, p) < (d2, p2))
+    assert (ref <= other) == ((d, p) <= (d2, p2))
+    assert (ref == other) == ((d, p) == (d2, p2))
+    assert sorted([other, ref]) == [PortRef(*t) for t in sorted([(d2, p2), (d, p)])]
+    assert PortRef.parse(str(ref)) == ref
+    assert (ref.dpid, ref.port_no) == (d, p)
+    with pytest.raises(AttributeError):
+        ref.dpid = d + 1
+    with pytest.raises(AttributeError):
+        ref.port_no = p + 1
+
+
+def test_messages_build_from_keywords_and_read_fields_by_name():
+    a, b = PortRef(dpid=1, port_no=2), PortRef(dpid=3, port_no=1)
+    frame = LldpFrame(chassis_id=b"c", port_id=b"p", system_description=b"d")
+    assert (frame.chassis_id, frame.port_id, frame.system_description,
+            frame.nonce) == (b"c", b"p", b"d", b"")
+    assert LldpFrame(b"c", b"p", b"d", nonce=b"n").nonce == b"n"
+    out = PacketOutBody(egress=None, frame=frame)
+    assert out.egress is None and out.frame is frame
+    pin = PacketInBody(ingress=a, frame=frame)
+    assert pin.ingress == a and pin.frame is frame
+    bucket = GroupBucket(watch=a, out=b)
+    assert (bucket.watch, bucket.out) == (a, b)
+    mod = GroupModBody(dpid=1, group_id=3, buckets=(bucket,))
+    assert (mod.dpid, mod.group_id, mod.buckets) == (1, 3, (bucket,))
+    msg = ControlMessage(kind=MsgKind.GROUP_MOD, src=CONTROLLER, dst=1, body=mod)
+    assert (msg.kind, msg.src, msg.dst, msg.body) == (
+        MsgKind.GROUP_MOD, CONTROLLER, 1, mod)
+    rec = TraceRecord(ts=5, kind="k", detail={"x": 1})
+    assert (rec.ts, rec.kind, rec.detail) == (5, "k", {"x": 1})
+    for value, field in ((frame, "nonce"), (out, "egress"), (pin, "ingress"),
+                         (bucket, "out"), (mod, "buckets"), (msg, "body"),
+                         (rec, "detail")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    # equal fields, equal values: messages compare and hash by content
+    assert ControlMessage(MsgKind.HELLO, 1, CONTROLLER, None) == \
+        ControlMessage(kind=MsgKind.HELLO, src=1, dst=CONTROLLER, body=None)
+    assert hash(GroupBucket(a, b)) == hash(GroupBucket(watch=a, out=b))
 
 
 def test_link_normalizes_endpoint_order():

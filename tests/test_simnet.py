@@ -3,7 +3,9 @@
 import hashlib
 import io
 import json
+from collections import Counter
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from topodisc.core import (
@@ -151,6 +153,34 @@ def test_launched_flood_keeps_one_event_pending():
     sim.run()
     assert pending() == 0
     assert sim.fabric.counters["frames_injected"] == 10_000
+
+
+@pytest.mark.parametrize("protocol", sorted(Protocol, key=lambda p: p.value),
+                         ids=lambda p: p.value)
+def test_every_frame_and_message_event_goes_through_schedule_at(
+        monkeypatch, protocol):
+    """The benchmark's tracer times events by wrapping Engine.schedule_at,
+    so a layer that pushed frames or control messages onto the heap some
+    other way would fire events the spy never saw."""
+    original, fired = Engine.schedule_at, Counter()
+
+    def spy(engine, at, kind, action):
+        def counted():
+            fired["ctrl" if kind.startswith("ctrl:") else kind] += 1
+            action()
+        return original(engine, at, kind, counted)
+
+    monkeypatch.setattr(Engine, "schedule_at", spy)
+    with Simulation(scenarios.walkthrough(protocol)) as sim:
+        sim.run()
+        drops = Counter(r.detail["reason"] for r in sim.engine.trace.records
+                        if r.kind in ("frame_dropped", "ctrl_dropped"))
+        counters = sim.fabric.counters
+        # every arrival event ends in one delivery or one in-flight drop
+        assert fired["frame"] == counters["frames_delivered"] \
+            + drops["link_died_in_flight"] > 0
+        assert fired["ctrl"] == counters["ctrl_delivered"] \
+            + drops["channel_closed_in_flight"] > 0
 
 
 # -- trace ------------------------------------------------------------------
