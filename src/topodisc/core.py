@@ -2,16 +2,21 @@
 
 Time is integer nanoseconds everywhere.  All types in this module are
 immutable value objects; mutable runtime state (port flags, link liveness,
-flow tables) lives in the modules that own it.  Scenario files are YAML with
-durations written as exact unit-suffixed strings ("1ms", "500us"); parsing
-and re-encoding round-trips to the same object.
+flow tables) lives in the modules that own it.  The types every event
+makes (``PortRef``, ``LldpFrame``, ``ControlMessage`` and the packet and
+group bodies) are immutable tuples with named fields, so they build, hash
+and compare at C speed; ``PortRef`` hashes and orders as its
+``(dpid, port_no)`` tuple, which fixes the iteration order of port sets
+and so of the traces.  Scenario files are YAML with durations written as
+exact unit-suffixed strings ("1ms", "500us"); parsing and re-encoding
+round-trips to the same object.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 import yaml
 
@@ -81,10 +86,14 @@ class SwitchId:
         return f"s{self.dpid}"
 
 
-@dataclass(frozen=True, order=True)
-class PortRef:
+_PORT_RE = re.compile(r"s(\d+)\.p(\d+)")
+
+
+class PortRef(NamedTuple):
     """(switch, port) reference.  Port numbers start at 1; the OpenFlow
-    internal/local port is not modeled as a PortRef and never carries BFD."""
+    internal/local port is not modeled as a PortRef and never carries BFD.
+    It is the tuple ``(dpid, port_no)``: it hashes, compares and sorts as
+    that tuple."""
 
     dpid: int
     port_no: int
@@ -94,7 +103,7 @@ class PortRef:
 
     @classmethod
     def parse(cls, text: str) -> "PortRef":
-        m = re.fullmatch(r"s(\d+)\.p(\d+)", text)
+        m = _PORT_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"not a port reference: {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
@@ -169,11 +178,10 @@ class Protocol(Enum):
 # ---------------------------------------------------------------------------
 # frames and control messages
 
-@dataclass(frozen=True, slots=True)
-class LldpFrame:
+class LldpFrame(NamedTuple):
     """Discovery frame.  Under the baselines chassis/port/description are
     cleartext; the event-driven protocol carries salted digests plus a
-    per-window nonce.  Slotted, because a flood makes tens of thousands."""
+    per-window nonce.  A tuple, because a flood makes tens of thousands."""
 
     chassis_id: bytes
     port_id: bytes
@@ -195,15 +203,11 @@ class MsgKind(Enum):
 
 CONTROLLER = "c"
 
-# Message kinds a switch may emit (BFD_STATUS in particular never
-# originates at the controller).
-SWITCH_EMITTED = {
-    MsgKind.HELLO,
-    MsgKind.FEATURE_REPLY,
-    MsgKind.PACKET_IN,
-    MsgKind.PORT_STATUS,
-    MsgKind.BFD_STATUS,
-}
+# The wire names of the message kinds only a switch may send (BFD_STATUS
+# in particular never originates at the controller; HELLO goes both ways).
+SWITCH_ONLY = frozenset(k.value for k in (
+    MsgKind.FEATURE_REPLY, MsgKind.PACKET_IN, MsgKind.PORT_STATUS,
+    MsgKind.BFD_STATUS))
 
 
 @dataclass(frozen=True)
@@ -220,14 +224,12 @@ class BfdStatusBody:
     epoch: int
 
 
-@dataclass(frozen=True)
-class PacketOutBody:
+class PacketOutBody(NamedTuple):
     egress: Optional[PortRef]  # None = replicate out every admin-up port
     frame: LldpFrame
 
 
-@dataclass(frozen=True)
-class PacketInBody:
+class PacketInBody(NamedTuple):
     ingress: PortRef
     frame: LldpFrame
 
@@ -249,21 +251,18 @@ class FlowModBody:
     hard_timeout: Optional[SimTime]
 
 
-@dataclass(frozen=True)
-class GroupBucket:
+class GroupBucket(NamedTuple):
     watch: PortRef
     out: PortRef
 
 
-@dataclass(frozen=True)
-class GroupModBody:
+class GroupModBody(NamedTuple):
     dpid: int
     group_id: int
     buckets: tuple[GroupBucket, ...]
 
 
-@dataclass(frozen=True)
-class ControlMessage:
+class ControlMessage(NamedTuple):
     kind: MsgKind
     src: Union[int, str]  # dpid or CONTROLLER
     dst: Union[int, str]

@@ -55,6 +55,8 @@ class Services:
         self._engine = engine
         self._fabric = fabric
         self.lldp_window: SimTime = spec.lldp_window
+        # record(kind, **detail): the engine's own, stamped with its clock
+        self.record = engine.record
 
     def now(self) -> SimTime:
         return self._engine.now
@@ -67,9 +69,6 @@ class Services:
 
     def schedule(self, delay: SimTime, kind: str, action):
         return self._engine.schedule(delay, kind, action)
-
-    def record(self, kind: str, **detail):
-        return self._engine.record(kind, **detail)
 
 
 class Simulation:

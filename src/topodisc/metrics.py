@@ -243,7 +243,11 @@ def measure(trace: Trace) -> RunMetrics:
         kind, d = r.kind, r.detail
         if kind == "ctrl_delivered":
             msg_counts[d["msg"]] += 1
-            per_second.setdefault(r.ts // SEC, Counter())[d["msg"]] += 1
+            # a Counter only for a second's first message
+            counts = per_second.get(r.ts // SEC)
+            if counts is None:
+                counts = per_second[r.ts // SEC] = Counter()
+            counts[d["msg"]] += 1
         elif kind in ("suspicious_packet_in", "suspicious_bfd_status"):
             suspicious += 1
         elif kind == "timeline":

@@ -7,30 +7,34 @@ traces.  The fabric moves frames across links and control messages across
 per-switch channels; frames in flight on a link that dies before arrival
 are dropped and counted, never silently lost.
 
-A trace record's detail is read-only: records of one kind with equal
+A trace record is an immutable ``(ts, kind, detail)`` tuple with named
+fields, and its detail is read-only: records of one kind with equal
 payloads of str, int, bool and None values may hold one and the same
 dict, which the digest and the ndjson export encode once.
+
+Every event but a series' own, frames and control messages included, is
+queued through ``Engine.schedule_at``, so one wrapper around it sees them.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import (
     CONTROLLER,
     ControlMessage,
     Link,
     LldpFrame,
-    MsgKind,
     PortRef,
     ScenarioSpec,
     SimTime,
-    SWITCH_EMITTED,
+    SWITCH_ONLY,
     link_key,
 )
 
@@ -64,8 +68,7 @@ class SimEvent:
         self.action = None
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     ts: SimTime
     kind: str
     detail: dict  # primitive values; keys sorted, as the digest and report.json expect
@@ -169,8 +172,10 @@ class Engine:
     def schedule_at(self, at: SimTime, kind: str, action: Callable[[], None]) -> SimEvent:
         if at < self.now:
             raise ValueError(f"cannot schedule {kind!r} at {at} before now={self.now}")
-        ev = self._push(at, self._seq, kind, action)
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        ev = SimEvent(at, seq, kind, action)
+        heapq.heappush(self._heap, (at, seq, ev))
         return ev
 
     def schedule(self, delay: SimTime, kind: str, action: Callable[[], None]) -> SimEvent:
@@ -206,17 +211,6 @@ class Engine:
     def record(self, kind: str, **detail) -> TraceRecord:
         return self.trace.record(self.now, kind, **detail)
 
-    def _pop_due(self, until: Optional[SimTime]) -> Optional[SimEvent]:
-        while self._heap:
-            at, _, ev = self._heap[0]
-            if until is not None and at > until:
-                return None
-            heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            return ev
-        return None
-
     def close(self) -> None:
         """Drop every pending event unfired, with its action, so no
         closure the run scheduled outlives it.  The clock, the trace and
@@ -233,23 +227,21 @@ class Engine:
             raise RuntimeError("the engine is closed")
         if t < self.now:
             raise ValueError(f"cannot run backwards to {t} from {self.now}")
-        while True:
-            ev = self._pop_due(t)
-            if ev is None:
-                break
-            self.now = ev.fire_at
-            self.fired += 1
-            ev.action()
+        self._fire_through(t)
         self.now = t
 
     def run_all(self) -> None:
         if self.closed:
             raise RuntimeError("the engine is closed")
-        while True:
-            ev = self._pop_due(None)
-            if ev is None:
-                break
-            self.now = ev.fire_at
+        self._fire_through(math.inf)
+
+    def _fire_through(self, t: float) -> None:
+        heap, pop = self._heap, heapq.heappop
+        while heap and heap[0][0] <= t:
+            at, _, ev = pop(heap)
+            if ev.cancelled:
+                continue
+            self.now = at
             self.fired += 1
             ev.action()
 
@@ -353,39 +345,41 @@ class Fabric:
     def send_control(self, msg: ControlMessage) -> None:
         """Queue a control message toward its destination; drops (with a
         counter) if the channel is closed at send or delivery time."""
-        if msg.src == CONTROLLER:
-            dpid, direction = msg.dst, "to_switch"
-            if msg.kind in SWITCH_EMITTED and msg.kind is not MsgKind.HELLO:
-                raise ValueError(f"{msg.kind} cannot originate at the controller")
+        name = msg.kind._value_   # the plain attribute behind .value
+        src, dst = msg.src, msg.dst
+        to_controller = src != CONTROLLER
+        if to_controller:
+            dpid = src
         else:
-            dpid, direction = msg.src, "to_controller"
+            dpid = dst
+            if name in SWITCH_ONLY:
+                raise ValueError(f"{msg.kind} cannot originate at the controller")
         chan = self.channels.get(dpid)
         if chan is None:
             raise KeyError(f"no control channel for s{dpid}")
         self.counters["ctrl_sent"] += 1
         if dpid not in self.connected:
             self.counters["ctrl_dropped"] += 1
-            self.engine.record("ctrl_dropped", msg=msg.kind.value, reason="channel_closed",
+            self.engine.record("ctrl_dropped", msg=name, reason="channel_closed",
                                switch=f"s{dpid}")
             return
         gen = self.channel_generation[dpid]
-        delay = chan.delay_to_controller if direction == "to_controller" else chan.delay_from_controller
+        delay = chan.delay_to_controller if to_controller else chan.delay_from_controller
 
         def arrive():
             if dpid not in self.connected or self.channel_generation[dpid] != gen:
                 self.counters["ctrl_dropped"] += 1
-                self.engine.record("ctrl_dropped", msg=msg.kind.value,
+                self.engine.record("ctrl_dropped", msg=name,
                                    reason="channel_closed_in_flight", switch=f"s{dpid}")
                 return
             self.counters["ctrl_delivered"] += 1
-            self.engine.record("ctrl_delivered", msg=msg.kind.value,
-                               src=str(msg.src), dst=str(msg.dst))
-            if direction == "to_controller":
+            self.engine.record("ctrl_delivered", msg=name, src=str(src), dst=str(dst))
+            if to_controller:
                 self.deliver_to_controller(msg)
             else:
                 self.deliver_to_switch(msg)
 
-        self.engine.schedule(delay, f"ctrl:{msg.kind.value}", arrive)
+        self.engine.schedule(delay, f"ctrl:{name}", arrive)
 
     def send_frame(self, egress: PortRef, frame: LldpFrame) -> None:
         """Emit a frame out a switch port.  Host-facing ports hand it to the

@@ -10,7 +10,7 @@ clock.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -343,7 +343,7 @@ class SwitchAgent:
             state = self.ports[ref]
             if not state.admin_up:
                 continue
-            frame = replace(body.frame, port_id=str(ref).encode())
+            frame = body.frame._replace(port_id=str(ref).encode())
             self.services.send_frame(ref, frame)
 
     def _install_rule(self, priority: int, match_ingress: Optional[PortRef],
