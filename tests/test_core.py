@@ -1,10 +1,13 @@
 """Scenario model: durations, references, validation, file round-trip."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
+from topodisc import core
 from topodisc.core import (
     CONTROLLER,
     BfdParams,
@@ -23,6 +26,7 @@ from topodisc.core import (
     PortRef,
     Protocol,
     SEC,
+    ScenarioFormatError,
     ScenarioSpec,
     SwitchDecl,
     SwitchId,
@@ -39,6 +43,7 @@ from topodisc.core import (
 )
 from topodisc.simnet import TraceRecord
 from topodisc import scenarios
+from test_properties import documents
 
 
 # -- durations --------------------------------------------------------------
@@ -310,6 +315,71 @@ def test_round_trip_random_chains(n, delays, seed):
         bfd=BfdParams(from_ms(1), 1), protocol=Protocol.SOFTDP,
         discovery_period=SEC, rng_seed=seed)
     assert decode_scenario(encode_scenario(spec)) == spec
+
+
+# -- decode against PyYAML's pure-Python loader -------------------------------
+
+_SQUARE = encode_scenario(scenarios.square())
+
+# Edits that matter to a YAML scanner: indicators, tabs, directives, tags,
+# a BOM, a lone surrogate, control and non-ASCII characters.
+_EDITS = st.one_of(
+    st.sampled_from(["\t", " ", "\n", "\r", "-", ":", ": ", "?", "? ", "!", "!!",
+                     "%", "%YAML 1.3\n---\n", "#", "&a ", "*a", ",", "[", "]",
+                     "{", "}", "'", '"', "|", ">", "\\", "---\n", "...\n",
+                     "\ufeff", "\ud800", "\x00", "\x07", "\x85", "\u2028",
+                     "\xe9", "yes", "0x1F", "1_000", "1:30", "~"]),
+    st.characters())
+
+
+@st.composite
+def _scenario_texts(draw) -> str:
+    """An encoded scenario, the same with a few edits, or any text."""
+    shape = draw(st.sampled_from(("document", "edited", "garbage")))
+    if shape == "garbage":
+        return draw(st.text(max_size=80))
+    text = draw(documents())
+    if shape == "edited":
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(_EDITS) + text[at + draw(st.integers(0, 3)):]
+    return text
+
+
+def _decoded(text):
+    """The spec, or the text of the ScenarioFormatError."""
+    try:
+        return decode_scenario(text)
+    except ScenarioFormatError as exc:
+        return ("ScenarioFormatError", str(exc))
+
+
+def _pure_decoded(text):
+    """``_decoded`` with PyYAML's pure-Python SafeLoader as the loader."""
+    with mock.patch.object(core, "_LOADER", yaml.SafeLoader, create=True):
+        return _decoded(text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scenario_texts())
+@example("protocol: softdp\nbfd:\n\tinterval: 1ms\n")          # tab indent
+@example(_SQUARE.replace(": ", ":\t", 1))                         # tab after a key
+@example("protocol: 'softdp\nbfd: {}\n")                         # unterminated quote
+@example("a: [")
+@example(_SQUARE.replace("softdp", "soft\x07dp"))                 # control character
+@example("a: \ud800")                                              # lone surrogate
+@example(_SQUARE + "x: !!python/object:os.system {}\n")
+@example("\ufeff" + _SQUARE)                                      # BOM
+@example(_SQUARE + "protocol: ofdp\n")                            # duplicate key
+@example(_SQUARE + "\ufeffx: 1\n")                               # BOM mid-text
+@example("%YAML 1.3\n---\n" + _SQUARE)
+@example("%FOO bar\n---\n" + _SQUARE)
+@example(_SQUARE + "x: {a:}\n")
+@example(_SQUARE + "x: {a?}\n")
+@example(_SQUARE + "x: [?, 1]\n")
+@example(_SQUARE + "x: [!, 1]\n")
+def test_decode_matches_the_pure_python_loader(text):
+    assert _decoded(text) == _pure_decoded(text)
 
 
 def test_replace_protocol_keeps_rest():
