@@ -59,10 +59,13 @@ def load_scenario(ref: str, seed: int) -> tuple[str, ScenarioSpec]:
     if ref == "random":
         return f"random-{seed}", scenarios.random_scenario(seed)
     try:
-        with open(ref) as fh:
+        with open(ref, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {ref!r}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"cannot read scenario {ref!r}: not UTF-8 "
+                            f"({exc.reason}) at byte offset {exc.start}")
     try:
         spec = decode_scenario(text)
     except (ValueError, KeyError, TypeError) as exc:

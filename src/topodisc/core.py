@@ -9,7 +9,11 @@ and compare at C speed; ``PortRef`` hashes and orders as its
 ``(dpid, port_no)`` tuple, which fixes the iteration order of port sets
 and so of the traces.  Scenario files are YAML with durations written as
 exact unit-suffixed strings ("1ms", "500us"); parsing and re-encoding
-round-trips to the same object.
+round-trips to the same object.  Where PyYAML was built with libyaml,
+files are written by its C emitter, byte for byte as the pure-Python one
+writes them, and read by its C parser wherever that reads a text as the
+pure-Python parser does; PyYAML's own composer, safe constructor and
+resolver build the document either way.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ from enum import Enum
 from typing import Any, NamedTuple, Optional, Union
 
 import yaml
+from yaml.composer import Composer
 
 # ---------------------------------------------------------------------------
 # time
@@ -566,6 +571,37 @@ class ScenarioFormatError(ValueError):
     pass
 
 
+if yaml.__with_libyaml__:
+    class _CSafeLoader(Composer, yaml.CSafeLoader):
+        """libyaml's scanner and parser under PyYAML's Python composer:
+        libyaml's composer recurses in C with no depth limit, and a file
+        nested 40,000 levels deep kills the process with SIGSEGV."""
+
+        def __init__(self, stream):
+            yaml.CSafeLoader.__init__(self, stream)
+            Composer.__init__(self)
+
+    _LOADER, _DUMPER = _CSafeLoader, yaml.CSafeDumper
+else:
+    _LOADER, _DUMPER = yaml.SafeLoader, yaml.SafeDumper
+
+# Texts that libyaml reads as PyYAML's pure-Python parser does: those made
+# of the characters an encoded scenario uses, plus comments.  Tabs, "?",
+# "!", "%", block scalars, a BOM and other non-ASCII text can read
+# differently, so those, and every text libyaml refuses, go to the
+# pure-Python loader, whose document or error then stands.
+_LIBYAML_TEXT = re.compile(r"[0-9A-Za-z_ \n\r:,\[\]{}'\".#-]*")
+
+
+def _load_yaml(text: str):
+    if _LIBYAML_TEXT.fullmatch(text):
+        try:
+            return yaml.load(text, Loader=_LOADER)
+        except yaml.YAMLError:
+            pass
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def _port_to_list(p: PortRef) -> list:
     return [p.dpid, p.port_no]
 
@@ -613,7 +649,7 @@ def encode_scenario(spec: ScenarioSpec) -> str:
         ],
         "timeline": [_encode_event(ev) for ev in spec.timeline],
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
 
 
 def _encode_event(ev: TimelineEvent) -> dict:
@@ -677,9 +713,11 @@ def _require(doc: dict, key: str, where: str):
 
 def decode_scenario(text: str) -> ScenarioSpec:
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = _load_yaml(text)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date or escape out of range
         raise ScenarioFormatError(f"not valid YAML: {exc}") from exc
+    except RecursionError:
+        raise ScenarioFormatError("not valid YAML: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario file must be a mapping")
 

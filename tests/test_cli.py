@@ -102,6 +102,26 @@ def test_run_unparsable_yaml_is_a_scenario_error(tmp_path, capsys):
     assert "cannot parse scenario" in capsys.readouterr().err
 
 
+def test_run_malformed_yaml_is_a_located_scenario_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("switches: [\n")
+    assert run_cli("run", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse scenario" in err and "bad.yaml" in err
+    assert "line 2, column 1" in err
+
+
+@pytest.mark.parametrize("bad, offset", [(b"\xff\xfe", 17),
+                                         (b"\xed\xa0\x80", 17)])  # a surrogate
+def test_run_non_utf8_file_is_a_scenario_error(tmp_path, capsys, bad, offset):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"protocol: softdp\n" + bad + b" bad\n")
+    assert run_cli("run", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml" in err and "not UTF-8" in err
+    assert f"at byte offset {offset}" in err
+
+
 def test_run_invalid_scenario_lists_violations(tmp_path, capsys):
     spec = scenarios.square()
     bad = ScenarioSpec(**{**spec.__dict__, "links": spec.links + (
@@ -349,6 +369,16 @@ def test_attack_accepts_matching_scenario_file(tmp_path, capsys):
     assert run_cli("attack", "--attack", "inject",
                    "--scenario", str(path)) == 0
     assert "attack=inject" in capsys.readouterr().out
+
+
+def test_attack_non_utf8_scenario_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "inj.yaml"
+    path.write_bytes(encode_scenario(scenarios.attack_scenario(
+        "inject", Protocol.OFDP)).encode() + b"# \xff\n")
+    assert run_cli("attack", "--attack", "inject",
+                   "--scenario", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "inj.yaml" in err and "not UTF-8" in err
 
 
 def test_attack_horizon_too_short_for_verdict(capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from topodisc import core
 from topodisc.core import (
+    ATTACK_KINDS,
     CONTROLLER,
     BfdParams,
     ControlChannel,
@@ -378,8 +379,48 @@ def _pure_decoded(text):
 @example(_SQUARE + "x: {a?}\n")
 @example(_SQUARE + "x: [?, 1]\n")
 @example(_SQUARE + "x: [!, 1]\n")
+@example(_SQUARE + "x: >#\n")
+@example(_SQUARE + "x: 2001-13-45\n")                             # no such date
+@example(_SQUARE + 'x: "\\U00110000"\n')                          # no such character
+@example(_SQUARE + "x: " + "[" * 50_000 + "]" * 50_000 + "\n")    # deep nesting
 def test_decode_matches_the_pure_python_loader(text):
     assert _decoded(text) == _pure_decoded(text)
+
+
+@pytest.mark.parametrize("text", ["[" * 50_000 + "]" * 50_000, "- " * 50_000 + "a",
+                                  "{a: " * 50_000 + "1" + "}" * 50_000],
+                         ids=["flow-sequences", "block-sequences", "flow-mappings"])
+def test_decode_refuses_deep_nesting(text):
+    # libyaml's own composer recurses in C and overflows the stack here
+    with pytest.raises(ScenarioFormatError, match="nested too deeply"):
+        decode_scenario(text)
+
+
+def test_the_codec_is_libyaml_where_pyyaml_has_it():
+    if yaml.__with_libyaml__:
+        assert core._DUMPER is yaml.CSafeDumper
+        assert issubclass(core._LOADER, yaml.CSafeLoader)
+    else:
+        assert (core._LOADER, core._DUMPER) == (yaml.SafeLoader, yaml.SafeDumper)
+
+
+_ENCODED = {
+    **scenarios.BUILDERS,
+    **{f"attack-{kind}-{p.value}": (lambda k=kind, p=p: scenarios.attack_scenario(k, p))
+       for kind in ATTACK_KINDS for p in Protocol},
+    **{f"random-{n}": (lambda n=n: scenarios.random_scenario(7, n, 100))
+       for n in (30, 60, 200)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENCODED))
+def test_encode_writes_the_bytes_of_the_pure_python_emitter(name):
+    text = encode_scenario(_ENCODED[name]())
+    assert core._LIBYAML_TEXT.fullmatch(text)  # so libyaml reads it back
+    # the document the file holds, read back and written by pure Python
+    doc = yaml.load(text, Loader=yaml.SafeLoader)
+    assert text == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False,
+                             default_flow_style=None)
 
 
 def test_replace_protocol_keeps_rest():
