@@ -111,15 +111,15 @@ def test_run_malformed_yaml_is_a_located_scenario_error(tmp_path, capsys):
     assert "line 2, column 1" in err
 
 
-@pytest.mark.parametrize("bad, offset", [(b"\xff\xfe", 17),
-                                         (b"\xed\xa0\x80", 17)])  # a surrogate
-def test_run_non_utf8_file_is_a_scenario_error(tmp_path, capsys, bad, offset):
+@pytest.mark.parametrize("bad", [b"\xff\xfe", b"\xed\xa0\x80"],  # \xed..: a surrogate
+                         ids=["ff-fe", "surrogate"])
+def test_run_non_utf8_file_is_a_scenario_error(tmp_path, capsys, bad):
     path = tmp_path / "bad.yaml"
     path.write_bytes(b"protocol: softdp\n" + bad + b" bad\n")
     assert run_cli("run", "--scenario", str(path)) == 2
     err = capsys.readouterr().err
     assert "bad.yaml" in err and "not UTF-8" in err
-    assert f"at byte offset {offset}" in err
+    assert "at byte offset 17" in err
 
 
 def test_run_invalid_scenario_lists_violations(tmp_path, capsys):

@@ -357,7 +357,7 @@ def _decoded(text):
 
 def _pure_decoded(text):
     """``_decoded`` with PyYAML's pure-Python SafeLoader as the loader."""
-    with mock.patch.object(core, "_LOADER", yaml.SafeLoader, create=True):
+    with mock.patch.object(core, "_LOADER", yaml.SafeLoader):
         return _decoded(text)
 
 
