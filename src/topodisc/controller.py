@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Optional
 
 from .core import (
     CONTROLLER,
+    WINDOW_RULE_PRIORITY,
     BfdStatusBody,
     ControlMessage,
     FeatureReplyBody,
@@ -44,7 +45,6 @@ from .core import (
 
 DEFAULT_PRODUCT = b"aster-ctl/2.1"
 
-WINDOW_FLOW_PRIORITY = 100
 DIGEST_LEN = 16
 NONCE_LEN = 8
 
@@ -405,7 +405,7 @@ class Controller:
             # transition; this FLOW_MOD re-asserts it so a switch with a
             # wiped table still forwards the probe.
             self._send(MsgKind.FLOW_MOD, port.dpid, FlowModBody(
-                dpid=port.dpid, priority=WINDOW_FLOW_PRIORITY, match_ingress=port,
+                dpid=port.dpid, priority=WINDOW_RULE_PRIORITY, match_ingress=port,
                 action=("to_controller",), hard_timeout=self.spec.lldp_window))
             self._probe(port)
             # A link needs confirming probes in both directions, and its

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, NamedTuple, Optional, Union
+from typing import Any, ClassVar, NamedTuple, Optional, Union
 
 import yaml
 from yaml.composer import Composer
@@ -112,6 +112,11 @@ class PortRef(NamedTuple):
         if m is None:
             raise ValueError(f"not a port reference: {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
+
+
+# OpenFlow 1.0's highest physical port number: a switch declares at most
+# this many ports.
+OFPP_MAX = 0xFF00
 
 
 @dataclass(frozen=True)
@@ -247,6 +252,13 @@ class FeatureReplyBody:
     ports_up: tuple[int, ...]
 
 
+# The priority of a port's LLDP window rule, which a switch arms itself
+# when the port comes up and the controller's FLOW_MOD then re-asserts.
+# One value, so that the FLOW_MOD replaces the switch's rule, as a rule
+# with the same (priority, match) does, rather than adding a second one.
+WINDOW_RULE_PRIORITY = 100
+
+
 @dataclass(frozen=True)
 class FlowModBody:
     dpid: int
@@ -276,9 +288,13 @@ class ControlMessage(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # timeline
+#
+# Each event class's ``name`` is its ``event`` in a scenario file and in
+# the run's ``timeline`` trace records.
 
 @dataclass(frozen=True)
 class LinkAdd:
+    name: ClassVar[str] = "link_add"
     at: SimTime
     a: PortRef
     b: PortRef
@@ -286,6 +302,7 @@ class LinkAdd:
 
 @dataclass(frozen=True)
 class LinkRemove:
+    name: ClassVar[str] = "link_remove"
     at: SimTime
     a: PortRef
     b: PortRef
@@ -293,12 +310,14 @@ class LinkRemove:
 
 @dataclass(frozen=True)
 class SwitchJoin:
+    name: ClassVar[str] = "switch_join"
     at: SimTime
     dpid: int
 
 
 @dataclass(frozen=True)
 class SwitchLeave:
+    name: ClassVar[str] = "switch_leave"
     at: SimTime
     dpid: int
 
@@ -341,11 +360,13 @@ class AttackDecl:
 
 @dataclass(frozen=True)
 class AttackStart:
+    name: ClassVar[str] = "attack"
     at: SimTime
     attack: AttackDecl
 
 
 TimelineEvent = Union[LinkAdd, LinkRemove, SwitchJoin, SwitchLeave, AttackStart]
+TIMELINE_EVENTS = (LinkAdd, LinkRemove, SwitchJoin, SwitchLeave, AttackStart)
 
 
 @dataclass(frozen=True)
@@ -456,6 +477,9 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
     for decl in spec.switches:
         if decl.port_count < 0:
             out.append(Violation(str(decl.id), "negative port count"))
+        elif decl.port_count > OFPP_MAX:
+            out.append(Violation(str(decl.id),
+                                 f"port count {decl.port_count} above OFPP_MAX ({OFPP_MAX})"))
         if not _MAC_RE.match(decl.id.local_mac):
             out.append(Violation(str(decl.id), f"malformed local_mac {decl.id.local_mac!r}"))
 
@@ -654,22 +678,14 @@ def encode_scenario(spec: ScenarioSpec) -> str:
 
 
 def _encode_event(ev: TimelineEvent) -> dict:
-    at = format_duration(ev.at)
-    if isinstance(ev, LinkAdd):
-        return {"at": at, "event": "link_add", "a": _port_to_list(ev.a), "b": _port_to_list(ev.b)}
-    if isinstance(ev, LinkRemove):
-        return {"at": at, "event": "link_remove", "a": _port_to_list(ev.a), "b": _port_to_list(ev.b)}
-    if isinstance(ev, SwitchJoin):
-        return {"at": at, "event": "switch_join", "dpid": ev.dpid}
-    if isinstance(ev, SwitchLeave):
-        return {"at": at, "event": "switch_leave", "dpid": ev.dpid}
+    head = {"at": format_duration(ev.at), "event": ev.name}
+    if isinstance(ev, (LinkAdd, LinkRemove)):
+        return {**head, "a": _port_to_list(ev.a), "b": _port_to_list(ev.b)}
+    if isinstance(ev, (SwitchJoin, SwitchLeave)):
+        return {**head, "dpid": ev.dpid}
     if isinstance(ev, AttackStart):
-        return {
-            "at": at,
-            "event": "attack",
-            "kind": ev.attack.kind,
-            "params": _encode_attack_params(ev.attack.params),
-        }
+        return {**head, "kind": ev.attack.kind,
+                "params": _encode_attack_params(ev.attack.params)}
     raise TypeError(f"unknown timeline event {ev!r}")
 
 
@@ -725,7 +741,7 @@ def decode_scenario(text: str) -> ScenarioSpec:
     try:
         protocol = Protocol(_require(doc, "protocol", "scenario"))
     except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
+        raise ScenarioFormatError(f"protocol: {exc}") from exc
 
     def dur(value, where):
         try:
@@ -784,17 +800,13 @@ def decode_scenario(text: str) -> ScenarioSpec:
         e = _mapping(e, where)
         at = dur(_require(e, "at", where), f"{where}.at")
         kind = _require(e, "event", where)
-        if kind == "link_add":
-            timeline.append(LinkAdd(at, _port_from_list(_require(e, "a", where), where),
-                                    _port_from_list(_require(e, "b", where), where)))
-        elif kind == "link_remove":
-            timeline.append(LinkRemove(at, _port_from_list(_require(e, "a", where), where),
-                                       _port_from_list(_require(e, "b", where), where)))
-        elif kind == "switch_join":
-            timeline.append(SwitchJoin(at, _int(_require(e, "dpid", where), f"{where}.dpid")))
-        elif kind == "switch_leave":
-            timeline.append(SwitchLeave(at, _int(_require(e, "dpid", where), f"{where}.dpid")))
-        elif kind == "attack":
+        cls = next((c for c in TIMELINE_EVENTS if c.name == kind), None)
+        if cls in (LinkAdd, LinkRemove):
+            timeline.append(cls(at, _port_from_list(_require(e, "a", where), where),
+                                _port_from_list(_require(e, "b", where), where)))
+        elif cls in (SwitchJoin, SwitchLeave):
+            timeline.append(cls(at, _int(_require(e, "dpid", where), f"{where}.dpid")))
+        elif cls is AttackStart:
             timeline.append(
                 AttackStart(
                     at,

@@ -1,18 +1,24 @@
 """Scenario runner.
 
 Builds the engine, fabric, switch agents and controller for a scenario,
-schedules its timeline, and assembles the run report.  The harness also
-owns the two measurement aids that are not part of any protocol: data
-probes routed through installed groups (falling back to the controller's
-path tags), and the watcher that stamps adaptation completion when a
-newly learned link's group updates have been applied and traffic has
-crossed the new path.
+schedules its timeline, and assembles the run report.  The harness owns
+the wire between the layers: it hands control messages, frames and
+carrier changes to the switch that is present, runs the BFD handshake
+across each live link, and tells a new agent when its session is UP.
+Each switch then times out its own sessions.  The harness also owns the
+two measurement aids that are not part of any protocol: data probes
+routed through installed groups (falling back to the controller's path
+tags), and the watcher that stamps adaptation completion when a newly
+learned link's group updates have been applied and traffic has crossed
+the new path.
 
-Presence rules: switches whose first timeline reference is a join start
-absent with their links dead.  A join brings back every dead link of the
-joiner whose declared state is alive and whose peer is present; links
-declared dormant (``alive: false``) wait for their own link-add event.
-A leaving switch takes its live links down with it.
+Presence rules: a switch is present while its control channel is open
+(``fabric.connected``).  Switches whose first timeline reference is a
+join start absent with their links dead.  A join boots a fresh agent and
+brings back every dead link of the joiner whose declared state is alive
+and whose peer is present; links declared dormant (``alive: false``)
+wait for their own link-add event.  A leaving switch closes its channel,
+then takes its live links down with it.
 
 Lifetime: a running simulation is full of reference cycles (pending
 events, the fabric's callbacks, the controller's hook).  ``close()``, or
@@ -41,7 +47,7 @@ from .core import (
     validate_scenario,
 )
 from .simnet import Engine, Fabric
-from .switch_agent import BFD_UP, DataFrame, SwitchAgent, bfd_down_time
+from .switch_agent import DataFrame, SwitchAgent
 from .controller import Controller, DEFAULT_PRODUCT
 from . import adversary
 from . import metrics as metrics_mod
@@ -90,7 +96,6 @@ class Simulation:
             for d in spec.switches
         }
         self.controller = Controller(spec, self.services, product=product)
-        self.present: set[int] = set(spec.initially_present())
         self.pending_joins: set[int] = set()
         self.attack_results: list = []
         self.probe_pairs = tuple(probe_pairs)
@@ -109,7 +114,8 @@ class Simulation:
         self.controller.link_learned_hook = self._on_link_learned
 
         # boot: channels up, carrier flags armed silently, hellos at t=0
-        for dpid in sorted(self.present):
+        present = sorted(spec.initially_present())
+        for dpid in present:
             self.fabric.open_channel(dpid)
         alive_keys = spec.initially_alive()
         for link in spec.links:
@@ -119,7 +125,7 @@ class Simulation:
                 self.agents[port.dpid].boot_port_up(port, peer)
             if spec.protocol is Protocol.SOFTDP:
                 self._start_bfd_handshake(link)
-        for dpid in sorted(self.present):
+        for dpid in present:
             self.engine.schedule(0, "switch_hello",
                                  lambda d=dpid: self.agents[d].hello())
 
@@ -133,10 +139,7 @@ class Simulation:
 
     # -- delivery hooks ----------------------------------------------------
     def _deliver_to_switch(self, msg) -> None:
-        agent = self.agents.get(msg.dst)
-        if agent is None:
-            return
-        agent.handle_control(msg)
+        self.agents[msg.dst].handle_control(msg)
         if msg.kind is MsgKind.FEATURE_REQUEST and msg.dst in self.pending_joins:
             # the joiner has answered with all ports down; now its cables
             # get patched in, so PORT_STATUS reports follow registration
@@ -158,10 +161,8 @@ class Simulation:
                 return
             self._route_probe_from(port.dpid, frame)
             return
-        agent = self.agents.get(port.dpid)
-        if agent is None or port.dpid not in self.present:
-            return
-        agent.forward(frame, port)
+        if port.dpid in self.fabric.connected:
+            self.agents[port.dpid].forward(frame, port)
 
     def _host_frame(self, port: PortRef, frame) -> None:
         for fn in self._host_listeners.get(port, []):
@@ -172,7 +173,7 @@ class Simulation:
 
     # -- carrier changes and BFD ------------------------------------------
     def _link_flag_change(self, port: PortRef, alive: bool) -> None:
-        if port.dpid not in self.present:
+        if port.dpid not in self.fabric.connected:
             return
         agent = self.agents[port.dpid]
         st = self.fabric.port_link[port]
@@ -182,80 +183,59 @@ class Simulation:
                 self._start_bfd_handshake(st.spec)
         else:
             agent.on_carrier_down(port)
-            self._schedule_bfd_down(agent, port)
 
     def _start_bfd_handshake(self, link: Link) -> None:
         """Three one-way delays establish the session: the initiator is UP
-        on seeing the reply, the responder on seeing the closing ack."""
+        on seeing the reply, the responder on seeing the closing ack.  A
+        link that went down meanwhile has a new generation and the
+        handshake is void; that covers a switch that left, and perhaps
+        rejoined as a new agent, too, as it took its links down."""
         st = self.fabric.links[link.key()]
         gen = st.generation
-        t_initiator = link.delay_ab + link.delay_ba
-        t_responder = 2 * link.delay_ab + link.delay_ba
 
-        def established(port: PortRef, at: SimTime):
-            agent = self.agents.get(port.dpid)
-
+        def established(port: PortRef):
             def fire():
-                if not st.alive or st.generation != gen:
-                    return
-                if self.agents.get(port.dpid) is not agent:
-                    return
-                agent.bfd_session_established(port, self.engine.now)
+                if st.alive and st.generation == gen:
+                    self.agents[port.dpid].bfd_session_established(
+                        port, self.engine.now)
             return fire
 
-        self.engine.schedule(t_initiator, "bfd_established",
-                             established(link.a, t_initiator))
-        self.engine.schedule(t_responder, "bfd_established",
-                             established(link.b, t_responder))
-
-    def _schedule_bfd_down(self, agent: SwitchAgent, port: PortRef) -> None:
-        session = agent.bfd_sessions.get(port)
-        if session is None or session.state != BFD_UP or session.up_at is None:
-            # failure before establishment: nothing is listening yet
-            return
-        at = bfd_down_time(session.up_at, session.interval,
-                           session.multiplier, self.engine.now)
-        target = session
-
-        def fire():
-            if self.agents.get(port.dpid) is not agent:
-                return
-            if agent.bfd_sessions.get(port) is not target:
-                return
-            agent.bfd_detect_down(port)
-
-        self.engine.schedule_at(at, "bfd_timeout", fire)
+        self.engine.schedule(link.delay_ab + link.delay_ba, "bfd_established",
+                             established(link.a))
+        self.engine.schedule(2 * link.delay_ab + link.delay_ba, "bfd_established",
+                             established(link.b))
 
     # -- timeline ----------------------------------------------------------
     def _dispatch_timeline(self, ev) -> None:
         if isinstance(ev, LinkAdd):
-            self.engine.record("timeline", event="link_add",
+            self.engine.record("timeline", event=ev.name,
                                a=str(ev.a), b=str(ev.b))
             ka, kb = link_key(ev.a, ev.b)
             self._adapt_watch.setdefault((str(ka), str(kb)), set())
             self.fabric.set_link_alive(ev.a, ev.b, True)
         elif isinstance(ev, LinkRemove):
-            self.engine.record("timeline", event="link_remove",
+            self.engine.record("timeline", event=ev.name,
                                a=str(ev.a), b=str(ev.b))
             self.fabric.set_link_alive(ev.a, ev.b, False)
         elif isinstance(ev, SwitchJoin):
-            self.engine.record("timeline", event="switch_join", dpid=ev.dpid)
+            self.engine.record("timeline", event=ev.name, dpid=ev.dpid)
             self._do_join(ev.dpid)
         elif isinstance(ev, SwitchLeave):
-            self.engine.record("timeline", event="switch_leave", dpid=ev.dpid)
+            self.engine.record("timeline", event=ev.name, dpid=ev.dpid)
             self._do_leave(ev.dpid)
         elif isinstance(ev, AttackStart):
-            self.engine.record("timeline", event="attack", attack=ev.attack.kind)
+            self.engine.record("timeline", event=ev.name, attack=ev.attack.kind)
             adversary.launch(self, ev.attack)
         else:
             raise TypeError(f"unknown timeline event {ev!r}")
 
     def _do_join(self, dpid: int) -> None:
-        # a joining switch is a fresh boot: new agent, default rules only
+        # a joining switch is a fresh boot: new agent, default rules only;
+        # the old agent's sessions, and their pending detections, end here
+        self.agents[dpid].drop_bfd_sessions()
         self.agents[dpid] = SwitchAgent(self.spec.switch(dpid),
                                         self.spec.protocol, self.spec.bfd,
                                         self.services)
-        self.present.add(dpid)
         self.pending_joins.add(dpid)
         self.fabric.open_channel(dpid)
         self.agents[dpid].hello()
@@ -266,23 +246,23 @@ class Simulation:
                 continue
             peer = link.b.dpid if link.a.dpid == dpid else link.a.dpid
             st = self.fabric.links[link.key()]
-            if peer in self.present and not st.alive:
+            if peer in self.fabric.connected and not st.alive:
                 self.fabric.set_link_alive(link.a, link.b, True)
 
     def _do_leave(self, dpid: int) -> None:
-        self.present.discard(dpid)
+        # closed first, so the leaver hears nothing of its own links going
+        self.fabric.close_channel(dpid)
         self.pending_joins.discard(dpid)
         for key in sorted(self.fabric.links):
             st = self.fabric.links[key]
             if st.alive and dpid in (key[0].dpid, key[1].dpid):
                 self.fabric.set_link_alive(key[0], key[1], False)
-        self.fabric.close_channel(dpid)
         # the controller notices the dead session only after the channel
         # latency; neighbor BFD reports race it, first signal wins
         notice = self.spec.channel(dpid).delay_to_controller
 
         def fire(d=dpid):
-            if d in self.present:
+            if d in self.fabric.connected:
                 return      # rejoined already; the stale notice is moot
             self.controller.on_channel_closed(d)
 
@@ -333,10 +313,10 @@ class Simulation:
             self.engine.record("probe_lost", probe_id=frame.probe_id,
                                at=f"s{at_dpid}", reason=reason)
 
-        agent = self.agents.get(at_dpid)
-        if agent is None or at_dpid not in self.present:
+        if at_dpid not in self.fabric.connected:
             lost("switch_absent")
             return
+        agent = self.agents[at_dpid]
         if frame.dst_dpid in agent.group_table:
             result = agent.forward_via_group(frame.dst_dpid, frame)
             if result[0] == "drop":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .core import PortRef, ScenarioSpec, SEC, SimTime, link_key
-from .core import LinkAdd, LinkRemove
+from .core import AttackStart, LinkAdd, LinkRemove, SwitchJoin, SwitchLeave
 from .simnet import Trace
 
 BFD_DETECT = "bfd_detect"
@@ -254,11 +254,11 @@ def measure(trace: Trace) -> RunMetrics:
             # a copy, so that notes stay out of the trace
             entry = EventEntry(d["event"], r.ts, detail=d.copy())
             events.append(entry)
-            want = _canon_pair(d["a"], d["b"]) if entry.kind == "link_add" else None
-            ports = {d["a"], d["b"]} if entry.kind == "link_remove" else None
-            if entry.kind == "attack":
+            want = _canon_pair(d["a"], d["b"]) if entry.kind == LinkAdd.name else None
+            ports = {d["a"], d["b"]} if entry.kind == LinkRemove.name else None
+            if entry.kind == AttackStart.name:
                 entry.resolved = True
-            elif entry.kind == "switch_leave" and d["dpid"] not in in_map:
+            elif entry.kind == SwitchLeave.name and d["dpid"] not in in_map:
                 # it fell out of the map already, with its last link
                 entry.resolved = True
                 entry.detail["note"] = "not in map at event"
@@ -268,11 +268,11 @@ def measure(trace: Trace) -> RunMetrics:
                 boot.detail["links_learned"] += 1
             elif (d["a"], d["b"]) == want and not entry.resolved:
                 _learned(entry, r.ts)
-            elif entry.kind == "switch_join" and _involves(d, entry.detail["dpid"]):
+            elif entry.kind == SwitchJoin.name and _involves(d, entry.detail["dpid"]):
                 _learned(entry, r.ts)
                 entry.detail.pop("note", None)
         elif kind == "switch_registered":
-            if entry.kind == "switch_join" and not entry.resolved \
+            if entry.kind == SwitchJoin.name and not entry.resolved \
                     and d["dpid"] == entry.detail["dpid"]:
                 _learned(entry, r.ts)
                 entry.detail["note"] = "registered, no links learned"
@@ -288,7 +288,7 @@ def measure(trace: Trace) -> RunMetrics:
             in_map.add(PortRef.parse(d["ingress"]).dpid)
         elif kind == "map_remove_switch":
             in_map.discard(d["dpid"])
-            if entry.kind == "switch_leave" and entry.learning is None \
+            if entry.kind == SwitchLeave.name and entry.learning is None \
                     and d["dpid"] == entry.detail["dpid"]:
                 _learned(entry, r.ts)
                 entry.detail.pop("note", None)
@@ -297,7 +297,7 @@ def measure(trace: Trace) -> RunMetrics:
         elif kind == "probe_delivered":
             delivered.add(d["probe_id"])
             sent_at, window = sent.get(d["probe_id"], (0, boot))
-            if window.kind == "link_remove" and (
+            if window.kind == LinkRemove.name and (
                     window.loss_window is None
                     or sent_at - window.at < window.loss_window):
                 window.loss_window = sent_at - window.at

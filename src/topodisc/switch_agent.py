@@ -2,11 +2,11 @@
 timeouts, fast-failover group table, BFD session endpoints, and emission of
 PORT_STATUS / BFD_STATUS / PACKET_IN.
 
-The agent is a passive state machine: the harness feeds it port events,
-frames and control messages, and it emits through the injected services
-object (send_control / send_frame / schedule / now).  Nothing here touches
-the event queue directly, which keeps the agent unit-testable with a fake
-clock.
+The harness feeds the agent port events, frames and control messages.
+The agent emits, and keeps its own timers (flow-rule hard timeouts, BFD
+detection), only through the injected services object (send_control /
+send_frame / schedule / now / record), never through the engine itself,
+so a stub services object with a fake clock can drive it in unit tests.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from typing import Optional
 
 from .core import (
     CONTROLLER,
+    WINDOW_RULE_PRIORITY,
     BfdParams,
     BfdStatusBody,
     ControlMessage,
@@ -38,11 +39,9 @@ BFD_INIT = "INIT"
 BFD_UP = "UP"
 BFD_DOWN = "DOWN"
 
-# Flow table priorities.  Window rules must outrank the default LLDP
-# disposition (drop under the event-driven protocol, forward under the
-# baselines).
+# The default LLDP disposition (drop under the event-driven protocol,
+# forward under the baselines); core.WINDOW_RULE_PRIORITY outranks it.
 DEFAULT_LLDP_PRIORITY = 10
-WINDOW_RULE_PRIORITY = 100
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -72,13 +71,11 @@ class BfdSession:
     """Per-port liveness session endpoint.
 
     state UP requires the three-way handshake to have completed; the
-    UP->DOWN transition happens at the instant ``bfd_down_time`` gives.
+    UP->DOWN transition happens at the instant ``bfd_down_time`` gives
+    for the agent's ``bfd_params``.
     """
 
-    local: PortRef
     remote: PortRef
-    interval: SimTime
-    multiplier: int
     state: str = BFD_INIT
     up_at: Optional[SimTime] = None
     epoch: int = 0
@@ -230,13 +227,27 @@ class SwitchAgent:
     def on_carrier_down(self, port: PortRef) -> None:
         """Physical link death.  The group table reacts to link_up
         instantly, and the controller hears about it through BFD, not
-        PORT_STATUS, unless the port's BFD session never came up: no
-        session can time out then, so the port reports the loss itself."""
+        PORT_STATUS: an UP session times out at the instant
+        ``bfd_down_time`` gives, unless the port holds a new session by
+        then.  A session that never came up cannot time out, so the port
+        reports the loss itself."""
         state = self.port(port)
         state.link_up = False
         session = self.bfd_sessions.get(port)
-        if session is not None and session.state != BFD_UP:
+        if session is None:
+            return
+        if session.state != BFD_UP:
             self._send(MsgKind.PORT_STATUS, PortStatusBody(port, False, state.epoch))
+            return
+        now = self.services.now()
+        at = bfd_down_time(session.up_at, self.bfd_params.interval,
+                           self.bfd_params.multiplier, now)
+
+        def timeout():
+            if self.bfd_sessions.get(port) is session:
+                self.bfd_detect_down(port)
+
+        self.services.schedule(at - now, "bfd_timeout", timeout)
 
     def _port_up_actions(self, state: PortState, port: PortRef,
                          peer: Optional[PortRef]) -> None:
@@ -244,11 +255,7 @@ class SwitchAgent:
             return
         self._arm_window_rule(port)
         if peer is not None:
-            self.bfd_sessions[port] = BfdSession(
-                local=port, remote=peer,
-                interval=self.bfd_params.interval,
-                multiplier=self.bfd_params.multiplier,
-                epoch=state.epoch)
+            self.bfd_sessions[port] = BfdSession(remote=peer, epoch=state.epoch)
 
     def _arm_window_rule(self, port: PortRef) -> None:
         self._install_rule(priority=WINDOW_RULE_PRIORITY, match_ingress=port,
@@ -263,9 +270,14 @@ class SwitchAgent:
         session.establish(up_at)
         self.services.record("bfd_up", port=str(port), peer=str(session.remote))
 
+    def drop_bfd_sessions(self) -> None:
+        """The switch rebooted into a new agent: this one's sessions end
+        without a word, and their pending detections with them."""
+        self.bfd_sessions.clear()
+
     def bfd_detect_down(self, port: PortRef) -> None:
-        """Engine-computed detection instant reached: flip the session and
-        emit the single DOWN notification."""
+        """Detection instant reached: flip the session and emit the single
+        DOWN notification."""
         session = self.bfd_sessions.get(port)
         if session is None or session.state != BFD_UP:
             return

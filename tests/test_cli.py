@@ -14,6 +14,7 @@ from topodisc.core import (
     ControlChannel,
     Link,
     LinkAdd,
+    OFPP_MAX,
     PortRef,
     Protocol,
     ScenarioSpec,
@@ -229,6 +230,10 @@ def _set_field(*path):
      "timeline[0].params.rate: expected an integer >= 1"),
     (_set_field("links", 0, "alive", "false"),
      "links[0].alive: expected true or false"),
+    (_set_field("protocol", "bogus"),
+     "protocol: 'bogus' is not a valid Protocol"),
+    (_set_field("protocol", ["softdp"]),
+     "protocol: ['softdp'] is not a valid Protocol"),
 ], ids=["unknown_kind", "bad_duration", "params_not_mapping",
         "bfd_not_mapping", "inject_without_victim_port",
         "victim_port_unknown_switch", "relay_without_inject_b",
@@ -238,7 +243,7 @@ def _set_field(*path):
         "dpid_not_integer", "ports_not_integer", "multiplier_not_integer",
         "rng_seed_not_integer", "count_not_integer", "count_zero",
         "count_float", "count_bool", "rate_not_integer",
-        "alive_not_boolean"])
+        "alive_not_boolean", "protocol_unknown", "protocol_not_string"])
 def test_run_bad_document_names_the_element(tmp_path, capsys, edit, element):
     doc = yaml.safe_load(encode_scenario(
         scenarios.attack_scenario("spoof", Protocol.OFDP)))
@@ -247,6 +252,15 @@ def test_run_bad_document_names_the_element(tmp_path, capsys, edit, element):
     path.write_text(yaml.safe_dump(doc))
     assert run_cli("run", "--scenario", str(path)) == 2
     assert element in capsys.readouterr().err
+
+
+def test_run_port_count_above_ofpp_max_is_a_scenario_error(tmp_path, capsys):
+    doc = yaml.safe_load(encode_scenario(scenarios.square()))
+    doc["switches"][0]["ports"] = OFPP_MAX + 1
+    path = tmp_path / "ports.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli("run", "--scenario", str(path)) == 2
+    assert "s1: port count 65281 above OFPP_MAX (65280)" in capsys.readouterr().err
 
 
 def test_run_link_add_to_an_absent_switch_is_a_scenario_error(tmp_path, capsys):

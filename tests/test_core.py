@@ -22,6 +22,7 @@ from topodisc.core import (
     LldpFrame,
     MS,
     MsgKind,
+    OFPP_MAX,
     PacketInBody,
     PacketOutBody,
     PortRef,
@@ -183,6 +184,18 @@ def test_unknown_switch_in_link():
     spec = _spec(links=(Link(PortRef(1, 1), PortRef(9, 1), 1, 1),))
     msgs = [str(v) for v in validate_scenario(spec)]
     assert any("unknown switch s9" in m for m in msgs)
+
+
+def test_port_count_is_bounded_by_ofpp_max():
+    def msgs(ports):
+        return [str(v) for v in validate_scenario(_spec(switches=(
+            SwitchDecl(SwitchId(1, "02:00:00:00:00:01"), ports),
+            SwitchDecl(SwitchId(2, "02:00:00:00:00:02"), 1))))]
+
+    assert OFPP_MAX == 65_280
+    assert msgs(OFPP_MAX) == []
+    assert msgs(OFPP_MAX + 1) == ["s1: port count 65281 above OFPP_MAX (65280)"]
+    assert "s1: negative port count" in msgs(-1)
 
 
 def test_port_out_of_range():

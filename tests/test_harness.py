@@ -23,6 +23,8 @@ from topodisc.core import (
     SwitchId,
     SwitchJoin,
     SwitchLeave,
+    US,
+    WINDOW_RULE_PRIORITY,
     from_ms,
 )
 from topodisc.harness import Simulation, run_scenario
@@ -66,9 +68,9 @@ def test_rejected_scenario_raises_value_error():
 
 def test_initial_presence_respects_timeline():
     sim = Simulation(scenarios.walkthrough())
-    assert sim.present == {1, 2, 3}     # s4 joins later, so starts absent
+    assert sim.fabric.connected == {1, 2, 3}    # s4 joins later, so starts absent
     sim.run()
-    assert sim.present == {1, 3, 4}     # s2 left at 2 s
+    assert sim.fabric.connected == {1, 3, 4}    # s2 left at 2 s
 
 
 @pytest.mark.parametrize("build", ["square", "chain4", "walkthrough",
@@ -161,6 +163,44 @@ def test_link_lost_before_its_bfd_session_is_up_leaves_the_map():
     sim = run_scenario(spec, until=3 * SEC)
     assert (a, b) not in sim.controller.map.directed_links
     assert sim.map_matches_ground_truth()
+
+
+@pytest.mark.parametrize("join_after, s1p1_detected, digest", [
+    (300 * US, False,
+     "41f9a9b356a40829eeb2328a382049547c3c8dc19c3918ce54002cf6803f6e03"),
+    (2500 * US, True,
+     "95bf192cbf6d96315167d9995f40bcb83fc284b12f9eb72ede0963ac81af8892"),
+])
+def test_rejoin_ends_the_old_agents_bfd_detections(join_after, s1p1_detected,
+                                                   digest):
+    # s1.p1 loses carrier at 1 s with its session UP, so its detection is
+    # due at 1.001 s.  s1 leaves 100 us later; a rejoin before 1.001 s
+    # boots a fresh agent, and the old agent's detection never fires.
+    spec = scenarios.square(timeline=(
+        LinkRemove(SEC, PortRef(1, 1), PortRef(2, 1)),
+        SwitchLeave(SEC + 100 * US, 1),
+        SwitchJoin(SEC + join_after, 1)))
+    sim = run_scenario(spec)
+    detected = {dict(r.detail)["port"]
+                for r in records_of(sim, "bfd_down_detected")}
+    assert {"s2.p1", "s4.p2"} <= detected
+    assert ("s1.p1" in detected) is s1p1_detected
+    assert sim.engine.trace.digest() == digest
+
+
+def test_window_flow_mod_replaces_the_switch_armed_rule():
+    # both ends of the added diagonal arm their own window rule at the
+    # carrier transition, then get the controller's FLOW_MOD for it
+    new_ports = (PortRef(1, 3), PortRef(3, 3))
+    sim = run_scenario(scenarios.adaptation_scenario(), until=SEC + 100 * MS)
+    flow_mods = {dict(r.detail)["dst"] for r in records_of(sim, "ctrl_delivered")
+                 if r.ts > SEC and dict(r.detail)["msg"] == "FLOW_MOD"}
+    assert flow_mods == {"1", "3"}
+    for port in new_ports:
+        rules = [r for r in sim.agents[port.dpid].flow_table
+                 if r.match_ingress == port]
+        assert [r.priority for r in rules] == [WINDOW_RULE_PRIORITY], port
+        assert rules[0].installed_at > SEC + MS    # the FLOW_MOD's, not the switch's
 
 
 def test_dormant_link_stays_down_until_its_add_event():

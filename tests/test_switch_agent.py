@@ -265,6 +265,68 @@ def test_bfd_down_emits_single_status():
     assert services.sent[0].body.state == BFD_DOWN
 
 
+def _up_session_lost(services, agent, up_at, lost_at):
+    """Port s1.p1 with an UP session since ``up_at`` loses carrier at
+    ``lost_at``; returns the detection timers scheduled."""
+    agent.boot_port_up(PortRef(1, 1), peer=PortRef(2, 1))
+    agent.bfd_session_established(PortRef(1, 1), up_at=up_at)
+    services.clock = lost_at
+    agent.on_carrier_down(PortRef(1, 1))
+    return [s for s in services.scheduled if s[1] == "bfd_timeout"]
+
+
+def test_carrier_loss_of_up_session_times_out_on_its_own():
+    services = StubServices()
+    bfd = BfdParams(from_ms(2), 3)
+    agent = SwitchAgent(SwitchDecl(SwitchId(1, "02:00:00:00:00:01"), 3),
+                        Protocol.SOFTDP, bfd, services)
+    lost_at = from_ms(7) + 1
+    timers = _up_session_lost(services, agent, from_ms(1), lost_at)
+    due = bfd_down_time(from_ms(1), bfd.interval, bfd.multiplier, lost_at)
+    assert [t[0] for t in timers] == [due]
+    assert services.sent == []
+    services.clock = due - 1
+    services.fire_due()
+    assert services.sent == []
+    services.clock = due
+    services.fire_due()
+    assert services.sent_kinds() == ["BFD_STATUS"]
+    body = services.sent[0].body
+    assert (body.port, body.state, body.epoch) == (PortRef(1, 1), BFD_DOWN, 1)
+
+
+def test_port_up_before_the_timeout_voids_it():
+    agent, services = _agent()
+    (due, *_), = _up_session_lost(services, agent, 0, from_ms(3))
+    services.clock = due - 1
+    agent.on_port_event(PortRef(1, 1), True, peer=PortRef(2, 1))
+    # the new session is UP too before the old one's timer comes due
+    agent.bfd_session_established(PortRef(1, 1), up_at=due - 1)
+    services.clock = due
+    services.fire_due()
+    assert services.sent_kinds() == ["PORT_STATUS"]     # the port-up's own
+    assert not [r for r in services.records if r[0] == "bfd_down_detected"]
+
+
+def test_dropped_sessions_never_time_out():
+    agent, services = _agent()
+    (due, *_), = _up_session_lost(services, agent, 0, from_ms(3))
+    agent.drop_bfd_sessions()
+    assert agent.bfd_sessions == {}
+    services.clock = due
+    services.fire_due()
+    assert services.sent == []
+    assert not [r for r in services.records if r[0] == "bfd_down_detected"]
+
+
+def test_carrier_loss_without_an_up_session_schedules_nothing():
+    for proto in Protocol:
+        agent, services = _agent(proto)
+        agent.boot_port_up(PortRef(1, 1), peer=PortRef(2, 1))
+        agent.on_carrier_down(PortRef(1, 1))
+        assert not [s for s in services.scheduled if s[1] == "bfd_timeout"]
+
+
 def test_feature_reply_reports_live_ports_only():
     agent, services = _agent(ports=3)
     agent.boot_port_up(PortRef(1, 2), peer=PortRef(2, 1))
