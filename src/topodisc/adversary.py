@@ -13,22 +13,17 @@ from typing import Optional
 
 from .core import (
     ATTACK_KINDS,
-    ATTACK_PARAMS,
-    DURATION,
-    OPTIONAL,
-    PARAM_HOLDS,
-    REQUIRED,
+    VERDICT_SETTLE,
     AttackDecl,
     LldpFrame,
     PortRef,
     Protocol,
     SEC,
     SimTime,
-    parse_duration,
+    attack_params,
 )
 
 FLOOD_THRESHOLD_PER_SEC = 100
-VERDICT_SETTLE = 200_000_000  # 200 ms for in-flight frames and reports
 
 # Period tolerance when matching an observed probe cadence against a
 # known controller signature.
@@ -64,38 +59,24 @@ class AttackVerdict:
                 "evidence": self.evidence}
 
 
-def _params(decl: AttackDecl) -> dict:
-    """The declared params over the kind's defaults, durations in ns."""
-    params = {key: default for key, (_, default) in ATTACK_PARAMS[decl.kind].items()
-              if default not in (REQUIRED, OPTIONAL)} | decl.params
-    return {key: parse_duration(v) if PARAM_HOLDS.get(key) == DURATION else v
-            for key, v in params.items()}
-
-
-def attack_span(decl: AttackDecl) -> SimTime:
-    """Sim time from launch until the verdict is recorded.  Used by the
-    harness to size its default horizon so verdicts always land."""
-    p = _params(decl)
-    if decl.kind == "inject":
-        span = (p["count"] - 1) * p["spacing"]
-    else:
-        span = p["duration"]
-    return span + VERDICT_SETTLE
-
-
 def _finish(sim, verdict: AttackVerdict) -> None:
     sim.attack_results.append(verdict)
     sim.engine.record("attack_verdict", attack=verdict.kind,
                       succeeded=verdict.succeeded, **verdict.evidence)
 
 
-def _packet_in_count(sim, lo: SimTime, hi: SimTime) -> int:
-    n = 0
-    for r in sim.engine.trace.records:
-        if r.kind == "ctrl_delivered" and lo <= r.ts < hi \
-                and r.detail["msg"] == "PACKET_IN":
-            n += 1
-    return n
+def _packet_in_counts(sim, lo: SimTime, mid: SimTime,
+                      hi: SimTime) -> tuple[int, int]:
+    """PACKET_INs delivered in [lo, mid) and in [mid, hi), in one pass."""
+    before = during = 0
+    for ts, kind, detail in sim.engine.trace.records:
+        if kind == "ctrl_delivered" and lo <= ts < hi \
+                and detail["msg"] == "PACKET_IN":
+            if ts < mid:
+                before += 1
+            else:
+                during += 1
+    return before, during
 
 
 def _map_links_touching(sim, ports: set[PortRef]) -> list[str]:
@@ -233,8 +214,7 @@ def _launch_flood(sim, params: dict) -> None:
     def verdict():
         now = sim.engine.now
         span = now - start
-        during = _packet_in_count(sim, start, now)
-        before = _packet_in_count(sim, max(0, start - span), start)
+        before, during = _packet_in_counts(sim, max(0, start - span), start, now)
         attributable = max(0, during - before)
         rate_obs = attributable * SEC / span if span else 0.0
         _finish(sim, AttackVerdict(
@@ -308,4 +288,4 @@ def launch(sim, decl: AttackDecl) -> None:
     fn = _LAUNCHERS.get(decl.kind)
     if fn is None:
         raise ValueError(f"unknown attack kind {decl.kind!r}")
-    fn(sim, _params(decl))
+    fn(sim, attack_params(decl))

@@ -28,6 +28,7 @@ from .core import (
     AttackStart,
     LinkAdd,
     LinkRemove,
+    MAX_TIME,
     Protocol,
     ScenarioSpec,
     SEC,
@@ -101,10 +102,13 @@ def _parse_until(value: Optional[str]):
     if value is None:
         return None
     try:
-        return parse_duration(value + "s")
+        until = parse_duration(value + "s")
     except ValueError:
         raise ScenarioError(
             f"--until: expected decimal seconds such as 2.5, got {value!r}")
+    if until > MAX_TIME:
+        raise ScenarioError(f"--until: {value} s is above MAX_TIME ({MAX_TIME} ns)")
+    return until
 
 
 def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:

@@ -34,6 +34,9 @@ NS = 1
 US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000
+# The latest instant a run reaches: a trace keeps each ts as a signed
+# 64-bit integer.
+MAX_TIME = 2**63 - 1
 
 
 def from_ms(value: float) -> SimTime:
@@ -368,6 +371,34 @@ class AttackStart:
 TimelineEvent = Union[LinkAdd, LinkRemove, SwitchJoin, SwitchLeave, AttackStart]
 TIMELINE_EVENTS = (LinkAdd, LinkRemove, SwitchJoin, SwitchLeave, AttackStart)
 
+VERDICT_SETTLE = 200_000_000  # 200 ms for in-flight frames and reports
+# A run with no horizon given ends this long after its last event is over.
+RUN_TAIL = SEC
+
+
+def attack_params(decl: AttackDecl) -> dict:
+    """The declared params over the kind's defaults, durations in ns."""
+    params = {key: default for key, (_, default) in ATTACK_PARAMS[decl.kind].items()
+              if default not in (REQUIRED, OPTIONAL)} | decl.params
+    return {key: parse_duration(v) if PARAM_HOLDS.get(key) == DURATION else v
+            for key, v in params.items()}
+
+
+def attack_span(decl: AttackDecl) -> SimTime:
+    """Sim time from launch until the verdict is recorded."""
+    p = attack_params(decl)
+    if decl.kind == "inject":
+        span = (p["count"] - 1) * p["spacing"]
+    else:
+        span = p["duration"]
+    return span + VERDICT_SETTLE
+
+
+def event_end(ev: TimelineEvent) -> SimTime:
+    """The instant a timeline event is over: its own, or for an attack
+    the instant its verdict is recorded."""
+    return ev.at + attack_span(ev.attack) if isinstance(ev, AttackStart) else ev.at
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -536,6 +567,7 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
     present = spec.initially_present()
     for idx, ev in enumerate(spec.timeline):
         el = f"timeline[{idx}]"
+        checked = len(out)
         if last_at is not None and ev.at < last_at:
             out.append(Violation(el, "timeline not sorted by time"))
         last_at = ev.at
@@ -585,6 +617,10 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
                 elif holds == COUNT and (isinstance(v, bool) or not isinstance(v, int)
                                          or v < 1):
                     out.append(Violation(where, f"expected an integer >= 1, got {v!r}"))
+        # an attack's span is known once its params are valid
+        end = ev.at if len(out) > checked else event_end(ev)
+        if end + RUN_TAIL > MAX_TIME:
+            out.append(Violation(el, "event time above MAX_TIME"))
     return out
 
 

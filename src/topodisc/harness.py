@@ -38,11 +38,12 @@ from .core import (
     MsgKind,
     PortRef,
     Protocol,
+    RUN_TAIL,
     ScenarioSpec,
-    SEC,
     SimTime,
     SwitchJoin,
     SwitchLeave,
+    event_end,
     link_key,
     validate_scenario,
 )
@@ -341,13 +342,9 @@ class Simulation:
 
     # -- run and report ----------------------------------------------------
     def default_until(self) -> SimTime:
-        last = 0
-        for ev in self.spec.timeline:
-            end = ev.at
-            if isinstance(ev, AttackStart):
-                end += adversary.attack_span(ev.attack)
-            last = max(last, end)
-        return last + 1 * SEC
+        """RUN_TAIL past the end of the last timeline event, verdicts
+        included; validation keeps it within MAX_TIME."""
+        return max(map(event_end, self.spec.timeline), default=0) + RUN_TAIL
 
     def run(self, until: Optional[SimTime] = None) -> "Simulation":
         self.engine.run_until(self.default_until() if until is None else until)

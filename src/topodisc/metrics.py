@@ -13,11 +13,11 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import PortRef, ScenarioSpec, SEC, SimTime, link_key
 from .core import AttackStart, LinkAdd, LinkRemove, SwitchJoin, SwitchLeave
-from .simnet import Trace
+from .simnet import Trace, TraceRecord
 
 BFD_DETECT = "bfd_detect"
 LINK_ADD_LEARN = "link_add_learn"
@@ -212,8 +212,33 @@ def _learned(entry: EventEntry, ts: SimTime) -> None:
     entry.resolved = True
 
 
+def _timeline_first(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
+    """The records in their order, except that an instant's timeline
+    records come before its other records, so that those land in the
+    window of the last of them.  Only the current instant's other records
+    are held back; a ts below the one before raises ValueError."""
+    held: list[TraceRecord] = []
+    now = None
+    for r in records:
+        if r.ts != now:
+            if now is not None and r.ts < now:
+                raise ValueError(f"trace ts {r.ts} ({r.kind}) is below "
+                                 f"the ts {now} before it")
+            yield from held
+            held.clear()
+            now = r.ts
+        if r.kind == "timeline":
+            yield r
+        else:
+            held.append(r)
+    yield from held
+
+
 def measure(trace: Trace) -> RunMetrics:
-    """Read the report entries and totals off a trace in one pass.
+    """Read the report entries and totals off a trace in one streaming
+    pass over ``trace.records``, which needs each ts to be at least the
+    one before it (the engine's clock never runs backwards); a trace
+    whose ts decreases raises ValueError.
 
     A record belongs to the entry of the last timeline instant at or
     before its ts.  Records before the first instant belong to the
@@ -235,24 +260,19 @@ def measure(trace: Trace) -> RunMetrics:
     sent: dict[int, tuple[SimTime, EventEntry]] = {}  # probe id -> (ts, window)
     delivered: set[int] = set()
 
-    # The key is 2 ts for a timeline record and 2 ts + 1 for any other,
-    # so an instant's timeline records come before its other records and
-    # those land in the window of the last of them.  An int key, unlike a
-    # tuple, allocates nothing the garbage collector tracks.
-    for r in sorted(trace.records, key=lambda r: 2 * r.ts + (r.kind != "timeline")):
-        kind, d = r.kind, r.detail
+    for ts, kind, d in _timeline_first(trace.records):
         if kind == "ctrl_delivered":
             msg_counts[d["msg"]] += 1
             # a Counter only for a second's first message
-            counts = per_second.get(r.ts // SEC)
+            counts = per_second.get(ts // SEC)
             if counts is None:
-                counts = per_second[r.ts // SEC] = Counter()
+                counts = per_second[ts // SEC] = Counter()
             counts[d["msg"]] += 1
         elif kind in ("suspicious_packet_in", "suspicious_bfd_status"):
             suspicious += 1
         elif kind == "timeline":
             # a copy, so that notes stay out of the trace
-            entry = EventEntry(d["event"], r.ts, detail=d.copy())
+            entry = EventEntry(d["event"], ts, detail=d.copy())
             events.append(entry)
             want = _canon_pair(d["a"], d["b"]) if entry.kind == LinkAdd.name else None
             ports = {d["a"], d["b"]} if entry.kind == LinkRemove.name else None
@@ -264,25 +284,25 @@ def measure(trace: Trace) -> RunMetrics:
                 entry.detail["note"] = "not in map at event"
         elif kind == "map_link_bidirectional":
             if entry is boot:
-                boot_bidi = r.ts
+                boot_bidi = ts
                 boot.detail["links_learned"] += 1
             elif (d["a"], d["b"]) == want and not entry.resolved:
-                _learned(entry, r.ts)
+                _learned(entry, ts)
             elif entry.kind == SwitchJoin.name and _involves(d, entry.detail["dpid"]):
-                _learned(entry, r.ts)
+                _learned(entry, ts)
                 entry.detail.pop("note", None)
         elif kind == "switch_registered":
             if entry.kind == SwitchJoin.name and not entry.resolved \
                     and d["dpid"] == entry.detail["dpid"]:
-                _learned(entry, r.ts)
+                _learned(entry, ts)
                 entry.detail["note"] = "registered, no links learned"
         elif kind == "adaptation_complete":
             if want is not None and entry.adaptation is None \
                     and d.get("pair") == list(want):
-                entry.adaptation = r.ts - entry.at
+                entry.adaptation = ts - entry.at
         elif kind == "map_remove_link":
             if {d["egress"], d["ingress"]} == ports and not entry.resolved:
-                _learned(entry, r.ts)
+                _learned(entry, ts)
         elif kind == "map_add_link":
             in_map.add(PortRef.parse(d["egress"]).dpid)
             in_map.add(PortRef.parse(d["ingress"]).dpid)
@@ -290,10 +310,10 @@ def measure(trace: Trace) -> RunMetrics:
             in_map.discard(d["dpid"])
             if entry.kind == SwitchLeave.name and entry.learning is None \
                     and d["dpid"] == entry.detail["dpid"]:
-                _learned(entry, r.ts)
+                _learned(entry, ts)
                 entry.detail.pop("note", None)
         elif kind == "probe_sent":
-            sent[d["probe_id"]] = (r.ts, entry)
+            sent[d["probe_id"]] = (ts, entry)
         elif kind == "probe_delivered":
             delivered.add(d["probe_id"])
             sent_at, window = sent.get(d["probe_id"], (0, boot))
@@ -302,11 +322,11 @@ def measure(trace: Trace) -> RunMetrics:
                     or sent_at - window.at < window.loss_window):
                 window.loss_window = sent_at - window.at
         elif kind == "round_dispatch":
-            rounds.append((r.ts, d["round"], d["packet_outs"]))
+            rounds.append((ts, d["round"], d["packet_outs"]))
         elif kind == "attack_verdict":
-            attacks.append({"ts": r.ts, **d})
+            attacks.append({"ts": ts, **d})
         elif kind == "bootstrap_dispatch" and boot_at is None:
-            boot_at = r.ts
+            boot_at = ts
 
     if boot_at is not None:
         boot.at = boot_at

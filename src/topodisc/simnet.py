@@ -7,10 +7,15 @@ traces.  The fabric moves frames across links and control messages across
 per-switch channels; frames in flight on a link that dies before arrival
 are dropped and counted, never silently lost.
 
-A trace record is an immutable ``(ts, kind, detail)`` tuple with named
-fields, and its detail is read-only: records of one kind with equal
-payloads of str, int, bool and None values may hold one and the same
-dict, which the digest and the ndjson export encode once.
+A trace keeps its records in three columns: the ts of each in an
+``array('q')``, its kind and its detail dict in two lists, so a record
+costs no object of its own.  ``Trace.record`` appends to them and returns
+nothing.  ``Trace.records`` is a read-only sequence view over the
+columns that builds an immutable ``(ts, kind, detail)`` tuple with named
+fields (a ``TraceRecord``) on each access.  A detail is read-only:
+records of one kind with equal payloads of str, int, bool and None values
+may hold one and the same dict, which the digest and the ndjson export
+encode once.
 
 Every event but a series' own, frames and control messages included, is
 queued through ``Engine.schedule_at``, so one wrapper around it sees them.
@@ -20,14 +25,17 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import math
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import (
     CONTROLLER,
+    MAX_TIME,
     ControlMessage,
     Link,
     LldpFrame,
@@ -77,16 +85,54 @@ class TraceRecord(NamedTuple):
         return _payload_json(self.detail)
 
 
+def _as_records(ts, kinds, details) -> Iterator[TraceRecord]:
+    """The rows of three columns as records, each built in C from its
+    ``(ts, kind, detail)`` tuple, without the NamedTuple's Python-level
+    ``__new__``."""
+    return map(tuple.__new__, repeat(TraceRecord), zip(ts, kinds, details))
+
+
+class TraceRecords(Sequence):
+    """A read-only view of a trace's records, in record order: ``len``,
+    index, slice and iteration build each ``TraceRecord`` on access.  It
+    holds the trace's columns, not the trace, and sees later records."""
+
+    __slots__ = ("_ts", "_kinds", "_details")
+
+    def __init__(self, ts: array, kinds: list, details: list) -> None:
+        self._ts, self._kinds, self._details = ts, kinds, details
+
+    def __len__(self) -> int:
+        return len(self._ts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(_as_records(self._ts[i], self._kinds[i], self._details[i]))
+        return tuple.__new__(TraceRecord, (self._ts[i], self._kinds[i], self._details[i]))
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return _as_records(self._ts, self._kinds, self._details)
+
+
 class Trace:
     """Append-only event log with a run digest over its ordered lines."""
 
     def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
+        # one row per record: ts (ns, up to MAX_TIME), kind, detail
+        self._ts = array("q")
+        self._kinds: list[str] = []
+        self._details: list[dict] = []
         # (kind, keys, values, value types), in the writer's key order and
         # in sorted order -> the one detail dict of that payload
         self._shared: dict[tuple, dict] = {}
 
-    def record(self, ts: SimTime, kind: str, **detail) -> TraceRecord:
+    @property
+    def records(self) -> TraceRecords:
+        # built per access: a view stored on the trace would hold it in a
+        # reference cycle
+        return TraceRecords(self._ts, self._kinds, self._details)
+
+    def record(self, ts: SimTime, kind: str, **detail) -> None:
         """Writers pass JSON primitives (str, int, float, bool, None and
         lists of them); the record keeps them as given, keys sorted.  The
         detail is read-only: records of this kind whose values are all
@@ -104,9 +150,9 @@ class Trace:
                 self._shared[key] = payload
         else:
             payload = dict(sorted(detail.items()))
-        rec = TraceRecord(ts, kind, payload)
-        self.records.append(rec)
-        return rec
+        self._ts.append(ts)
+        self._kinds.append(kind)
+        self._details.append(payload)
 
     def _shared_ids(self) -> set[int]:
         return {id(d) for d in self._shared.values()}
@@ -118,14 +164,14 @@ class Trace:
         detail once per call."""
         h = hashlib.sha256()
         shared, hashes = self._shared_ids(), {}
-        for r in self.records:
-            detail_hash = hashes.get(id(r.detail))
+        for ts, kind, detail in zip(self._ts, self._kinds, self._details):
+            detail_hash = hashes.get(id(detail))
             if detail_hash is None:
                 detail_hash = hashlib.sha256(
-                    _payload_json(r.detail).encode()).hexdigest()[:12]
-                if id(r.detail) in shared:
-                    hashes[id(r.detail)] = detail_hash
-            h.update(f"{r.ts} {r.kind} {detail_hash}\n".encode())
+                    _payload_json(detail).encode()).hexdigest()[:12]
+                if id(detail) in shared:
+                    hashes[id(detail)] = detail_hash
+            h.update(f"{ts} {kind} {detail_hash}\n".encode())
         return h.hexdigest()
 
     def ndjson_rows(self) -> Iterator[str]:
@@ -134,17 +180,17 @@ class Trace:
         encoded once per kind and call, as the text before and after its
         ts: ``record()`` cannot write a ``ts`` or ``kind`` key."""
         shared, parts = self._shared_ids(), {}
-        for r in self.records:
-            key = (r.kind, id(r.detail))
+        for ts, kind, detail in zip(self._ts, self._kinds, self._details):
+            key = (kind, id(detail))
             part = parts.get(key)
             if part is None:
                 if key[1] not in shared:
-                    yield _ndjson_row({"ts": r.ts, "kind": r.kind, **r.detail}) + "\n"
+                    yield _ndjson_row({"ts": ts, "kind": kind, **detail}) + "\n"
                     continue
-                row = _ndjson_row({"ts": 0, "kind": r.kind, **r.detail})
+                row = _ndjson_row({"ts": 0, "kind": kind, **detail})
                 at = row.index('"ts": 0') + len('"ts": ')
                 part = parts[key] = (row[:at], row[at + 1:] + "\n")
-            yield part[0] + str(r.ts) + part[1]
+            yield part[0] + str(ts) + part[1]
 
     def find(self, kind: str, **match) -> list[TraceRecord]:
         return [r for r in self.records if r.kind == kind
@@ -208,8 +254,8 @@ class Engine:
                        partial(self._fire_series, series, k + 1))
         action(k)
 
-    def record(self, kind: str, **detail) -> TraceRecord:
-        return self.trace.record(self.now, kind, **detail)
+    def record(self, kind: str, **detail) -> None:
+        self.trace.record(self.now, kind, **detail)
 
     def close(self) -> None:
         """Drop every pending event unfired, with its action, so no
@@ -222,20 +268,24 @@ class Engine:
 
     def run_until(self, t: SimTime) -> None:
         """Fire every event with fire_at <= t (including ones scheduled
-        while running), then set the clock to t."""
+        while running), then set the clock to t, which is at most
+        MAX_TIME."""
         if self.closed:
             raise RuntimeError("the engine is closed")
         if t < self.now:
             raise ValueError(f"cannot run backwards to {t} from {self.now}")
+        if t > MAX_TIME:
+            raise ValueError(f"cannot run to {t}, above MAX_TIME={MAX_TIME}")
         self._fire_through(t)
         self.now = t
 
     def run_all(self) -> None:
+        """Fire every event up to MAX_TIME; the clock stays at the last."""
         if self.closed:
             raise RuntimeError("the engine is closed")
-        self._fire_through(math.inf)
+        self._fire_through(MAX_TIME)
 
-    def _fire_through(self, t: float) -> None:
+    def _fire_through(self, t: SimTime) -> None:
         heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= t:
             at, _, ev = pop(heap)

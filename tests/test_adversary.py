@@ -20,6 +20,8 @@ from topodisc.core import (
     Protocol,
     SEC,
     ScenarioSpec,
+    VERDICT_SETTLE,
+    attack_span,
     from_ms,
 )
 from topodisc.harness import run_scenario
@@ -37,14 +39,14 @@ def run_attack(kind, protocol, in_window=False):
 
 def test_attack_span_duration_form():
     decl = AttackDecl("spoof", {"observe": scenarios.H1, "duration": "3s"})
-    assert adversary.attack_span(decl) == 3 * SEC + adversary.VERDICT_SETTLE
+    assert attack_span(decl) == 3 * SEC + VERDICT_SETTLE
 
 
 def test_attack_span_burst_form():
     decl = AttackDecl("inject", {"count": 3, "spacing": "500ms"})
-    assert adversary.attack_span(decl) == SEC + adversary.VERDICT_SETTLE
+    assert attack_span(decl) == SEC + VERDICT_SETTLE
     single = AttackDecl("inject", {"count": 1, "spacing": "500ms"})
-    assert adversary.attack_span(single) == adversary.VERDICT_SETTLE
+    assert attack_span(single) == VERDICT_SETTLE
 
 
 @pytest.mark.parametrize("kind, params", [

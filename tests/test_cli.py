@@ -14,6 +14,7 @@ from topodisc.core import (
     ControlChannel,
     Link,
     LinkAdd,
+    LinkRemove,
     OFPP_MAX,
     PortRef,
     Protocol,
@@ -276,6 +277,26 @@ def test_run_link_add_to_an_absent_switch_is_a_scenario_error(tmp_path, capsys):
 def test_run_rejects_bad_until(capsys, value):
     assert run_cli("run", "--scenario", "square", "--until", value) == 2
     assert "--until" in capsys.readouterr().err
+
+
+def test_run_until_is_bounded_by_max_time(capsys):
+    # 2**63 - 1 ns is 9223372036.854775807 s
+    for argv in (("run", "--scenario", "square"), ("attack", "--attack", "flood")):
+        assert run_cli(*argv, "--until", "9223372036.854775808") == 2
+        err = capsys.readouterr().err
+        assert "--until" in err and "MAX_TIME" in err
+        assert "Traceback" not in err
+
+
+def test_run_event_past_max_time_is_a_scenario_error(tmp_path, capsys):
+    spec = scenarios.square(timeline=(
+        LinkRemove(300_000_000_000 * SEC, PortRef(1, 1), PortRef(2, 1)),))
+    path = tmp_path / "late.yaml"
+    path.write_text(encode_scenario(spec))
+    assert run_cli("run", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "timeline[0]: event time above MAX_TIME" in err
+    assert "Traceback" not in err
 
 
 def test_run_until_is_exact_to_the_ns(capsys):

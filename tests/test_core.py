@@ -20,6 +20,7 @@ from topodisc.core import (
     LinkAdd,
     LinkRemove,
     LldpFrame,
+    MAX_TIME,
     MS,
     MsgKind,
     OFPP_MAX,
@@ -28,6 +29,9 @@ from topodisc.core import (
     PortRef,
     Protocol,
     SEC,
+    VERDICT_SETTLE,
+    AttackDecl,
+    AttackStart,
     ScenarioFormatError,
     ScenarioSpec,
     SwitchDecl,
@@ -246,6 +250,34 @@ def test_timeline_events_respect_presence():
         "timeline[1]: switch_join while s2 is present"]
     assert msgs(SwitchLeave(SEC, 2), SwitchJoin(2 * SEC, 2),
                 dataclasses.replace(add, at=3 * SEC)) == []
+
+
+def test_timeline_ends_within_max_time():
+    def msgs(*timeline):
+        return [str(v) for v in validate_scenario(scenarios.square(timeline=timeline))]
+
+    def cut(at):
+        return LinkRemove(at, PortRef(1, 1), PortRef(2, 1))
+
+    def flood(at, **params):
+        return AttackStart(at, AttackDecl("flood", {"inject": PortRef(1, 1), **params}))
+
+    assert MAX_TIME == 2**63 - 1
+    # the default horizon runs one second past the last event
+    last = MAX_TIME - SEC
+    assert msgs(cut(last)) == []
+    assert msgs(cut(SEC), cut(last + 1)) == ["timeline[1]: event time above MAX_TIME"]
+    assert msgs(cut(300_000_000_000 * SEC)) == [
+        "timeline[0]: event time above MAX_TIME"]
+    # an attack is over at its verdict: the default 1 s flood plus the settle
+    assert msgs(flood(last - SEC - VERDICT_SETTLE)) == []
+    assert msgs(flood(last - SEC - VERDICT_SETTLE + 1)) == [
+        "timeline[0]: event time above MAX_TIME"]
+    # a span that cannot be read is reported as such, and the instant alone
+    # is still bounded
+    assert msgs(flood(last + 1, duration="soon")) == [
+        "timeline[0].params.duration: not a duration: 'soon'",
+        "timeline[0]: event time above MAX_TIME"]
 
 
 def test_builders_all_validate():

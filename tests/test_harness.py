@@ -24,12 +24,12 @@ from topodisc.core import (
     SwitchJoin,
     SwitchLeave,
     US,
+    VERDICT_SETTLE,
     WINDOW_RULE_PRIORITY,
     from_ms,
 )
 from topodisc.harness import Simulation, run_scenario
 from topodisc import cli, scenarios
-from topodisc.adversary import VERDICT_SETTLE
 
 
 def two_switch_spec(delay_ab, delay_ba, timeline=()):

@@ -7,11 +7,14 @@ running the code under test.
 """
 import csv
 import io
+import tracemalloc
 
+import pytest
 from hypothesis import given, strategies as st
 
 from topodisc.core import MS, Protocol, SEC, from_ms
 from topodisc.harness import run_scenario
+from topodisc.simnet import Trace
 from topodisc import metrics, scenarios
 
 NS_PER_MS = 1_000_000
@@ -209,6 +212,48 @@ def test_delivered_rate_uses_horizon():
     m = walkthrough_metrics()
     assert m.delivered_per_sim_second(5 * SEC) == \
         m.messages_total() * SEC / (5 * SEC)
+
+
+# -- streaming ---------------------------------------------------------------
+
+def test_measure_reads_an_instants_records_after_its_timeline_records():
+    trace = Trace()
+    trace.record(0, "bootstrap_dispatch", protocol="softdp", probes=0)
+    # written before the event's own record, at its instant
+    trace.record(10, "map_link_bidirectional", a="s1.p1", b="s2.p1")
+    trace.record(10, "timeline", event="link_add", a="s1.p1", b="s2.p1")
+    boot, add = metrics.measure(trace).events
+    assert boot.detail["links_learned"] == 0
+    assert (add.at, add.learning, add.resolved) == (10, 0, True)
+
+
+def test_measure_refuses_a_decreasing_ts():
+    trace = Trace()
+    trace.record(5, "ctrl_delivered", msg="HELLO", src="1", dst="controller")
+    trace.record(4, "ctrl_delivered", msg="HELLO", src="1", dst="controller")
+    with pytest.raises(ValueError, match="below"):
+        metrics.measure(trace)
+
+
+def test_measure_streams_a_long_trace():
+    trace = Trace()
+    trace.record(0, "bootstrap_dispatch", protocol="ofdp", probes=0)
+    for i in range(1, 50_000):
+        if i == 25_000:
+            trace.record(i * MS, "timeline", event="link_add",
+                         a="s1.p1", b="s2.p1")
+        else:
+            trace.record(i * MS, "ctrl_delivered",
+                         msg=("PACKET_IN", "PACKET_OUT")[i % 2],
+                         src=str(i % 7), dst="controller")
+    tracemalloc.start()
+    try:
+        m = metrics.measure(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.messages_total() == 49_998 and len(m.per_second) == 50
+    assert peak < 1_000_000
 
 
 # -- rendering ---------------------------------------------------------------

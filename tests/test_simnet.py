@@ -1,9 +1,11 @@
 """Event queue determinism, trace export and fabric delivery semantics."""
 
+import gc
 import hashlib
 import io
 import json
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,6 +14,7 @@ from topodisc.core import (
     CONTROLLER,
     ControlMessage,
     LldpFrame,
+    MAX_TIME,
     MS,
     MsgKind,
     PortRef,
@@ -243,8 +246,8 @@ _keys = st.sampled_from(["a", "m", "tsx"])
 def _trace_ops(draw):
     """Records of two kinds whose details hold one key set, given in
     either order, so that equal and colliding payloads are common; about
-    one op in four appends a TraceRecord directly, reusing the detail of
-    an earlier record under any kind."""
+    one op in four records the payload of an earlier record again, under
+    any kind."""
     keys = draw(st.lists(_keys, unique=True, max_size=2))
     ops = []
     for _ in range(draw(st.integers(1, 30))):
@@ -270,13 +273,13 @@ def test_trace_export_matches_per_record_encoding(ops, direct):
             trace.record(ts, kind, **arg)
             expected.append((ts, kind, dict(sorted(arg.items()))))
         elif expected:
-            i = arg % len(expected)
-            trace.records.append(TraceRecord(ts, kind, trace.records[i].detail))
-            expected.append((ts, kind, expected[i][2]))
-    # one dict appended directly under two kinds
+            payload = expected[arg % len(expected)][2]
+            trace.record(ts, kind, **payload)
+            expected.append((ts, kind, payload))
+    # one payload recorded under two kinds
     for kind in ("x", "w"):
-        trace.records.append(TraceRecord(7, kind, direct))
-        expected.append((7, kind, direct))
+        trace.record(7, kind, **direct)
+        expected.append((7, kind, dict(sorted(direct.items()))))
     for _ in range(2):  # a second pass reads the same bytes
         assert trace.digest() == reference_digest(expected)
         assert _ndjson(trace) == reference_ndjson(expected)
@@ -284,17 +287,82 @@ def test_trace_export_matches_per_record_encoding(ops, direct):
 
 def test_equal_primitive_payloads_of_one_kind_share_one_dict():
     trace = Trace()
-    first = trace.record(1, "m", s="a", i=1, b=False, n=None)
-    again = trace.record(2, "m", n=None, b=False, i=1, s="a")
-    assert again.detail is first.detail
-    assert list(again.detail) == ["b", "i", "n", "s"]
-    assert trace.record(3, "m").detail is trace.record(4, "m").detail
+    trace.record(1, "m", s="a", i=1, b=False, n=None)
+    trace.record(2, "m", n=None, b=False, i=1, s="a")
+    recs = trace.records
+    assert recs[1].detail is recs[0].detail
+    assert list(recs[1].detail) == ["b", "i", "n", "s"]
+    trace.record(3, "m")
+    trace.record(4, "m")
+    assert recs[2].detail is recs[3].detail
     # equal as keys, yet encoded differently: never one object
-    assert trace.record(5, "m", v=1).detail is not trace.record(6, "m", v=True).detail
-    assert trace.record(7, "m", v=0.0).detail is not trace.record(8, "m", v=-0.0).detail
+    trace.record(5, "m", v=1)
+    trace.record(6, "m", v=True)
+    assert recs[4].detail is not recs[5].detail
+    trace.record(7, "m", v=0.0)
+    trace.record(8, "m", v=-0.0)
+    assert recs[6].detail is not recs[7].detail
     # a list payload is not shared, and is still written whole
-    assert trace.record(9, "m", v=[1]).detail is not trace.record(10, "m", v=[1]).detail
+    trace.record(9, "m", v=[1])
+    trace.record(10, "m", v=[1])
+    assert recs[8].detail is not recs[9].detail
     assert [r.ts for r in trace.records] == list(range(1, 11))
+
+
+def test_records_view_reads_the_rows_written():
+    trace = Trace()
+    rows = [(0, "a", {"v": 1}), (0, "b", {"v": 1}), (5, "a", {"v": 1}),
+            (9, "c", {"l": [1, 2]}), (2**63 - 1, "a", {})]
+    for ts, kind, detail in rows:
+        trace.record(ts, kind, **detail)
+    view = trace.records
+    assert isinstance(view, Sequence)
+    assert len(view) == len(rows)
+    assert list(view) == rows
+    assert view[-1] == rows[-1] and view[-5] == rows[0]
+    assert view[1:4] == rows[1:4] and view[::-2] == rows[::-2]
+    assert all(type(r) is TraceRecord for r in (*view, *view[:2], view[3]))
+    assert (view[2].ts, view[2].kind, view[2].detail) == rows[2]
+    # one kind, one payload: one dict, however it is read
+    assert view[0].detail is view[2].detail is view[2:3][0].detail
+    assert view[0].detail is not view[1].detail
+    with pytest.raises(IndexError):
+        view[len(rows)]
+    # read-only, and a view sees records written after it was taken
+    assert not hasattr(view, "append")
+    with pytest.raises(TypeError):
+        view[0] = rows[0]
+    trace.record(10**12, "d")
+    assert len(view) == len(rows) + 1 and view[-1] == (10**12, "d", {})
+
+
+def test_shared_records_add_no_tracked_objects():
+    trace = Trace()
+    trace.record(0, "m", port="s1.p1", n=1)
+    gc.collect()
+    before = len(gc.get_objects())
+    for ts in range(1, 20_001):
+        trace.record(ts, "m", port="s1.p1", n=1)
+    assert len(gc.get_objects()) - before < 10
+    assert len(trace.records) == 20_001
+
+
+def test_ts_column_refuses_a_ts_above_max_time():
+    trace = Trace()
+    trace.record(MAX_TIME, "m")
+    with pytest.raises(OverflowError):
+        trace.record(MAX_TIME + 1, "m")
+    assert len(trace.records) == 1
+
+
+def test_engine_refuses_to_run_past_max_time():
+    eng = Engine()
+    eng.schedule_at(MAX_TIME, "last", lambda: eng.record("last"))
+    with pytest.raises(ValueError, match="MAX_TIME"):
+        eng.run_until(MAX_TIME + 1)
+    assert eng.now == 0 and eng.fired == 0
+    eng.run_until(MAX_TIME)
+    assert eng.now == MAX_TIME and eng.trace.records[0] == (MAX_TIME, "last", {})
 
 
 # -- fabric -----------------------------------------------------------------
