@@ -55,6 +55,8 @@ def _cases():
         for n in (4, 8):
             out[f"chain{n}-churn-{p.value}"] = \
                 lambda p=p, n=n: _churn_chain(n, p)
+    # the benchmark's seed-7 churn_softdp spec: path retagging dominates it
+    out["churn60-softdp"] = lambda: (scenarios.random_scenario(7, 60, 20), None)
     return out
 
 
@@ -67,6 +69,7 @@ PINS = {
     "chain8-churn-ofdp": "a683b76319ec1818ceaa8ae992e9c48440961beaeff58f9dbe563820541d2f07",
     "chain8-churn-ofdpv2": "a3a25715a6c644448966bfdb19cd9122bf905dd4c94387e66f649d176ad90b3e",
     "chain8-churn-softdp": "5b26e1306575883a59f2d082234d7aac7d32df922b37687d3ccf1028309bc6f6",
+    "churn60-softdp": "f4472d4f312c2eb9ecbf59b21998e8e1b5a02cd2d4b39714583314b81009e04a",
     "fingerprint-ofdp": "c895cedb0e449e6ff2bdc9ecce30e76e13f7d2d8c672ddd36f0463880a7025c2",
     "fingerprint-ofdpv2": "1a4f94168db0d18634a6dfef140e77b1ff93dc47f69c17b91332c7a5ba3c9b33",
     "fingerprint-softdp": "4c6e58ff820ca61dff5c237ac7b6fef268e6920747ebee5a950eef6f8ffa9a6d",
@@ -107,6 +110,7 @@ REPORT_PINS = {
     "chain8-churn-ofdp": "65a7f1bcb96ebb9b768a72bd397a779baef3283fb5e31975b237c60791c724df",
     "chain8-churn-ofdpv2": "5b81a77759afcfb7d6cd397013986ec2d995f1f49998359a15d7615744254b2f",
     "chain8-churn-softdp": "4c725e7853afc1d38ca7f54b05bf75d75da25eedbae07eb4bf5f79550d29b882",
+    "churn60-softdp": "9ff6fb194d5be1eeabe02b8f218b2fa5cc991fae1aeaac4e320101c832f001ee",
     "fingerprint-ofdp": "f23b70fff7cfad46f4aa3d10d46e7f1b1e78361519311e7b1dd56f86de284644",
     "fingerprint-ofdpv2": "18d6f77c6e726cf1d635c4fbb656068727139842b693ba6851a2ed78cb8b76b8",
     "fingerprint-softdp": "6cc9bedbf6f5d6a42ed92a25a464ed461c8635835f4a5c3627110ef9e0cc48a4",
@@ -145,6 +149,7 @@ CSV_PINS = {
     "chain8-churn-ofdp": "6ea7c6bf0d4b43e7d573281fc09bed84a42cc1c345031821a9eb52fbf7785640",
     "chain8-churn-ofdpv2": "7800211fa9d66e3c7cf8acd81f1ca7addb68c17228c0497068ea18b520e55b70",
     "chain8-churn-softdp": "c10394ad44eb97aa0efabb3fc65e48bd72894b02631a6c2e03acf2a9cb48d7a6",
+    "churn60-softdp": "86ec3a2da3e843d25a0dd7f8178a9a6bc6957ec17d60625ade1ba89dca5ca469",
     "fingerprint-ofdp": "c7b7567837bc5f19f47aca832d32a87c6d31882efbdb7497915147561488edbd",
     "fingerprint-ofdpv2": "7d48b7930aa64d76676e74b624fe4dc69bc640aed70b72de9fd18617cc15b5bc",
     "fingerprint-softdp": "f5a05b5e9710f5cc5cc48d2d9d03c4600f96772f7de9e1ee5f72222f76636b4b",
@@ -183,6 +188,7 @@ NDJSON_PINS = {
     "chain8-churn-ofdp": "b3b5065f7ba2a525b5829ac89ff2364fd559881ae38f283f3bc189765ce2af2b",
     "chain8-churn-ofdpv2": "029575018caf434733bd9bc99a97b1766841e70d01a569d10fe7bbad0476b68d",
     "chain8-churn-softdp": "d361d3899979c2d3da32089240e8a0022a9a402268515416b50e3696c10713a8",
+    "churn60-softdp": "03b6c5d32bd496cefcc1063c0c85453b3d308d2c1f21b8b0398a96e9b8aa33ad",
     "fingerprint-ofdp": "c8c4e391f8798d5e760f09da2e11454e8b32db8554069d9d9f99d03cd3ef5dd7",
     "fingerprint-ofdpv2": "da65cfdb38bf07a002b221ac346d7270deda081fe2b842a919ebeaa340881d2c",
     "fingerprint-softdp": "8616129a6af3b393ce818fb0f5858952587b68120b8d655fb1b6d767360b2e4d",
