@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import combinations
 from math import inf
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     CONTROLLER,
@@ -78,8 +78,7 @@ class PendingWindow:
     timer: object = None  # the scheduled expiry
 
 
-@dataclass(frozen=True)
-class PathTags:
+class PathTags(NamedTuple):
     primary: tuple[int, ...]
     backups: tuple[tuple[int, ...], ...] = ()
 
@@ -112,7 +111,10 @@ class TopologyMap:
     Links change only through ``add_link``/``remove_link`` and tags only
     through ``set_tags``/``drop_tags``, which keep the indexes below in
     step, so every lookup here costs the degree of a switch, not the
-    size of the map."""
+    size of the map; a tag change moves its pair only under the edges
+    the tag gained or lost.  The map keeps no shortest-path state: a
+    retag reads ``adj`` into one ``PathsToward`` per target switch and
+    drops them when it ends."""
 
     def __init__(self) -> None:
         self.switches: dict[int, SwitchId] = {}
@@ -235,6 +237,161 @@ def _both_ways(links: Iterable[tuple[PortRef, PortRef]]) -> list:
     return [entry for (a, b) in links for entry in ((a, b), (b, a))]
 
 
+class PathsToward:
+    """The shortest paths toward one target switch ``b`` in the switch
+    graph a retag sees, built once per target and retag by one search
+    from b: each switch's hop count to b and its lex-min step, its
+    smallest neighbour one hop closer.  The lex-min paths, the near ends
+    of the backups and the detours worked out from it are kept on it,
+    so the pairs with target b share them."""
+
+    def __init__(self, adj: dict[int, dict], b: int,
+                 bridges: set[tuple[int, int]]):
+        self.adj, self.bridges = adj, bridges
+        dist = {b: 0}                      # inserted in nondecreasing order
+        # switch -> its smallest neighbour one hop closer, the first to
+        # reach it from a frontier taken in increasing order
+        step: dict[int, int] = {}
+        frontier, k = [b], 0
+        while frontier:
+            k += 1
+            nxt = []
+            for v in frontier:
+                for n in adj[v]:
+                    if n not in dist:
+                        dist[n] = k
+                        step[n] = v
+                        nxt.append(n)
+            nxt.sort()
+            frontier = nxt
+        self.dist, self.step = dist, step
+        self._paths: dict[int, tuple[int, ...]] = {b: (b,)}
+        # switch -> near end of the first non-bridge edge of its path
+        self._near: dict[int, Optional[int]] = {b: None}
+        self._detours: dict[int, tuple[int, ...]] = {}
+
+    def path(self, a: int) -> tuple[int, ...]:
+        """Among all shortest a-b paths, the one whose switch-id sequence
+        is lexicographically smallest: always step to the smallest
+        neighbour one hop closer to b."""
+        paths = self._paths
+        path = paths.get(a)
+        if path is None:
+            step, near, bridges = self.step, self._near, self.bridges
+            walked = []
+            while path is None:
+                walked.append(a)
+                a = step[a]
+                path = paths.get(a)
+            for v in reversed(walked):
+                q = path[0]
+                near[v] = near[q] if ((v, q) if v < q else (q, v)) in bridges else v
+                path = paths[v] = (v,) + path
+        return path
+
+    def backup(self, a: int) -> Optional[tuple[int, ...]]:
+        """Shortest alternative to ``path(a)`` that avoids its first edge
+        whose removal keeps its ends connected, lexicographically
+        smallest among equals; None when the primary is the only path
+        (every primary edge is a bridge).  The primary up to that edge
+        is bridges that every path crosses, so the alternative is that
+        stretch plus a detour from the edge's near end p."""
+        primary = self.path(a)
+        p = self._near[a]
+        if p is None:
+            return None
+        detour = self._detours.get(p) or self._detour(p)
+        return primary[:self.dist[a] - self.dist[p]] + detour
+
+    def _detour(self, p: int) -> tuple[int, ...]:
+        """The lexicographically smallest shortest p-b path without the
+        edge p-q, where q is p's lex-min step toward b.
+
+        Without that edge p stays as far from b when it has another
+        neighbour one hop closer, gets one hop farther when it has a
+        neighbour as far as itself, and two when a neighbour one hop
+        farther has a closer neighbour besides p; the smallest such
+        neighbour of the nearest kind leads the way.  Failing all three,
+        p and the switches all of whose shortest routes to b cross p,
+        the cut, get farther from b; every other distance stands, and so
+        does every step toward b that neither leaves nor enters the cut.
+        The cut is found level by level outward from p, a switch joining
+        it when all of its neighbours one hop closer are in it, and only
+        as far as the walk from p can need it: while the cut's new
+        distances are settled from its intact neighbours in increasing
+        order, until p's is."""
+        adj, dist, path = self.adj, self.dist, self.path
+        top, q = dist[p], self.step[p]
+        closer = [n for n in adj[p] if dist[n] < top and n != q]
+        if closer:
+            detour = self._detours[p] = (p,) + path(min(closer))
+            return detour
+        level = [n for n in adj[p] if dist[n] == top]
+        if level:
+            detour = self._detours[p] = (p,) + path(min(level))
+            return detour
+        for u in sorted(adj[p]):
+            if u == q:
+                continue
+            closer = [n for n in adj[u] if dist[n] == top and n != p]
+            if closer:
+                detour = self._detours[p] = (p, u) + path(min(closer))
+                return detour
+        cut = {p}
+        ups = {u for u in adj[p] if u != q}  # candidates for the cut at top + 1
+        settled: dict[int, int] = {}     # new distances within the cut
+        heap: list[tuple[int, int]] = []
+        while p not in settled:
+            # a distance d settles only once every level below d is known
+            while ups and (not heap or heap[0][0] > top + 1):
+                top += 1
+                new = []
+                for v in ups:
+                    for n in adj[v]:
+                        if dist[n] < top and n not in cut:
+                            # an intact switch one level above the cut
+                            for n in adj[v]:
+                                if n in cut and dist[n] < top:
+                                    heappush(heap, (top + 1, n))
+                            break
+                    else:
+                        new.append(v)
+                cut.update(new)
+                ups = set()
+                for v in new:
+                    for n in adj[v]:
+                        d = dist[n]
+                        if d > top:
+                            ups.add(n)
+                        elif n in settled:
+                            heappush(heap, (settled[n] + 1, v))
+                        elif n not in cut:
+                            heappush(heap, (d + 1, v))
+            d, v = heappop(heap)
+            if v not in settled:
+                settled[v] = d
+                for n in adj[v]:
+                    if n in cut and n not in settled:
+                        heappush(heap, (d + 1, n))
+        walk = [p]
+        cur = p
+        while cur in cut:
+            k = settled[cur] - 1
+            cur = min([n for n in adj[cur]
+                       if (settled.get(n, -1) if n in cut else dist[n]) == k
+                       and (cur, n) != (p, q)])
+            walk.append(cur)
+        # Out of the cut for good.  Above p's level the smallest closer
+        # switch may be in the cut; from p's level down none is.
+        top = dist[p]
+        while dist[cur] > top:
+            k = dist[cur] - 1
+            cur = min([n for n in adj[cur] if dist[n] == k and n not in cut])
+            walk.append(cur)
+        detour = self._detours[p] = tuple(walk[:-1]) + self.path(cur)
+        return detour
+
+
 class Controller:
     """Single controller instance for one scenario run."""
 
@@ -276,8 +433,9 @@ class Controller:
         return self.counters["suspicious"]
 
     def _send(self, kind: MsgKind, dpid: int, body) -> None:
+        # built in C, without the NamedTuple's Python-level __new__
         self.services.send_control(
-            ControlMessage(kind=kind, src=CONTROLLER, dst=dpid, body=body))
+            tuple.__new__(ControlMessage, (kind, CONTROLLER, dpid, body)))
 
     def accept_switch_session(self, claimed_chassis: bytes) -> bool:
         """Admission check for a chassis identity presented by a connecting
@@ -584,21 +742,6 @@ class Controller:
 
     # -- path tagging ------------------------------------------------------
     @staticmethod
-    def _bfs(adj: dict, src: int) -> dict[int, int]:
-        """Hop counts from ``src``, inserted in nondecreasing order."""
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for n in adj.get(v, ()):
-                    if n not in dist:
-                        dist[n] = dist[v] + 1
-                        nxt.append(n)
-            frontier = nxt
-        return dist
-
-    @staticmethod
     def _bridges_and_components(adj: dict) -> tuple[set[tuple[int, int]], dict[int, int]]:
         """Edges whose removal disconnects their component (iterative
         low-link computation), and each switch's component, labelled by
@@ -636,106 +779,6 @@ class Controller:
                     if low[v] > visited[parent]:
                         bridges.add((parent, v) if parent < v else (v, parent))
         return bridges, comp
-
-    def _lex_min_shortest(self, a: int, b: int, dist_from_b: dict,
-                          step: dict) -> tuple[int, ...]:
-        """Among all shortest a-b paths, the one whose switch-id sequence
-        is lexicographically smallest: always step to the smallest
-        neighbor one hop closer to b.  ``step`` memoizes those steps."""
-        path = [a]
-        while a != b:
-            a = step.get(a) or self._step(a, dist_from_b, step)
-            path.append(a)
-        return tuple(path)
-
-    def _step(self, v: int, dist_from_b: dict, step: dict) -> int:
-        """Memoize and return v's smallest neighbour one hop closer to b."""
-        k = dist_from_b[v] - 1
-        step[v] = min(n for n in self.map.adj[v] if dist_from_b[n] == k)
-        return step[v]
-
-    def _backup_path(self, primary: tuple[int, ...], dist_from_b: dict,
-                     step: dict, detours: dict,
-                     bridges: set) -> Optional[tuple[int, ...]]:
-        """Shortest alternative to ``primary`` that avoids its first edge
-        whose removal keeps its ends connected, lexicographically
-        smallest among equals; None when the primary is the only path
-        (every primary edge is a bridge).  The primary up to that edge
-        is bridges that every path crosses, so the alternative is that
-        stretch plus a detour from the edge's near end, which
-        ``detours`` shares between the pairs with the same far end."""
-        for i, (p, q) in enumerate(zip(primary, primary[1:])):
-            if ((p, q) if p < q else (q, p)) not in bridges:
-                break
-        else:
-            return None
-        if p not in detours:
-            detours[p] = self._detour(p, q, primary[-1], dist_from_b, step)
-        return primary[:i] + detours[p]
-
-    def _detour(self, p: int, q: int, b: int, dist_from_b: dict,
-                step: dict) -> tuple[int, ...]:
-        """The lexicographically smallest shortest p-b path without the
-        edge p-q, where q is one hop closer to b than p.
-
-        Without that edge only the switches all of whose shortest routes
-        to b cross it, the cut, get farther from b; every other distance
-        stands, and so does every step toward b that neither leaves nor
-        enters the cut.  The cut is found level by level outward from p,
-        and only as far as the walk from p can need it: p's own level
-        when p keeps its distance, otherwise while the cut's new
-        distances are settled from its intact neighbours in increasing
-        order, until p's is."""
-        adj, dist = self.map.adj, dist_from_b
-        cut: set[int] = set()
-        settled: dict[int, int] = {}     # new distances within the cut
-        heap: list[tuple[int, int]] = []
-        level, top = [p], dist[p]        # the candidates at level `top`
-
-        def classify() -> None:
-            nonlocal level, top
-            new = [v for v in level
-                   if all(n in cut for n in adj[v]
-                          if dist[n] == top - 1 and (v, n) != (p, q))]
-            cut.update(new)
-            for v in new:
-                for n in adj[v]:
-                    if n in settled:
-                        heappush(heap, (settled[n] + 1, v))
-                    elif n not in cut and dist[n] <= top and (v, n) != (p, q):
-                        heappush(heap, (dist[n] + 1, v))
-            for w in level:
-                if w not in cut:
-                    # an intact switch one level above the cut
-                    for n in adj[w]:
-                        if n in cut and dist[n] == top - 1:
-                            heappush(heap, (top + 1, n))
-            level = {n for v in new for n in adj[v] if dist[n] == top + 1}
-            top += 1
-
-        classify()
-        while p in cut and p not in settled:
-            # a distance d settles only once every level below d is known
-            while level and (not heap or heap[0][0] > top):
-                classify()
-            d, v = heappop(heap)
-            if v not in settled:
-                settled[v] = d
-                for n in adj[v]:
-                    if n in cut and n not in settled:
-                        heappush(heap, (d + 1, n))
-        path = [p]
-        cur = p
-        while cur != b:
-            nxt = None if cur in cut else step.get(cur) or self._step(cur, dist, step)
-            if nxt is None or nxt in cut or (cur, nxt) == (p, q):
-                k = (settled[cur] if cur in cut else dist[cur]) - 1
-                nxt = min(n for n in adj[cur]
-                          if (settled.get(n, -1) if n in cut else dist[n]) == k
-                          and (cur, n) != (p, q))
-            path.append(nxt)
-            cur = nxt
-        return tuple(path)
 
     def _newly_connected(self, comp: dict[int, int]) -> set[tuple[int, int]]:
         """Pairs in one component now that were in different components,
@@ -781,7 +824,14 @@ class Controller:
         connected, and those a changed edge's walk test reaches.  A
         distance grows only when a primary edge died, and shrinks only
         through an added edge, which the caller names; an added edge it
-        does not name puts every tagged pair under test."""
+        does not name puts every tagged pair under test.
+
+        A visited pair (a, b), a < b, reads the shortest paths toward b,
+        built once per target switch and retag (``PathsToward``): its
+        primary and backup are lookups there, shared with the other
+        pairs toward b.  A pair whose tags come out unchanged builds no
+        tag and sends nothing, and each (switch, neighbour) first-hop
+        port is looked up once per retag."""
         if self.protocol is not Protocol.SOFTDP:
             return []
         changed_links = list(changed_links)
@@ -795,21 +845,19 @@ class Controller:
             (bridges ^ self._bridges) | (self._edges - alive_edges)))
         tested = {(min(a.dpid, b.dpid), max(a.dpid, b.dpid))
                   for (a, b) in changed_links} & alive_edges
-        # per switch: hop counts from it, and the memoized lex-min steps
-        # and backup detours toward it
-        dist: dict[int, dict[int, int]] = {}
-        steps: dict[int, dict[int, int]] = {}
-        detours: dict[int, dict[int, tuple[int, ...]]] = {}
+        # per target switch: the shortest paths toward it
+        toward: dict[int, PathsToward] = {}
 
-        def dist_from(v: int) -> dict[int, int]:
-            if v not in dist:
-                dist[v] = self._bfs(adj, v)
-            return dist[v]
+        def paths_to(v: int) -> PathsToward:
+            paths = toward.get(v)
+            if paths is None:
+                paths = toward[v] = PathsToward(adj, v, bridges)
+            return paths
 
         candidates = stale_pairs | self._newly_connected(comp)
         walks = []
         for (u, v) in tested:
-            du, dv = dist_from(u), dist_from(v)
+            du, dv = paths_to(u).dist, paths_to(v).dist
             walks.append((du, dv))
             candidates |= self._walk_hits(du, dv)
         if alive_edges - self._edges - tested:
@@ -817,6 +865,7 @@ class Controller:
 
         group_sends: list[tuple[int, int]] = []
         recomputed = 0
+        hops: dict[tuple[int, int], tuple] = {}
         for (a, b) in sorted(candidates):
             old = tags.get((a, b))
             root = comp.get(a)
@@ -824,22 +873,22 @@ class Controller:
                 if old is not None:
                     self.map.drop_tags((a, b))
                 continue
-            db = dist_from(b)
-            if (old is not None and len(old.primary) - 1 == db[a]
+            paths = paths_to(b)
+            if (old is not None and len(old.primary) - 1 == paths.dist[a]
                     and (a, b) not in stale_pairs
                     and all(1 + min(du.get(a, inf) + dv.get(b, inf),
                                     dv.get(a, inf) + du.get(b, inf)) > old.limit
                             for du, dv in walks)):
                 continue
-            step = steps.setdefault(b, {})
-            primary = self._lex_min_shortest(a, b, db, step)
-            backup = self._backup_path(primary, db, step,
-                                       detours.setdefault(b, {}), bridges)
-            entry = PathTags(primary, (backup,) if backup is not None else ())
+            primary = paths.path(a)
+            backup = paths.backup(a)
+            backups = (backup,) if backup is not None else ()
             recomputed += 1
-            if old != entry:
-                self.map.set_tags((a, b), entry)
-                group_sends.extend(self._push_groups(a, b, entry))
+            if old == (primary, backups):
+                continue
+            entry = PathTags(primary, backups)
+            self.map.set_tags((a, b), entry)
+            group_sends.extend(self._push_groups(a, b, entry, hops))
 
         self._bridges, self._edges, self._comp = bridges, alive_edges, comp
         for (pa, pb) in changed_links:
@@ -855,33 +904,49 @@ class Controller:
                                  changed=[f"{a}~{b}" for (a, b) in changed_links])
         return group_sends
 
-    def _push_groups(self, a: int, b: int, entry: PathTags) -> list[tuple[int, int]]:
+    def _hop(self, src: int, nxt: int, hops: dict) -> tuple:
+        """The first-hop port from ``src`` toward neighbour ``nxt``, with
+        the group bucket and the text a send builds from it, looked up
+        once per retag in ``hops``."""
+        port = self.map.first_hop_port(src, nxt)
+        hop = hops[(src, nxt)] = (port, GroupBucket(port, port), str(port))
+        return hop
+
+    def _push_groups(self, a: int, b: int, entry: PathTags,
+                     hops: dict) -> list[tuple[int, int]]:
         """Fast-failover groups at both endpoints of a tagged pair: first
         bucket follows the primary, second the backup; liveness is the
         watch port's link flag so switchover needs no controller round
-        trip.  TE override suppresses installation."""
+        trip.  Every hop of a path the retag just built is a confirmed
+        link, so each bucket has a port.  TE override suppresses
+        installation."""
         if self.te_override:
             return []
         sends = []
+        sent = self._sent_groups
+        primary, backups = entry
         # the second switch of each path seen from a, and from b
         for src, dst, hop in ((a, b, 1), (b, a, -2)):
-            watch = tuple(port for port in (
-                self.map.first_hop_port(src, path[hop])
-                for path in (entry.primary, *entry.backups[:1]))
-                if port is not None)
-            if not watch:
-                continue
-            if not entry.backups and (src, dst) not in self._sent_groups:
+            if not backups and (src, dst) not in sent:
                 # Nothing installed earlier and no alternative to fail
                 # over to: a single-bucket group buys nothing.
                 continue
-            if self._sent_groups.get((src, dst)) == watch:
-                continue
-            self._sent_groups[(src, dst)] = watch
-            buckets = tuple(GroupBucket(watch=port, out=port) for port in watch)
-            self._send(MsgKind.GROUP_MOD, src,
-                       GroupModBody(dpid=src, group_id=dst, buckets=buckets))
+            first = hops.get((src, primary[hop])) or self._hop(src, primary[hop], hops)
+            if backups:
+                nxt = backups[0][hop]
+                second = hops.get((src, nxt)) or self._hop(src, nxt, hops)
+                watch = (first[0], second[0])
+                if sent.get((src, dst)) == watch:
+                    continue
+                buckets, texts = (first[1], second[1]), [first[2], second[2]]
+            else:
+                watch = (first[0],)
+                if sent.get((src, dst)) == watch:
+                    continue
+                buckets, texts = (first[1],), [first[2]]
+            sent[(src, dst)] = watch
+            self._send(MsgKind.GROUP_MOD, src, GroupModBody(src, dst, buckets))
             self.services.record("group_dispatch", dpid=src, group_id=dst,
-                                 buckets=[str(port) for port in watch])
+                                 buckets=texts)
             sends.append((src, dst))
         return sends

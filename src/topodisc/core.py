@@ -611,7 +611,8 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
                     check_port(v, where)
                 elif holds == DURATION:
                     try:
-                        parse_duration(v)
+                        if parse_duration(v) < 0:
+                            out.append(Violation(where, f"negative duration {v!r}"))
                     except ValueError as exc:
                         out.append(Violation(where, str(exc)))
                 elif holds == COUNT and (isinstance(v, bool) or not isinstance(v, int)

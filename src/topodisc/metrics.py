@@ -12,12 +12,13 @@ import csv
 import io
 import json
 from collections import Counter
+from itertools import chain, islice
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .core import PortRef, ScenarioSpec, SEC, SimTime, link_key
 from .core import AttackStart, LinkAdd, LinkRemove, SwitchJoin, SwitchLeave
-from .simnet import Trace, TraceRecord
+from .simnet import Trace
 
 BFD_DETECT = "bfd_detect"
 LINK_ADD_LEARN = "link_add_learn"
@@ -212,33 +213,44 @@ def _learned(entry: EventEntry, ts: SimTime) -> None:
     entry.resolved = True
 
 
-def _timeline_first(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
-    """The records in their order, except that an instant's timeline
-    records come before its other records, so that those land in the
-    window of the last of them.  Only the current instant's other records
-    are held back; a ts below the one before raises ValueError."""
-    held: list[TraceRecord] = []
-    now = None
-    for r in records:
-        if r.ts != now:
-            if now is not None and r.ts < now:
-                raise ValueError(f"trace ts {r.ts} ({r.kind}) is below "
-                                 f"the ts {now} before it")
-            yield from held
-            held.clear()
-            now = r.ts
-        if r.kind == "timeline":
-            yield r
-        else:
-            held.append(r)
-    yield from held
+def _reading_order(trace: Trace) -> Iterator[Iterable[tuple]]:
+    """The trace's rows, ``(ts, kind, detail)``, as runs to read one after
+    the other, so that an instant's timeline records come before its
+    other records and those land in the window of the last of them.  An
+    instant with a record before one of its timeline records is rebuilt
+    as two runs, its timeline records and then the others; the stretches
+    between are read straight off the columns."""
+    ts, kinds, details = trace.columns
+    rows = zip(ts, kinds, details)
+    done = 0                    # rows handed out so far
+    i = -1
+    while True:
+        try:
+            i = kinds.index("timeline", i + 1)
+        except ValueError:
+            break
+        t, start = ts[i], i
+        while start > done and ts[start - 1] == t:
+            start -= 1
+        if start == i:
+            continue
+        end = i + 1
+        while end < len(ts) and ts[end] == t:
+            end += 1
+        yield islice(rows, start - done)
+        instant = [(t, kinds[j], details[j]) for j in range(start, end)]
+        yield [row for row in instant if row[1] == "timeline"]
+        yield [row for row in instant if row[1] != "timeline"]
+        next(islice(rows, end - start, end - start), None)  # skip what was rebuilt
+        done, i = end, end - 1
+    yield rows
 
 
 def measure(trace: Trace) -> RunMetrics:
     """Read the report entries and totals off a trace in one streaming
-    pass over ``trace.records``, which needs each ts to be at least the
-    one before it (the engine's clock never runs backwards); a trace
-    whose ts decreases raises ValueError.
+    pass over its columns, which needs each ts to be at least the one
+    before it (the engine's clock never runs backwards); a trace whose
+    ts decreases raises ValueError.
 
     A record belongs to the entry of the last timeline instant at or
     before its ts.  Records before the first instant belong to the
@@ -260,7 +272,13 @@ def measure(trace: Trace) -> RunMetrics:
     sent: dict[int, tuple[SimTime, EventEntry]] = {}  # probe id -> (ts, window)
     delivered: set[int] = set()
 
-    for ts, kind, d in _timeline_first(trace.records):
+    now = None
+    for ts, kind, d in chain.from_iterable(_reading_order(trace)):
+        if ts != now:
+            if now is not None and ts < now:
+                raise ValueError(f"trace ts {ts} ({kind}) is below "
+                                 f"the ts {now} before it")
+            now = ts
         if kind == "ctrl_delivered":
             msg_counts[d["msg"]] += 1
             # a Counter only for a second's first message

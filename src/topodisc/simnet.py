@@ -132,6 +132,12 @@ class Trace:
         # reference cycle
         return TraceRecords(self._ts, self._kinds, self._details)
 
+    @property
+    def columns(self) -> tuple[array, list[str], list[dict]]:
+        """The three columns, ts, kind and detail, one row per record in
+        record order; for reading only."""
+        return self._ts, self._kinds, self._details
+
     def record(self, ts: SimTime, kind: str, **detail) -> None:
         """Writers pass JSON primitives (str, int, float, bool, None and
         lists of them); the record keeps them as given, keys sorted.  The

@@ -148,6 +148,8 @@ class SwitchAgent:
         }
         self.flow_table: list[FlowRule] = []
         self.group_table: dict[int, FailoverGroup] = {}
+        # bucket list of a GROUP_MOD -> its "watch->out" texts
+        self._bucket_texts: dict[tuple[GroupBucket, ...], tuple[str, ...]] = {}
         self.bfd_sessions: dict[PortRef, BfdSession] = {}
         self._rule_seq = 0
         if protocol is Protocol.SOFTDP:
@@ -338,9 +340,12 @@ class SwitchAgent:
                 raise KeyError(f"GROUP_MOD for s{body.dpid} delivered to {self.id}")
             # last-writer-wins on duplicate group ids
             self.group_table[body.group_id] = FailoverGroup(body.group_id, body.buckets)
+            texts = self._bucket_texts.get(body.buckets)
+            if texts is None:
+                texts = self._bucket_texts[body.buckets] = tuple(
+                    f"{b.watch}->{b.out}" for b in body.buckets)
             self.services.record("group_installed", switch=str(self.id),
-                                 group_id=body.group_id,
-                                 buckets=[f"{b.watch}->{b.out}" for b in body.buckets])
+                                 group_id=body.group_id, buckets=list(texts))
         else:
             raise TypeError(f"not a mod message: {msg.kind}")
 

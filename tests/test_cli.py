@@ -255,6 +255,22 @@ def test_run_bad_document_names_the_element(tmp_path, capsys, edit, element):
     assert element in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("flood", "duration"), ("inject", "spacing"), ("relay", "tunnel_delay"),
+    ("relay", "duration"), ("spoof", "duration"), ("fingerprint", "duration")])
+def test_run_negative_attack_duration_is_a_scenario_error(tmp_path, capsys,
+                                                          kind, key):
+    doc = yaml.safe_load(encode_scenario(
+        scenarios.attack_scenario(kind, Protocol.OFDP)))
+    doc["timeline"][0]["params"][key] = -5
+    path = tmp_path / "negative.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli("run", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"timeline[0].params.{key}: negative duration -5" in err
+    assert "Traceback" not in err
+
+
 def test_run_port_count_above_ofpp_max_is_a_scenario_error(tmp_path, capsys):
     doc = yaml.safe_load(encode_scenario(scenarios.square()))
     doc["switches"][0]["ports"] = OFPP_MAX + 1

@@ -13,7 +13,8 @@ and TE-override toggles, on random
 multigraphs with parallel links and links confirmed in one direction
 only.  After every step they must agree on the path tags, the
 ``safe_to_remove`` set, the group sends a retag returns, the GROUP_MOD
-messages and the ``retag`` and ``group_dispatch`` trace records.
+messages and the ``retag`` and ``group_dispatch`` trace records, and the
+map's tag indexes must equal a rebuild from its path tags.
 """
 
 import random
@@ -235,6 +236,26 @@ class ReferenceRetag:
         return sends
 
 
+def rebuilt_indexes(path_tags) -> tuple[dict, dict]:
+    """``pairs_on`` and ``partners`` as they follow from the path tags,
+    read off the path tuples alone: each switch edge, as a (low, high)
+    pair, maps to the pairs whose primary or backup crosses it, and each
+    switch maps, per hop count of its tag's backup (or of the primary
+    without one), to the switches it shares such a tag with."""
+    pairs_on: dict = {}
+    partners: dict = {}
+    for (x, y), tags in path_tags.items():
+        paths = [tags.primary, *tags.backups]
+        for path in paths:
+            for i in range(len(path) - 1):
+                edge = tuple(sorted(path[i:i + 2]))
+                pairs_on.setdefault(edge, set()).add((x, y))
+        hops = len(paths[1] if tags.backups else paths[0]) - 1
+        for a, b in ((x, y), (y, x)):
+            partners.setdefault(a, {}).setdefault(hops, set()).add(b)
+    return pairs_on, partners
+
+
 # -- histories -------------------------------------------------------------
 
 def _physical_links(n: int, pairs):
@@ -264,9 +285,14 @@ def replay(n: int, links, ops) -> None:
         a, b = links[i]
         return (b, a) if reverse else (a, b)
 
+    def check_indexes(where):
+        assert (ctrl.map.pairs_on, ctrl.map.partners) \
+            == rebuilt_indexes(ctrl.map.path_tags), where
+
     seen_records = 0
     seen_sent = 0
     for step, op in enumerate(ops):
+        where = f"step {step}: {op}"
         if op[0] == "learn":
             egress, ingress = directed(op[1], op[2])
             calls = []
@@ -287,6 +313,7 @@ def replay(n: int, links, ops) -> None:
             else:
                 ctrl.map.remove_link(*link)
                 ref.directed_links.discard(link)
+            check_indexes(where)
             continue
         elif op[0] == "retag":
             changed = [link_key(*links[i]) for i in op[1]]
@@ -294,8 +321,9 @@ def replay(n: int, links, ops) -> None:
             want = ref.retag_paths(changed)
         else:
             ctrl.te_override = ref.te_override = not ref.te_override
+            check_indexes(where)
             continue
-        where = f"step {step}: {op}"
+        check_indexes(where)
         assert got == want, where
         assert ctrl.map.directed_links == ref.directed_links, where
         assert ctrl.map.path_tags == ref.path_tags, where
