@@ -395,12 +395,11 @@ class PathsToward:
 class Controller:
     """Single controller instance for one scenario run."""
 
-    def __init__(self, spec: ScenarioSpec, services,
-                 product: bytes = DEFAULT_PRODUCT):
+    def __init__(self, spec: ScenarioSpec, services):
         self.spec = spec
         self.services = services
         self.protocol = spec.protocol
-        self.product = product
+        self.product = DEFAULT_PRODUCT
         self.map = TopologyMap()
         self.registry: dict[int, RegisteredSwitch] = {}
         self.mac_to_dpid: dict[str, int] = {}

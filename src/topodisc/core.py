@@ -438,18 +438,6 @@ class ScenarioSpec:
             out.extend(PortRef(decl.id.dpid, n) for n in range(1, decl.port_count + 1))
         return out
 
-    def linked_ports(self) -> set[PortRef]:
-        used = set()
-        for link in self.links:
-            used.add(link.a)
-            used.add(link.b)
-        return used
-
-    def host_ports(self) -> list[PortRef]:
-        """Declared ports not referenced by any link are host-facing."""
-        used = self.linked_ports()
-        return [p for p in self.all_ports() if p not in used]
-
     # -- initial presence (derived, see timeline rules in the README) -----
     def initially_present(self) -> set[int]:
         absent = set()

@@ -6,19 +6,21 @@ the wire between the layers: it hands control messages, frames and
 carrier changes to the switch that is present, runs the BFD handshake
 across each live link, and tells a new agent when its session is UP.
 Each switch then times out its own sessions.  The harness also owns the
-two measurement aids that are not part of any protocol: data probes
-routed through installed groups (falling back to the controller's path
-tags), and the watcher that stamps adaptation completion when a newly
-learned link's group updates have been applied and traffic has crossed
-the new path.
+two measurement aids that are not part of any protocol: data probes,
+sent through ``send_probe`` and routed through installed groups (falling
+back to the controller's path tags), and the adaptation watcher.  Once
+an added link is learned, the watcher waits until the group updates its
+learning sent have been applied, then sends a probe across the new path
+and stamps adaptation completion when it arrives.  A run sends no other
+probe; a caller that wants a loss window sends its own.
 
 Presence rules: a switch is present while its control channel is open
 (``fabric.connected``).  Switches whose first timeline reference is a
 join start absent with their links dead.  A join boots a fresh agent and
 brings back every dead link of the joiner whose declared state is alive
 and whose peer is present; links declared dormant (``alive: false``)
-wait for their own link-add event.  A leaving switch closes its channel,
-then takes its live links down with it.
+wait for their own link-add event.  A leaving switch closes its channel
+and ends its BFD sessions, then takes its live links down with it.
 
 Lifetime: a running simulation is full of reference cycles (pending
 events, the fabric's callbacks, the controller's hook).  ``close()``, or
@@ -49,7 +51,7 @@ from .core import (
 )
 from .simnet import Engine, Fabric
 from .switch_agent import DataFrame, SwitchAgent
-from .controller import Controller, DEFAULT_PRODUCT
+from .controller import Controller
 from . import adversary
 from . import metrics as metrics_mod
 
@@ -79,10 +81,7 @@ class Services:
 
 
 class Simulation:
-    def __init__(self, spec: ScenarioSpec, name: str = "scenario",
-                 product: bytes = DEFAULT_PRODUCT,
-                 probe_pairs: tuple = (), probe_cadence: Optional[SimTime] = None,
-                 probe_start: SimTime = 0):
+    def __init__(self, spec: ScenarioSpec, name: str = "scenario"):
         violations = validate_scenario(spec)
         if violations:
             raise ValueError("invalid scenario:\n" + "\n".join(
@@ -96,16 +95,16 @@ class Simulation:
             d.id.dpid: SwitchAgent(d, spec.protocol, spec.bfd, self.services)
             for d in spec.switches
         }
-        self.controller = Controller(spec, self.services, product=product)
+        self.controller = Controller(spec, self.services)
         self.pending_joins: set[int] = set()
         self.attack_results: list = []
-        self.probe_pairs = tuple(probe_pairs)
-        self.probe_cadence = probe_cadence
-        self.probe_start = probe_start
         self._host_listeners: dict[PortRef, list] = {}
         self._probe_seq = 0
-        self._probe_meta: dict[int, dict] = {}
-        self._adapt_watch: dict[tuple[str, str], set] = {}
+        # adaptation probe id -> the link whose adaptation it completes
+        self._adapt_probes: dict[int, tuple[PortRef, PortRef]] = {}
+        # added link -> the group sends still to be applied, or None
+        # while the link is not learned yet
+        self._adapt_watch: dict[tuple[PortRef, PortRef], Optional[set]] = {}
 
         self.fabric.deliver_to_switch = self._deliver_to_switch
         self.fabric.deliver_to_controller = self.controller.handle
@@ -134,10 +133,6 @@ class Simulation:
             self.engine.schedule_at(ev.at, "timeline",
                                     lambda e=ev: self._dispatch_timeline(e))
 
-        if self.probe_pairs and self.probe_cadence:
-            self.engine.schedule_at(self.probe_start, "probe_tick",
-                                    self._probe_tick)
-
     # -- delivery hooks ----------------------------------------------------
     def _deliver_to_switch(self, msg) -> None:
         self.agents[msg.dst].handle_control(msg)
@@ -154,11 +149,11 @@ class Simulation:
         if isinstance(frame, DataFrame):
             if frame.dst_dpid == port.dpid:
                 self.engine.record("probe_delivered", probe_id=frame.probe_id)
-                meta = self._probe_meta.get(frame.probe_id, {})
-                pair = meta.get("adaptation_pair")
+                pair = self._adapt_probes.pop(frame.probe_id, None)
                 if pair is not None:
                     self.engine.record("adaptation_complete",
-                                       pair=[pair[0], pair[1]], mode="probe")
+                                       pair=[str(pair[0]), str(pair[1])],
+                                       mode="probe")
                 return
             self._route_probe_from(port.dpid, frame)
             return
@@ -179,7 +174,7 @@ class Simulation:
         agent = self.agents[port.dpid]
         st = self.fabric.port_link[port]
         if alive:
-            agent.on_port_event(port, True, peer=st.peer(port))
+            agent.on_port_up(port, peer=st.peer(port))
             if self.spec.protocol is Protocol.SOFTDP and port == st.spec.a:
                 self._start_bfd_handshake(st.spec)
         else:
@@ -211,8 +206,7 @@ class Simulation:
         if isinstance(ev, LinkAdd):
             self.engine.record("timeline", event=ev.name,
                                a=str(ev.a), b=str(ev.b))
-            ka, kb = link_key(ev.a, ev.b)
-            self._adapt_watch.setdefault((str(ka), str(kb)), set())
+            self._adapt_watch[link_key(ev.a, ev.b)] = None
             self.fabric.set_link_alive(ev.a, ev.b, True)
         elif isinstance(ev, LinkRemove):
             self.engine.record("timeline", event=ev.name,
@@ -231,9 +225,7 @@ class Simulation:
             raise TypeError(f"unknown timeline event {ev!r}")
 
     def _do_join(self, dpid: int) -> None:
-        # a joining switch is a fresh boot: new agent, default rules only;
-        # the old agent's sessions, and their pending detections, end here
-        self.agents[dpid].drop_bfd_sessions()
+        # a joining switch is a fresh boot: new agent, default rules only
         self.agents[dpid] = SwitchAgent(self.spec.switch(dpid),
                                         self.spec.protocol, self.spec.bfd,
                                         self.services)
@@ -251,8 +243,10 @@ class Simulation:
                 self.fabric.set_link_alive(link.a, link.b, True)
 
     def _do_leave(self, dpid: int) -> None:
-        # closed first, so the leaver hears nothing of its own links going
+        # closed first, so the leaver hears nothing of its own links going;
+        # its sessions, and their pending detections, end with it
         self.fabric.close_channel(dpid)
+        self.agents[dpid].drop_bfd_sessions()
         self.pending_joins.discard(dpid)
         for key in sorted(self.fabric.links):
             st = self.fabric.links[key]
@@ -271,43 +265,42 @@ class Simulation:
 
     # -- adaptation watcher ------------------------------------------------
     def _on_link_learned(self, pair: tuple[PortRef, PortRef], sends: list) -> None:
-        key = (str(pair[0]), str(pair[1]))
-        if key not in self._adapt_watch:
+        if pair not in self._adapt_watch:
             return
         if not sends:
-            del self._adapt_watch[key]
+            del self._adapt_watch[pair]
             self.engine.record("adaptation_complete",
-                               pair=[key[0], key[1]], mode="no_groups")
+                               pair=[str(pair[0]), str(pair[1])],
+                               mode="no_groups")
             return
-        self._adapt_watch[key] = set(sends)
+        self._adapt_watch[pair] = set(sends)
 
     def _note_group_applied(self, dpid: int, group_id: int) -> None:
-        for key in sorted(self._adapt_watch):
-            waiting = self._adapt_watch[key]
+        for pair in sorted(self._adapt_watch):
+            waiting = self._adapt_watch[pair]
+            if waiting is None:
+                continue
             waiting.discard((dpid, group_id))
             if not waiting:
-                del self._adapt_watch[key]
-                a, b = PortRef.parse(key[0]), PortRef.parse(key[1])
-                src, dst = min(a.dpid, b.dpid), max(a.dpid, b.dpid)
+                del self._adapt_watch[pair]
+                a, b = pair[0].dpid, pair[1].dpid
                 self.engine.schedule(
                     0, "adaptation_probe",
-                    lambda s=src, d=dst, k=key:
-                    self.send_probe(s, d, adaptation_pair=k))
+                    lambda s=min(a, b), d=max(a, b), p=pair:
+                    self.send_probe(s, d, adaptation_pair=p))
 
     # -- probes ------------------------------------------------------------
     def send_probe(self, src: int, dst: int,
-                   adaptation_pair: Optional[tuple] = None) -> int:
+                   adaptation_pair: Optional[tuple[PortRef, PortRef]] = None
+                   ) -> int:
+        """Send a data probe from ``src`` toward ``dst``; returns its id."""
         pid = self._probe_seq
         self._probe_seq += 1
         self.engine.record("probe_sent", probe_id=pid, src=src, dst=dst)
-        self._probe_meta[pid] = {"adaptation_pair": adaptation_pair}
+        if adaptation_pair is not None:
+            self._adapt_probes[pid] = adaptation_pair
         self._route_probe_from(src, DataFrame(src, dst, pid))
         return pid
-
-    def _probe_tick(self) -> None:
-        for (src, dst) in self.probe_pairs:
-            self.send_probe(src, dst)
-        self.engine.schedule(self.probe_cadence, "probe_tick", self._probe_tick)
 
     def _route_probe_from(self, at_dpid: int, frame: DataFrame) -> None:
         def lost(reason: str) -> None:
@@ -414,8 +407,3 @@ class Simulation:
             "fabric_counters": dict(sorted(self.fabric.counters.items())),
             "controller_counters": dict(sorted(self.controller.counters.items())),
         }
-
-
-def run_scenario(spec: ScenarioSpec, name: str = "scenario",
-                 until: Optional[SimTime] = None, **kwargs) -> Simulation:
-    return Simulation(spec, name=name, **kwargs).run(until)

@@ -34,9 +34,6 @@ class TimingPrediction:
     value: Optional[SimTime]
     inputs: tuple  # sorted (name, value) pairs
 
-    def inputs_dict(self) -> dict:
-        return dict(self.inputs)
-
 
 def _inputs(**kv) -> tuple:
     return tuple(sorted(kv.items()))
@@ -174,11 +171,6 @@ class RunMetrics:
 
     def messages_total(self) -> int:
         return sum(self.msg_counts.values())
-
-    def delivered_per_sim_second(self, horizon: Optional[SimTime] = None) -> float:
-        if horizon is None:
-            horizon = max((max(self.per_second) + 1) * SEC, SEC) if self.per_second else SEC
-        return self.messages_total() * SEC / horizon
 
     def as_dict(self) -> dict:
         return {

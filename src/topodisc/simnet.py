@@ -198,10 +198,6 @@ class Trace:
                 part = parts[key] = (row[:at], row[at + 1:] + "\n")
             yield part[0] + str(ts) + part[1]
 
-    def find(self, kind: str, **match) -> list[TraceRecord]:
-        return [r for r in self.records if r.kind == kind
-                and all(r.detail.get(k) == v for k, v in match.items())]
-
 
 class Engine:
     """Event queue + clock + trace.  schedule() refuses events in the past;
@@ -282,16 +278,6 @@ class Engine:
             raise ValueError(f"cannot run backwards to {t} from {self.now}")
         if t > MAX_TIME:
             raise ValueError(f"cannot run to {t}, above MAX_TIME={MAX_TIME}")
-        self._fire_through(t)
-        self.now = t
-
-    def run_all(self) -> None:
-        """Fire every event up to MAX_TIME; the clock stays at the last."""
-        if self.closed:
-            raise RuntimeError("the engine is closed")
-        self._fire_through(MAX_TIME)
-
-    def _fire_through(self, t: SimTime) -> None:
         heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= t:
             at, _, ev = pop(heap)
@@ -300,6 +286,7 @@ class Engine:
             self.now = at
             self.fired += 1
             ev.action()
+        self.now = t
 
 
 # ---------------------------------------------------------------------------

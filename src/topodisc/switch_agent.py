@@ -116,7 +116,6 @@ class FailoverGroup:
 @dataclass
 class PortState:
     ref: PortRef
-    admin_up: bool = True
     link_up: bool = False
     epoch: int = 0
 
@@ -183,9 +182,7 @@ class SwitchAgent:
         so it naturally reports every port down; the initial roster answers
         with its ports already live."""
         ports_up = tuple(sorted(
-            p.ref.port_no for p in self.ports.values()
-            if p.link_up and p.admin_up
-        ))
+            p.ref.port_no for p in self.ports.values() if p.link_up))
         self._send(MsgKind.FEATURE_REPLY,
                    FeatureReplyBody(self.id.dpid, self.id.local_mac,
                                     self.decl.port_count, ports_up))
@@ -210,21 +207,13 @@ class SwitchAgent:
         state.epoch += 1
         self._port_up_actions(state, port, peer)
 
-    def on_port_event(self, port: PortRef, up: bool, peer: Optional[PortRef] = None) -> None:
-        """Port change worth telling the controller about: carrier coming
-        up, or an administrative shutdown.  Updates flags and emits exactly
-        one PORT_STATUS; under the event-driven protocol a port-up also
-        arms the transient LLDP-forward rule for the 500 ms window."""
-        state = self.port(port)
-        if up:
-            state.admin_up = True
-            state.link_up = True
-            state.epoch += 1
-            self._port_up_actions(state, port, peer)
-        else:
-            state.admin_up = False
-            state.link_up = False
-        self._send(MsgKind.PORT_STATUS, PortStatusBody(port, up, state.epoch))
+    def on_port_up(self, port: PortRef, peer: Optional[PortRef] = None) -> None:
+        """Carrier coming up on a live switch: the boot actions (under the
+        event-driven protocol, the 500 ms LLDP-forward window rule and a
+        BFD session), then exactly one PORT_STATUS."""
+        self.boot_port_up(port, peer)
+        self._send(MsgKind.PORT_STATUS,
+                   PortStatusBody(port, True, self.ports[port].epoch))
 
     def on_carrier_down(self, port: PortRef) -> None:
         """Physical link death.  The group table reacts to link_up
@@ -273,8 +262,8 @@ class SwitchAgent:
         self.services.record("bfd_up", port=str(port), peer=str(session.remote))
 
     def drop_bfd_sessions(self) -> None:
-        """The switch rebooted into a new agent: this one's sessions end
-        without a word, and their pending detections with them."""
+        """The switch left: its sessions end without a word, and their
+        pending detections with them.  A rejoin boots a new agent."""
         self.bfd_sessions.clear()
 
     def bfd_detect_down(self, port: PortRef) -> None:
@@ -320,7 +309,7 @@ class SwitchAgent:
             return ("drop", "no_such_group")
         for bucket in group.buckets:
             watch = self.ports.get(bucket.watch)
-            if watch is not None and watch.link_up and watch.admin_up:
+            if watch is not None and watch.link_up:
                 self.services.send_frame(bucket.out, frame)
                 return ("output", bucket.out)
         return ("drop", "no_live_bucket")
@@ -357,9 +346,6 @@ class SwitchAgent:
             self.services.send_frame(body.egress, body.frame)
             return
         for ref in sorted(self.ports):
-            state = self.ports[ref]
-            if not state.admin_up:
-                continue
             frame = body.frame._replace(port_id=str(ref).encode())
             self.services.send_frame(ref, frame)
 

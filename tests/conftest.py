@@ -1,7 +1,31 @@
 """Shared test plumbing: a stub services object that lets controller and
-switch-agent units run without the full simulation harness."""
+switch-agent units run without the full simulation harness, and helpers
+that build, drive and read whole runs."""
 
 from topodisc.core import MS, ControlMessage
+from topodisc.harness import Simulation
+
+
+def run_scenario(spec, name="scenario", until=None) -> Simulation:
+    """Build a simulation and run it to ``until``, by default past the
+    end of its timeline."""
+    return Simulation(spec, name=name).run(until)
+
+
+def periodic_probes(sim, pairs, cadence, start) -> None:
+    """From ``start`` on, send a probe for each ``(src, dst)`` of
+    ``pairs`` every ``cadence``.  Call it right after building ``sim``,
+    before it runs: the first tick is then scheduled after the boot and
+    timeline events, so at an instant they share it fires after them."""
+    def tick():
+        for src, dst in pairs:
+            sim.send_probe(src, dst)
+        sim.engine.schedule(cadence, "probe_tick", tick)
+    sim.engine.schedule_at(start, "probe_tick", tick)
+
+
+def records_of(sim, kind):
+    return [r for r in sim.engine.trace.records if r.kind == kind]
 
 
 class FakeTimer:

@@ -11,8 +11,10 @@ import networkx as nx
 
 from topodisc.core import MS, Protocol, SEC, from_ms
 from topodisc.cli import trace_ndjson
-from topodisc.harness import run_scenario
+from topodisc.harness import Simulation
 from topodisc import metrics, scenarios
+
+from conftest import periodic_probes, run_scenario
 
 BFD_TICK = scenarios.DEFAULT_BFD.interval
 
@@ -103,9 +105,9 @@ def test_criterion_4_adaptation_delta_and_failover_loss():
 
     # failover: reroute happens in the dataplane, so probe traffic sees a
     # gap no longer than the configured detection bound
-    sim = run_scenario(scenarios.failover_scenario(),
-                       probe_pairs=((1, 3),), probe_cadence=from_ms(0.1),
-                       probe_start=from_ms(500), until=2 * SEC)
+    sim = Simulation(scenarios.failover_scenario())
+    periodic_probes(sim, ((1, 3),), from_ms(0.1), from_ms(500))
+    sim.run(until=2 * SEC)
     m = sim.run_metrics()
     loss = _entry(sim, "link_remove").loss_window
     bound = scenarios.DEFAULT_BFD.interval * scenarios.DEFAULT_BFD.multiplier

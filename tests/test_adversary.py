@@ -24,8 +24,10 @@ from topodisc.core import (
     attack_span,
     from_ms,
 )
-from topodisc.harness import run_scenario
 from topodisc import adversary, scenarios
+from topodisc.harness import Simulation
+
+from conftest import run_scenario
 
 
 def run_attack(kind, protocol, in_window=False):
@@ -189,7 +191,9 @@ def test_fingerprint_discriminates_decoy_sharing_content():
 
 def test_fingerprint_fails_on_unknown_product():
     base = scenarios.attack_scenario("fingerprint", Protocol.OFDP)
-    sim = run_scenario(base, product=b"homegrown-ctl/0.1")
+    sim = Simulation(base)
+    sim.controller.product = b"homegrown-ctl/0.1"
+    sim.run()
     v = sim.attack_results[0]
     assert not v.succeeded
     assert v.evidence["identified"] is None

@@ -312,13 +312,6 @@ def test_declared_dead_link_stays_dead_until_added():
     assert spec.initially_alive() == set()
 
 
-def test_host_ports_are_unlinked_declared_ports():
-    spec = scenarios.testbed_chain(Protocol.OFDP)
-    hosts = set(spec.host_ports())
-    assert PortRef(1, 2) in hosts and PortRef(3, 2) in hosts
-    assert all(p not in spec.linked_ports() for p in hosts)
-
-
 # -- file round-trip --------------------------------------------------------
 
 def test_round_trip_all_builders():

@@ -28,8 +28,10 @@ from topodisc.core import (
     WINDOW_RULE_PRIORITY,
     from_ms,
 )
-from topodisc.harness import Simulation, run_scenario
+from topodisc.harness import Simulation
 from topodisc import cli, scenarios
+
+from conftest import periodic_probes, records_of, run_scenario
 
 
 def two_switch_spec(delay_ab, delay_ba, timeline=()):
@@ -42,10 +44,6 @@ def two_switch_spec(delay_ab, delay_ba, timeline=()):
         bfd=BfdParams(interval=from_ms(1), multiplier=1),
         protocol=Protocol.SOFTDP, discovery_period=1 * SEC,
         timeline=tuple(timeline))
-
-
-def records_of(sim, kind):
-    return [r for r in sim.engine.trace.records if r.kind == kind]
 
 
 def test_handshake_initiator_and_responder_timing():
@@ -168,14 +166,15 @@ def test_link_lost_before_its_bfd_session_is_up_leaves_the_map():
 @pytest.mark.parametrize("join_after, s1p1_detected, digest", [
     (300 * US, False,
      "41f9a9b356a40829eeb2328a382049547c3c8dc19c3918ce54002cf6803f6e03"),
-    (2500 * US, True,
-     "95bf192cbf6d96315167d9995f40bcb83fc284b12f9eb72ede0963ac81af8892"),
+    (2500 * US, False,
+     "9499a5e440196d3ae55fb599766c5da48718a9439e625133af02516563c988d9"),
 ])
 def test_rejoin_ends_the_old_agents_bfd_detections(join_after, s1p1_detected,
                                                    digest):
     # s1.p1 loses carrier at 1 s with its session UP, so its detection is
-    # due at 1.001 s.  s1 leaves 100 us later; a rejoin before 1.001 s
-    # boots a fresh agent, and the old agent's detection never fires.
+    # due at 1.001 s.  s1 leaves 100 us later and its sessions end there,
+    # so the detection never fires, whether the rejoin comes before the
+    # due instant or after it.
     spec = scenarios.square(timeline=(
         LinkRemove(SEC, PortRef(1, 1), PortRef(2, 1)),
         SwitchLeave(SEC + 100 * US, 1),
@@ -186,6 +185,21 @@ def test_rejoin_ends_the_old_agents_bfd_detections(join_after, s1p1_detected,
     assert {"s2.p1", "s4.p2"} <= detected
     assert ("s1.p1" in detected) is s1p1_detected
     assert sim.engine.trace.digest() == digest
+
+
+def test_leaver_reports_no_bfd_detection():
+    # s1 leaves 100 us after s1.p1 lost carrier, before the detection due
+    # at 1.001 s; the neighbours still detect their ends
+    spec = scenarios.square(timeline=(
+        LinkRemove(SEC, PortRef(1, 1), PortRef(2, 1)),
+        SwitchLeave(SEC + 100 * US, 1)))
+    sim = run_scenario(spec)
+    detected = {dict(r.detail)["port"]
+                for r in records_of(sim, "bfd_down_detected")}
+    assert "s1.p1" not in detected
+    assert {"s2.p1", "s4.p2"} <= detected
+    assert not [r for r in records_of(sim, "ctrl_dropped")
+                if dict(r.detail)["msg"] == "BFD_STATUS"]
 
 
 def test_window_flow_mod_replaces_the_switch_armed_rule():
@@ -227,6 +241,25 @@ def test_adaptation_stamps_after_groups_apply_and_probe_crosses():
     assert entry.adaptation >= entry.learning
 
 
+@pytest.mark.parametrize("add_after", [0, 2 * MS])
+def test_adaptation_probe_waits_for_the_link_to_be_learned(add_after):
+    # the removal's group updates are applied while the added diagonal is
+    # still unlearned; none of them may start its adaptation probe
+    base = scenarios.adaptation_scenario()
+    spec = ScenarioSpec(**{**base.__dict__, "timeline": (
+        LinkRemove(SEC, PortRef(1, 1), PortRef(2, 1)),
+        LinkAdd(SEC + add_after, PortRef(1, 3), PortRef(3, 3)))})
+    sim = run_scenario(spec)
+    learned, = [r.ts for r in records_of(sim, "map_link_bidirectional")
+                if (dict(r.detail)["a"], dict(r.detail)["b"]) == ("s1.p3", "s3.p3")]
+    sent, = records_of(sim, "probe_sent")
+    assert sent.ts > learned
+    entry = next(e for e in sim.run_metrics().events if e.kind == "link_add")
+    assert entry.learning == learned - SEC - add_after
+    # learning, then 1 ms to deliver the last group, 1 ms probe flight
+    assert entry.adaptation == entry.learning + 2 * MS
+
+
 def test_link_add_with_no_group_fanout_still_completes():
     # two isolated switches joined by their only link: no backup, no
     # groups, adaptation degenerates to the learning instant
@@ -244,9 +277,9 @@ def test_link_add_with_no_group_fanout_still_completes():
 
 
 def test_failover_drops_no_probe_traffic():
-    sim = run_scenario(scenarios.failover_scenario(),
-                       probe_pairs=((1, 3),), probe_cadence=from_ms(10),
-                       probe_start=from_ms(500), until=2 * SEC + from_ms(5))
+    sim = Simulation(scenarios.failover_scenario())
+    periodic_probes(sim, ((1, 3),), from_ms(10), from_ms(500))
+    sim.run(until=2 * SEC + from_ms(5))
     m = sim.run_metrics()
     assert m.probes_sent > 50
     assert m.probes_delivered == m.probes_sent
@@ -254,7 +287,7 @@ def test_failover_drops_no_probe_traffic():
 
 
 def test_probe_without_any_path_is_lost():
-    sim = Simulation(scenarios.square(), probe_pairs=(), probe_cadence=None)
+    sim = Simulation(scenarios.square())
     sim.run(until=1 * SEC)
     sim.send_probe(1, 99)
     lost = records_of(sim, "probe_lost")

@@ -16,9 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from topodisc import cli, metrics, scenarios
 from topodisc.core import ATTACK_KINDS, PortRef, Protocol, SEC, link_key
-from topodisc.harness import Simulation, run_scenario
+from topodisc.harness import Simulation
 from topodisc.metrics import EventEntry, RunMetrics
 from topodisc.simnet import Trace
+
+from conftest import run_scenario
 
 PROTOCOLS = (Protocol.OFDP, Protocol.OFDPV2, Protocol.SOFTDP)
 

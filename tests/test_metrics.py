@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topodisc.core import MS, Protocol, SEC, from_ms
-from topodisc.harness import run_scenario
 from topodisc.simnet import Trace
 from topodisc import metrics, scenarios
+
+from conftest import run_scenario
 
 NS_PER_MS = 1_000_000
 
@@ -67,7 +68,7 @@ def test_add_learning_asymmetric_hand_case():
 
 def test_add_learning_keeps_its_inputs():
     p = metrics.predict_link_add_learn(1, 2, 3, 4, 5, 6, 7, 8)
-    assert p.inputs_dict() == {
+    assert dict(p.inputs) == {
         "pstatus_a": 1, "pstatus_b": 2, "ctrl_to_a": 3, "a_to_b": 4,
         "b_to_ctrl": 5, "ctrl_to_b": 6, "b_to_a": 7, "a_to_ctrl": 8}
 
@@ -206,12 +207,6 @@ def test_add_learning_independent_of_topology_size():
                      if e.kind == "link_add")
         values.add(entry.learning)
     assert len(values) == 1 and None not in values
-
-
-def test_delivered_rate_uses_horizon():
-    m = walkthrough_metrics()
-    assert m.delivered_per_sim_second(5 * SEC) == \
-        m.messages_total() * SEC / (5 * SEC)
 
 
 # -- streaming ---------------------------------------------------------------

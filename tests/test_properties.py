@@ -3,18 +3,21 @@
 A scenario file is a walkthrough topology plus random link and switch
 churn.  Decoded, it is either refused with violations located in its
 timeline, or every engine's map matches the fabric's ground truth once
-the churn has settled, and the two baselines agree on the map.
+the churn has settled, and the two baselines agree on the map.  Under
+sOFTDP the trace also shows no adaptation ahead of its link's learning
+and no BFD detection on a switch that has left.
 """
 import dataclasses
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from topodisc import scenarios
+from topodisc import metrics, scenarios
 from topodisc.core import (
     MS,
     SEC,
     LinkAdd,
     LinkRemove,
+    PortRef,
     Protocol,
     SwitchJoin,
     SwitchLeave,
@@ -22,7 +25,8 @@ from topodisc.core import (
     encode_scenario,
     validate_scenario,
 )
-from topodisc.harness import run_scenario
+
+from conftest import run_scenario
 
 BASES = {
     "square": scenarios.square,
@@ -65,10 +69,44 @@ def check_document(text: str) -> None:
         sim = run_scenario(dataclasses.replace(spec, protocol=protocol), until=until)
         assert sim.map_matches_ground_truth(), (protocol, text)
         maps[protocol] = (sim.controller.map.switches, sim.controller.map.directed_links)
+        if protocol is Protocol.SOFTDP:
+            check_softdp_trace(sim.engine.trace, text)
     assert maps[Protocol.OFDP] == maps[Protocol.OFDPV2]
+
+
+def check_softdp_trace(trace, text: str) -> None:
+    """Read off the trace and ``measure`` only: an added link's adaptation
+    is never ahead of its learning, and a switch reports no BFD detection
+    between its leave and its next join."""
+    for e in metrics.measure(trace).events:
+        if e.kind == LinkAdd.name and e.adaptation is not None:
+            assert e.learning is not None and e.adaptation >= e.learning, (e, text)
+    # per switch, the ts of its leave and join records, in trace order
+    moves = {}
+    for r in trace.records:
+        if r.kind == "timeline" and r.detail["event"] in (SwitchLeave.name,
+                                                           SwitchJoin.name):
+            moves.setdefault(r.detail["dpid"], []).append((r.ts, r.detail["event"]))
+    for r in trace.records:
+        if r.kind == "bfd_down_detected":
+            dpid = PortRef.parse(r.detail["port"]).dpid
+            last = [event for ts, event in moves.get(dpid, ()) if ts <= r.ts]
+            assert not last or last[-1] != SwitchLeave.name, (r, text)
+
+
+def _with_timeline(base, *events) -> str:
+    return encode_scenario(dataclasses.replace(base, timeline=events))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(documents())
+# groups of the removal's retag land before the added link is learned
+@example(_with_timeline(scenarios.adaptation_scenario(),
+                        LinkRemove(SEC, PortRef(1, 1), PortRef(2, 1)),
+                        LinkAdd(SEC + 2 * MS, PortRef(1, 3), PortRef(3, 3))))
+# s1 leaves with the detection of its dead s1.p1 still pending
+@example(_with_timeline(scenarios.square(),
+                        LinkRemove(SEC, PortRef(1, 1), PortRef(2, 1)),
+                        SwitchLeave(SEC + MS // 10, 1)))
 def test_document_is_refused_where_it_is_wrong_or_every_engine_converges(text):
     check_document(text)

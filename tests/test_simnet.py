@@ -19,6 +19,7 @@ from topodisc.core import (
     MsgKind,
     PortRef,
     Protocol,
+    SEC,
     ScenarioSpec,
 )
 from topodisc.harness import Simulation
@@ -34,7 +35,7 @@ def test_fifo_at_same_timestamp():
     for tag in "abc":
         eng.schedule_at(5, "t", lambda t=tag: out.append(t))
     eng.schedule_at(1, "t", lambda: out.append("first"))
-    eng.run_all()
+    eng.run_until(MAX_TIME)
     assert out == ["first", "a", "b", "c"]
 
 
@@ -45,7 +46,7 @@ def test_fires_in_time_then_insertion_order(times):
     out = []
     for i, t in enumerate(times):
         eng.schedule_at(t, "t", lambda i=i, t=t: out.append((t, i)))
-    eng.run_all()
+    eng.run_until(MAX_TIME)
     assert out == sorted(out)
 
 
@@ -70,7 +71,7 @@ def test_events_scheduled_while_running_fire_in_order():
             eng.schedule(10, "t", chain)
 
     eng.schedule_at(0, "t", chain)
-    eng.run_all()
+    eng.run_until(MAX_TIME)
     assert out == [0, 10, 20, 30]
 
 
@@ -79,7 +80,7 @@ def test_cancelled_event_does_not_fire():
     out = []
     ev = eng.schedule_at(5, "t", lambda: out.append("no"))
     ev.cancel()
-    eng.run_all()
+    eng.run_until(MAX_TIME)
     assert out == []
 
 
@@ -133,7 +134,7 @@ def _fired(program, series: bool) -> list:
     timed("after", program["after"])
     eng.run_until(eng.now + program["cut"])  # often in the middle of a series
     timed("late", program["late"])
-    eng.run_all()
+    eng.run_until(MAX_TIME)
     return fired
 
 
@@ -192,19 +193,11 @@ def test_trace_digest_stable_and_sensitive():
     def build(flip):
         eng = Engine()
         eng.schedule_at(3, "x", lambda: eng.record("mark", value=2 if flip else 1))
-        eng.run_all()
+        eng.run_until(MAX_TIME)
         return eng.trace.digest()
 
     assert build(False) == build(False)
     assert build(False) != build(True)
-
-
-def test_trace_find_matches_detail():
-    eng = Engine()
-    eng.record("mark", value=1)
-    eng.record("mark", value=2)
-    assert len(eng.trace.find("mark")) == 2
-    assert [dict(r.detail)["value"] for r in eng.trace.find("mark", value=2)] == [2]
 
 
 # The per-record export of a trace before equal payloads shared one
@@ -391,18 +384,18 @@ def test_fabric_reads_the_initially_alive_links_once(monkeypatch):
 def test_control_delivery_delay_and_drop_on_closed_channel():
     spec, eng, fab = _fabric()
     got = []
-    fab.deliver_to_controller = got.append
+    fab.deliver_to_controller = lambda msg: got.append(eng.now)
     fab.deliver_to_switch = lambda dpid, msg: got.append((dpid, msg))
     fab.open_channel(1)
     fab.send_control(ControlMessage(MsgKind.HELLO, src=1, dst=CONTROLLER,
                                     body=None))
     assert got == []
-    eng.run_all()
-    assert len(got) == 1 and eng.now == spec.channel(1).delay_to_controller
+    eng.run_until(eng.now + SEC)
+    assert got == [spec.channel(1).delay_to_controller]
 
     fab.send_control(ControlMessage(MsgKind.HELLO, src=2, dst=CONTROLLER,
                                     body=None))  # channel 2 never opened
-    eng.run_all()
+    eng.run_until(eng.now + SEC)
     assert len(got) == 1
     assert fab.counters["ctrl_dropped"] == 1
 
@@ -416,7 +409,7 @@ def test_channel_close_drops_in_flight():
     fab.send_control(ControlMessage(MsgKind.HELLO, src=CONTROLLER, dst=1,
                                     body=None))
     fab.close_channel(1)
-    eng.run_all()
+    eng.run_until(eng.now + SEC)
     assert got == []
 
 
@@ -427,12 +420,12 @@ def test_frame_flight_time_and_down_link_drop():
     link = spec.links[0]
     frame = LldpFrame(b"c", b"p", b"d")
     fab.send_frame(link.a, frame)
-    eng.run_all()
+    eng.run_until(eng.now + SEC)
     assert seen == [(link.b, link.delay_ab)]
 
     fab.set_link_alive(link.a, link.b, False)
     fab.send_frame(link.a, frame)
-    eng.run_all()
+    eng.run_until(eng.now + SEC)
     assert len(seen) == 1
     assert fab.counters["frames_dropped"] >= 1
 
@@ -446,7 +439,7 @@ def test_link_death_drops_in_flight_frame():
     # kill the link while the frame is mid-flight
     eng.schedule_at(link.delay_ab // 2, "cut",
                     lambda: fab.set_link_alive(link.a, link.b, False))
-    eng.run_all()
+    eng.run_until(eng.now + SEC)
     assert seen == []
 
 
@@ -459,7 +452,7 @@ def test_flap_generation_isolates_old_traffic():
     half = link.delay_ab // 2
     eng.schedule_at(half, "cut", lambda: fab.set_link_alive(link.a, link.b, False))
     eng.schedule_at(half + 1, "heal", lambda: fab.set_link_alive(link.a, link.b, True))
-    eng.run_all()
+    eng.run_until(eng.now + SEC)
     # the pre-flap frame died with its generation even though the link is
     # alive again by its scheduled arrival
     assert seen == []
@@ -471,9 +464,10 @@ def test_host_port_frame_is_observable():
     fab = Fabric(eng, spec)
     host_port = PortRef(1, 2)
     fab.send_frame(host_port, LldpFrame(b"c", b"p", b"d"))
-    eng.run_all()
+    eng.run_until(eng.now + SEC)
     assert fab.counters["frames_to_hosts"] == 1
-    assert eng.trace.find("frame_at_host", port=str(host_port))
+    assert [r for r in eng.trace.records if r.kind == "frame_at_host"
+            and r.detail["port"] == str(host_port)]
 
 
 def test_inject_frame_arrives_immediately():

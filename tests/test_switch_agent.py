@@ -219,13 +219,10 @@ def test_group_replacement_last_writer_wins():
 
 def test_port_event_emits_exactly_one_port_status_with_epoch():
     agent, services = _agent()
-    agent.on_port_event(PortRef(1, 1), True, peer=PortRef(2, 1))
+    agent.on_port_up(PortRef(1, 1), peer=PortRef(2, 1))
     assert services.sent_kinds() == ["PORT_STATUS"]
     body = services.sent[0].body
     assert body.up is True and body.epoch == 1
-    agent.on_port_event(PortRef(1, 1), False)
-    assert services.sent_kinds() == ["PORT_STATUS", "PORT_STATUS"]
-    assert services.sent[1].body.up is False
 
 
 def test_boot_port_up_is_silent():
@@ -299,7 +296,7 @@ def test_port_up_before_the_timeout_voids_it():
     agent, services = _agent()
     (due, *_), = _up_session_lost(services, agent, 0, from_ms(3))
     services.clock = due - 1
-    agent.on_port_event(PortRef(1, 1), True, peer=PortRef(2, 1))
+    agent.on_port_up(PortRef(1, 1), peer=PortRef(2, 1))
     # the new session is UP too before the old one's timer comes due
     agent.bfd_session_established(PortRef(1, 1), up_at=due - 1)
     services.clock = due
@@ -346,10 +343,9 @@ def test_packet_out_single_egress():
 
 def test_packet_out_replicates_and_rewrites_port_id():
     agent, services = _agent(Protocol.OFDPV2, ports=3)
-    agent.ports[PortRef(1, 2)].admin_up = False
     agent.handle_packet_out(PacketOutBody(None, LLDP))
     sent_ports = [p for (p, _) in services.frames]
-    assert sent_ports == [PortRef(1, 1), PortRef(1, 3)]
+    assert sent_ports == [PortRef(1, 1), PortRef(1, 2), PortRef(1, 3)]
     for port, frame in services.frames:
         assert frame.port_id == str(port).encode()
         assert frame.chassis_id == LLDP.chassis_id
