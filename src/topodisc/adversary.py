@@ -69,7 +69,7 @@ def _packet_in_counts(sim, lo: SimTime, mid: SimTime,
                       hi: SimTime) -> tuple[int, int]:
     """PACKET_INs delivered in [lo, mid) and in [mid, hi), in one pass."""
     before = during = 0
-    for ts, kind, detail in sim.engine.trace.records:
+    for ts, kind, detail in zip(*sim.engine.trace.columns):
         if kind == "ctrl_delivered" and lo <= ts < hi \
                 and detail["msg"] == "PACKET_IN":
             if ts < mid:
@@ -89,12 +89,10 @@ def _map_links_touching(sim, ports: set[PortRef]) -> list[str]:
 
 def _ever_added_touching(sim, ports: set[PortRef]) -> int:
     strs = {str(p) for p in ports}
-    n = 0
-    for r in sim.engine.trace.records:
-        if r.kind == "map_add_link" and (
-                r.detail["egress"] in strs or r.detail["ingress"] in strs):
-            n += 1
-    return n
+    _, kinds, details = sim.engine.trace.columns
+    return sum(1 for kind, detail in zip(kinds, details)
+               if kind == "map_add_link"
+               and (detail["egress"] in strs or detail["ingress"] in strs))
 
 
 # -- spoof -------------------------------------------------------------------
@@ -205,9 +203,10 @@ def _launch_flood(sim, params: dict) -> None:
     spacing = duration // n_frames
 
     def send(k: int) -> None:
-        sim.fabric.inject_frame(port, LldpFrame(chassis_id=b"flood",
-                                                port_id=f"flood{k}".encode(),
-                                                system_description=b"flood"))
+        # (chassis_id, port_id, system_description, nonce), built in C
+        # without the NamedTuple's Python-level __new__
+        sim.fabric.inject_frame(port, tuple.__new__(
+            LldpFrame, (b"flood", b"flood%d" % k, b"flood", b"")))
 
     sim.engine.schedule_series(0, spacing, n_frames, "attack_flood", send)
 

@@ -425,6 +425,10 @@ class Controller:
         self._edges: set[tuple[int, int]] = set()
         self._comp: dict[int, int] = {}
         self._sent_groups: dict[tuple[int, int], tuple] = {}
+        # the ports of registered switches as text, and back: filled at
+        # registration only, so frames cannot grow them
+        self._port_text: dict[PortRef, str] = {}
+        self._port_of_text: dict[bytes, PortRef] = {}
 
     # -- plumbing ----------------------------------------------------------
     @property
@@ -448,29 +452,30 @@ class Controller:
 
     # -- top-level dispatch ------------------------------------------------
     def handle(self, msg: ControlMessage) -> None:
-        if msg.kind is MsgKind.HELLO:
-            self._send(MsgKind.HELLO, msg.src, None)
-            self._send(MsgKind.FEATURE_REQUEST, msg.src, None)
-        elif msg.kind is MsgKind.FEATURE_REPLY:
-            self._register(msg.body)
-        elif msg.kind is MsgKind.PACKET_IN:
+        kind, src, _, body = msg
+        if kind is MsgKind.PACKET_IN:
             if self.protocol is Protocol.SOFTDP:
-                self._packet_in_event_driven(msg.body)
+                self._packet_in_event_driven(body)
             else:
-                self._packet_in_baseline(msg.body)
-        elif msg.kind is MsgKind.PORT_STATUS:
+                self._packet_in_baseline(body)
+        elif kind is MsgKind.HELLO:
+            self._send(MsgKind.HELLO, src, None)
+            self._send(MsgKind.FEATURE_REQUEST, src, None)
+        elif kind is MsgKind.FEATURE_REPLY:
+            self._register(body)
+        elif kind is MsgKind.PORT_STATUS:
             if self.protocol is Protocol.SOFTDP:
-                self.on_port_status(msg.body)
+                self.on_port_status(body)
             else:
                 self.counters["ignored_port_status"] += 1
-        elif msg.kind is MsgKind.BFD_STATUS:
+        elif kind is MsgKind.BFD_STATUS:
             if self.protocol is Protocol.SOFTDP:
-                self.on_bfd_status(msg.body)
+                self.on_bfd_status(body)
             else:
                 self.counters["ignored_bfd_status"] += 1
         else:
             self.counters["protocol_error"] += 1
-            self.services.record("protocol_error", msg=msg.kind.name, src=msg.src)
+            self.services.record("protocol_error", msg=kind.name, src=src)
 
     # -- registration and bootstrap ---------------------------------------
     def _register(self, body: FeatureReplyBody) -> None:
@@ -478,6 +483,10 @@ class Controller:
         self.registry[body.dpid] = RegisteredSwitch(sid, body.port_count,
                                                     body.ports_up)
         self.mac_to_dpid[body.local_mac] = body.dpid
+        for port_no in range(1, body.port_count + 1):
+            port = PortRef(body.dpid, port_no)
+            text = self._port_text[port] = str(port)
+            self._port_of_text[text.encode()] = port
         # the topology map only lists a switch once a learned link touches
         # it; registration alone keeps session state in the registry
         self.services.record("switch_registered", dpid=body.dpid,
@@ -590,19 +599,13 @@ class Controller:
             return
         window = self._window_of_nonce.get(frame.nonce)
         if window is None:
-            self.counters["suspicious"] += 1
-            self.services.record("suspicious_packet_in",
-                                 reason="no_open_window_for_nonce",
-                                 ingress=str(body.ingress))
+            self._suspicious_packet_in("no_open_window_for_nonce", body.ingress)
             return
         egress, ingress = window.port, body.ingress
         if (ingress.dpid == egress.dpid
                 or ingress.dpid not in self.registry
                 or not 1 <= ingress.port_no <= self.registry[ingress.dpid].port_count):
-            self.counters["suspicious"] += 1
-            self.services.record("suspicious_packet_in",
-                                 reason="implausible_ingress",
-                                 ingress=str(ingress))
+            self._suspicious_packet_in("implausible_ingress", ingress)
             return
         self._close_window(window, "window_consumed")
         self._learn_directed(egress, ingress)
@@ -714,30 +717,30 @@ class Controller:
         try:
             mac = frame.chassis_id.decode("ascii")
         except UnicodeDecodeError:
-            self.counters["suspicious"] += 1
-            self.services.record("suspicious_packet_in", reason="unreadable_chassis",
-                                 ingress=str(body.ingress))
+            self._suspicious_packet_in("unreadable_chassis", body.ingress)
             return
         dpid = self.mac_to_dpid.get(mac)
         if dpid is None:
-            self.counters["suspicious"] += 1
-            self.services.record("suspicious_packet_in", reason="unknown_chassis",
-                                 ingress=str(body.ingress))
+            self._suspicious_packet_in("unknown_chassis", body.ingress)
             return
-        try:
-            egress = PortRef.parse(frame.port_id.decode("ascii"))
-        except (ValueError, UnicodeDecodeError):
-            self.counters["suspicious"] += 1
-            self.services.record("suspicious_packet_in", reason="unreadable_port",
-                                 ingress=str(body.ingress))
-            return
+        # a port id this controller wrote is a registered port's text
+        egress = self._port_of_text.get(frame.port_id)
+        if egress is None:
+            try:
+                egress = PortRef.parse(frame.port_id.decode("ascii"))
+            except (ValueError, UnicodeDecodeError):
+                self._suspicious_packet_in("unreadable_port", body.ingress)
+                return
         if egress.dpid != dpid:
-            self.counters["suspicious"] += 1
-            self.services.record("suspicious_packet_in", reason="chassis_port_mismatch",
-                                 ingress=str(body.ingress))
+            self._suspicious_packet_in("chassis_port_mismatch", body.ingress)
             return
         self._last_confirm[(egress, body.ingress)] = self.round_no - 1
         self._learn_directed(egress, body.ingress)
+
+    def _suspicious_packet_in(self, reason: str, ingress: PortRef) -> None:
+        self.counters["suspicious"] += 1
+        self.services.record("suspicious_packet_in", reason=reason,
+                             ingress=self._port_text.get(ingress) or str(ingress))
 
     # -- path tagging ------------------------------------------------------
     @staticmethod
@@ -944,7 +947,8 @@ class Controller:
                     continue
                 buckets, texts = (first[1],), [first[2]]
             sent[(src, dst)] = watch
-            self._send(MsgKind.GROUP_MOD, src, GroupModBody(src, dst, buckets))
+            self._send(MsgKind.GROUP_MOD, src,
+                       tuple.__new__(GroupModBody, (src, dst, buckets)))
             self.services.record("group_dispatch", dpid=src, group_id=dst,
                                  buckets=texts)
             sends.append((src, dst))

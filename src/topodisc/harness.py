@@ -62,19 +62,15 @@ class Services:
 
     def __init__(self, engine: Engine, fabric: Fabric, spec: ScenarioSpec):
         self._engine = engine
-        self._fabric = fabric
         self.lldp_window: SimTime = spec.lldp_window
-        # record(kind, **detail): the engine's own, stamped with its clock
+        # record(kind, **detail): the engine's own, stamped with its clock;
+        # send_control(msg) and send_frame(egress, frame): the fabric's own
         self.record = engine.record
+        self.send_control = fabric.send_control
+        self.send_frame = fabric.send_frame
 
     def now(self) -> SimTime:
         return self._engine.now
-
-    def send_control(self, msg) -> None:
-        self._fabric.send_control(msg)
-
-    def send_frame(self, egress: PortRef, frame) -> None:
-        self._fabric.send_frame(egress, frame)
 
     def schedule(self, delay: SimTime, kind: str, action):
         return self._engine.schedule(delay, kind, action)

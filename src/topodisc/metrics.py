@@ -12,7 +12,8 @@ import csv
 import io
 import json
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain, compress, count, islice, repeat
+from operator import eq, floordiv, gt, itemgetter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -205,16 +206,26 @@ def _learned(entry: EventEntry, ts: SimTime) -> None:
     entry.resolved = True
 
 
-def _reading_order(trace: Trace) -> Iterator[Iterable[tuple]]:
-    """The trace's rows, ``(ts, kind, detail)``, as runs to read one after
-    the other, so that an instant's timeline records come before its
-    other records and those land in the window of the last of them.  An
-    instant with a record before one of its timeline records is rebuilt
-    as two runs, its timeline records and then the others; the stretches
-    between are read straight off the columns."""
-    ts, kinds, details = trace.columns
+# The record kinds ``measure`` reads in reading order; the messages
+# delivered and the suspicious reports it counts in bulk instead.
+_READ_IN_ORDER = frozenset({
+    "timeline", "map_link_bidirectional", "switch_registered",
+    "adaptation_complete", "map_remove_link", "map_add_link",
+    "map_remove_switch", "probe_sent", "probe_delivered", "round_dispatch",
+    "attack_verdict", "bootstrap_dispatch"})
+
+
+def _reading_order(ts, kinds, details) -> Iterator[Iterable[tuple]]:
+    """The rows of three trace columns, ``(ts, kind, detail)``, as runs
+    to read one after the other, so that an instant's timeline records
+    come before its other records and those land in the window of the
+    last of them.  An instant with a record before one of its timeline
+    records is rebuilt as two runs, its timeline records and then the
+    others; the stretches between are read straight off the columns, with
+    only the rows of the kinds in ``_READ_IN_ORDER``."""
     rows = zip(ts, kinds, details)
-    done = 0                    # rows handed out so far
+    read = map(_READ_IN_ORDER.__contains__, kinds)   # in step with rows
+    done = 0                    # rows handed out or passed over so far
     i = -1
     while True:
         try:
@@ -229,20 +240,42 @@ def _reading_order(trace: Trace) -> Iterator[Iterable[tuple]]:
         end = i + 1
         while end < len(ts) and ts[end] == t:
             end += 1
-        yield islice(rows, start - done)
+        yield compress(islice(rows, start - done), islice(read, start - done))
         instant = [(t, kinds[j], details[j]) for j in range(start, end)]
         yield [row for row in instant if row[1] == "timeline"]
         yield [row for row in instant if row[1] != "timeline"]
-        next(islice(rows, end - start, end - start), None)  # skip what was rebuilt
+        skip = end - start      # what was rebuilt
+        next(islice(rows, skip, skip), None)
+        next(islice(read, skip, skip), None)
         done, i = end, end - 1
-    yield rows
+    yield compress(rows, read)
+
+
+def _message_counts(ts, kinds, details) -> tuple[dict, dict]:
+    """Delivered control messages by wire name, and by second and wire
+    name, each in first-delivery order."""
+    def delivered():
+        return map(eq, kinds, repeat("ctrl_delivered"))
+    by_second = Counter(zip(
+        map(floordiv, compress(ts, delivered()), repeat(SEC)),
+        map(itemgetter("msg"), compress(details, delivered()))))
+    msg_counts: Counter = Counter()
+    per_second: dict[int, Counter] = {}
+    for (second, msg), n in by_second.items():
+        msg_counts[msg] += n
+        counts = per_second.get(second)
+        if counts is None:
+            counts = per_second[second] = Counter()
+        counts[msg] = n
+    return dict(msg_counts), per_second
 
 
 def measure(trace: Trace) -> RunMetrics:
-    """Read the report entries and totals off a trace in one streaming
-    pass over its columns, which needs each ts to be at least the one
-    before it (the engine's clock never runs backwards); a trace whose
-    ts decreases raises ValueError.
+    """Read the report entries and totals off a trace's columns: the
+    message and suspicious-report totals in bulk, and the rest in one
+    streaming pass over the records it reads.  That needs each ts to be
+    at least the one before it (the engine's clock never runs
+    backwards); a trace whose ts decreases raises ValueError.
 
     A record belongs to the entry of the last timeline instant at or
     before its ts.  Records before the first instant belong to the
@@ -251,36 +284,28 @@ def measure(trace: Trace) -> RunMetrics:
     or leave entry may be resolved with a note that a later record of
     its window overrules.
     """
+    stamps, kinds, details = trace.columns
+    below = next(compress(count(1), map(gt, stamps, islice(stamps, 1, None))),
+                 None)
+    if below is not None:
+        raise ValueError(f"trace ts {stamps[below]} ({kinds[below]}) is below "
+                         f"the ts {stamps[below - 1]} before it")
+    msg_counts, per_second = _message_counts(stamps, kinds, details)
+    suspicious = (kinds.count("suspicious_packet_in")
+                  + kinds.count("suspicious_bfd_status"))
     boot = entry = EventEntry("bootstrap", 0, resolved=True,
                               detail={"links_learned": 0})
     boot_at = boot_bidi = want = ports = None
     events: list[EventEntry] = []
-    msg_counts: Counter = Counter()
-    per_second: dict[int, Counter] = {}
-    suspicious = 0
     rounds = []
     attacks = []
     in_map: set[int] = set()    # switches in the map as of the records read
     sent: dict[int, tuple[SimTime, EventEntry]] = {}  # probe id -> (ts, window)
     delivered: set[int] = set()
 
-    now = None
-    for ts, kind, d in chain.from_iterable(_reading_order(trace)):
-        if ts != now:
-            if now is not None and ts < now:
-                raise ValueError(f"trace ts {ts} ({kind}) is below "
-                                 f"the ts {now} before it")
-            now = ts
-        if kind == "ctrl_delivered":
-            msg_counts[d["msg"]] += 1
-            # a Counter only for a second's first message
-            counts = per_second.get(ts // SEC)
-            if counts is None:
-                counts = per_second[ts // SEC] = Counter()
-            counts[d["msg"]] += 1
-        elif kind in ("suspicious_packet_in", "suspicious_bfd_status"):
-            suspicious += 1
-        elif kind == "timeline":
+    for ts, kind, d in chain.from_iterable(
+            _reading_order(stamps, kinds, details)):
+        if kind == "timeline":
             # a copy, so that notes stay out of the trace
             entry = EventEntry(d["event"], ts, detail=d.copy())
             events.append(entry)
@@ -343,7 +368,7 @@ def measure(trace: Trace) -> RunMetrics:
         boot.learning = None if boot_bidi is None else boot_bidi - boot_at
         events.insert(0, boot)
     return RunMetrics(
-        events=events, msg_counts=dict(msg_counts), per_second=per_second,
+        events=events, msg_counts=msg_counts, per_second=per_second,
         rounds=rounds, suspicious=suspicious,
         probes_sent=len(sent), probes_delivered=len(delivered),
         attacks=attacks)

@@ -15,10 +15,17 @@ columns that builds an immutable ``(ts, kind, detail)`` tuple with named
 fields (a ``TraceRecord``) on each access.  A detail is read-only:
 records of one kind with equal payloads of str, int, bool and None values
 may hold one and the same dict, which the digest and the ndjson export
-encode once.
+encode once.  A record looks its detail up by kind, keys and values;
+a detail with an int or bool value is then told apart by its value types,
+and one with a float or list value is not shared.
 
-Every event but a series' own, frames and control messages included, is
-queued through ``Engine.schedule_at``, so one wrapper around it sees them.
+An event is its own heap entry, a ``SimEvent``: the list ``[fire_at,
+seq, action, kind]``, which heapq orders by (fire_at, seq) alone, as
+seqs are unique.  ``cancel()`` drops the action, and an entry without
+one does not fire.  A series is one entry that goes back on the heap,
+moved to its next instant, each time it fires.  Every event but a
+series' own, frames and control messages included, is queued through
+``Engine.schedule_at``, so one wrapper around it sees them.
 """
 from __future__ import annotations
 
@@ -29,8 +36,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import (
@@ -39,6 +45,7 @@ from .core import (
     ControlMessage,
     Link,
     LldpFrame,
+    MsgKind,
     PortRef,
     ScenarioSpec,
     SimTime,
@@ -59,21 +66,34 @@ _ndjson_row = json.JSONEncoder(sort_keys=True).encode
 # The value types whose equal values always encode alike (1 == True and
 # 0.0 == -0.0 differ in type or encoding), and that can be dict keys.
 _SHAREABLE = frozenset({str, int, bool, type(None)})
+# The value types no value of another type equals: a detail of these
+# alone is shared by its kind, keys and values, without their types.
+_EXACT = frozenset({str, type(None)})
+
+# Per wire name of a message kind: the kind of its delivery event.
+_CTRL_EVENT_KINDS = {kind.value: f"ctrl:{kind.value}" for kind in MsgKind}
+
+# Rows hashed per sha256 update in Trace.digest.
+_DIGEST_BATCH = 4096
 
 
-@dataclass(slots=True)
-class SimEvent:
-    fire_at: SimTime
-    seq: int
-    kind: str
-    action: Optional[Callable[[], None]]
-    cancelled: bool = False
+class SimEvent(list):
+    """A pending event as its heap entry, ``[fire_at, seq, action, kind]``.
+    Cancelling it drops the action, and whatever the action holds, at
+    once; an entry without an action does not fire."""
+
+    __slots__ = ()
 
     def cancel(self) -> None:
-        """The event will not fire, so it lets go of its action, and of
-        whatever the action holds, at once."""
-        self.cancelled = True
-        self.action = None
+        self[2] = None
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
+
+
+def _closed() -> None:
+    """The action of an event that was pending when its engine closed."""
 
 
 class TraceRecord(NamedTuple):
@@ -144,21 +164,40 @@ class Trace:
         detail is read-only: records of this kind whose values are all
         str, int, bool or None and equal in type and value get one dict."""
         values = detail.values()
-        types = tuple(map(type, values))
-        if _SHAREABLE.issuperset(types):
-            key = (kind, *detail, *values, *types)
+        key = (kind, *detail, *values)
+        try:
             payload = self._shared.get(key)
-            if payload is None:
-                payload = dict(sorted(detail.items()))
-                values = payload.values()
-                payload = self._shared.setdefault(
-                    (kind, *payload, *values, *map(type, values)), payload)
-                self._shared[key] = payload
-        else:
+        except TypeError:           # a list value: not shared
             payload = dict(sorted(detail.items()))
+        else:
+            if payload is None:
+                payload = self._share(key, detail)
         self._ts.append(ts)
         self._kinds.append(kind)
         self._details.append(payload)
+
+    def _share(self, key: tuple, detail: dict) -> dict:
+        """The detail of a record whose kind, keys and values (``key``)
+        found no shared detail: the one shared under its value types
+        too, else a new one, shared from then on under the writer's key
+        order and under sorted order if its value types allow it."""
+        types = tuple(map(type, detail.values()))
+        if not _SHAREABLE.issuperset(types):
+            return dict(sorted(detail.items()))
+        typed = not _EXACT.issuperset(types)
+        if typed:
+            # 1 == True, yet they encode apart: keyed by type as well
+            key = (*key, *types)
+            payload = self._shared.get(key)
+            if payload is not None:
+                return payload
+        payload = dict(sorted(detail.items()))
+        values = payload.values()
+        payload = self._shared.setdefault(
+            (key[0], *payload, *values, *(map(type, values) if typed else ())),
+            payload)
+        self._shared[key] = payload
+        return payload
 
     def _shared_ids(self) -> set[int]:
         return {id(d) for d in self._shared.values()}
@@ -166,36 +205,41 @@ class Trace:
     def digest(self) -> str:
         """sha256 over one line per record, ``<ts> <kind> <detail hash>``,
         the detail hash being the first 12 hex digits of the sha256 of
-        the record's ``payload_json``.  Hashed record by record, a shared
-        detail once per call."""
+        the record's ``payload_json``.  Hashed in batches of lines, a
+        shared detail once per call (it has one kind)."""
         h = hashlib.sha256()
-        shared, hashes = self._shared_ids(), {}
-        for ts, kind, detail in zip(self._ts, self._kinds, self._details):
-            detail_hash = hashes.get(id(detail))
-            if detail_hash is None:
-                detail_hash = hashlib.sha256(
-                    _payload_json(detail).encode()).hexdigest()[:12]
-                if id(detail) in shared:
-                    hashes[id(detail)] = detail_hash
-            h.update(f"{ts} {kind} {detail_hash}\n".encode())
-        return h.hexdigest()
+        shared, tails = self._shared_ids(), {}
+        rows = zip(self._ts, self._kinds, self._details)
+        while True:
+            lines = []
+            for ts, kind, detail in islice(rows, _DIGEST_BATCH):
+                tail = tails.get(id(detail))
+                if tail is None:
+                    detail_hash = hashlib.sha256(
+                        _payload_json(detail).encode()).hexdigest()[:12]
+                    tail = f" {kind} {detail_hash}\n"
+                    if id(detail) in shared:
+                        tails[id(detail)] = tail
+                lines.append(f"{ts}{tail}")
+            if not lines:
+                return h.hexdigest()
+            h.update("".join(lines).encode())
 
     def ndjson_rows(self) -> Iterator[str]:
         """Yield each record as one JSON object with its ``ts``, ``kind``
-        and detail keys sorted, newline included.  A shared detail is
-        encoded once per kind and call, as the text before and after its
-        ts: ``record()`` cannot write a ``ts`` or ``kind`` key."""
+        and detail keys sorted, newline included.  A shared detail (it has
+        one kind) is encoded once per call, as the text before and after
+        its ts: ``record()`` cannot write a ``ts`` or ``kind`` key."""
         shared, parts = self._shared_ids(), {}
         for ts, kind, detail in zip(self._ts, self._kinds, self._details):
-            key = (kind, id(detail))
-            part = parts.get(key)
+            part = parts.get(id(detail))
             if part is None:
-                if key[1] not in shared:
+                if id(detail) not in shared:
                     yield _ndjson_row({"ts": ts, "kind": kind, **detail}) + "\n"
                     continue
                 row = _ndjson_row({"ts": 0, "kind": kind, **detail})
                 at = row.index('"ts": 0') + len('"ts": ')
-                part = parts[key] = (row[:at], row[at + 1:] + "\n")
+                part = parts[id(detail)] = (row[:at], row[at + 1:] + "\n")
             yield part[0] + str(ts) + part[1]
 
 
@@ -206,24 +250,18 @@ class Engine:
     def __init__(self) -> None:
         self.now: SimTime = 0
         self.trace = Trace()
-        self._heap: list[tuple[SimTime, int, SimEvent]] = []
+        self._heap: list[SimEvent] = []
         self._seq = 0
         self.fired = 0
         self.closed = False
-
-    def _push(self, at: SimTime, seq: int, kind: str,
-              action: Callable[[], None]) -> SimEvent:
-        ev = SimEvent(at, seq, kind, action)
-        heapq.heappush(self._heap, (at, seq, ev))
-        return ev
 
     def schedule_at(self, at: SimTime, kind: str, action: Callable[[], None]) -> SimEvent:
         if at < self.now:
             raise ValueError(f"cannot schedule {kind!r} at {at} before now={self.now}")
         seq = self._seq
         self._seq = seq + 1
-        ev = SimEvent(at, seq, kind, action)
-        heapq.heappush(self._heap, (at, seq, ev))
+        ev = SimEvent((at, seq, action, kind))
+        heapq.heappush(self._heap, ev)
         return ev
 
     def schedule(self, delay: SimTime, kind: str, action: Callable[[], None]) -> SimEvent:
@@ -237,24 +275,31 @@ class Engine:
 
         The series fires exactly as ``count`` schedule() calls made now
         would, because it reserves their ``count`` consecutive seqs now.
-        It keeps one event pending: event k pushes event k + 1 when it
-        fires, so a long series costs no heap or memory up front."""
+        It is one pending event: when event k fires, its entry goes back
+        on the heap as event k + 1, so a long series costs no heap or
+        memory up front."""
         if min(delay, spacing, count) < 0:
             raise ValueError(f"negative delay, spacing or count for {kind!r}")
-        start, first = self.now + delay, self._seq
+        first = self._seq
         self._seq += count
-        if count > 0:
-            self._push(start, first, kind, partial(
-                self._fire_series, (start, first, spacing, count, kind, action), 0))
+        if count == 0:
+            return
+        heap = self._heap
+        entry = SimEvent((self.now + delay, first, None, kind))
 
-    def _fire_series(self, series: tuple, k: int) -> None:
-        # A method, not a closure that names itself: the series is then
-        # referenced only by its one pending event.
-        start, first, spacing, count, kind, action = series
-        if k + 1 < count:
-            self._push(start + (k + 1) * spacing, first + k + 1, kind,
-                       partial(self._fire_series, series, k + 1))
-        action(k)
+        def fire() -> None:
+            k = entry[1] - first
+            if k + 1 < count:
+                entry[0] += spacing
+                entry[1] += 1
+                heapq.heappush(heap, entry)
+            else:
+                # the last event lets go of the entry it refers to
+                entry[2] = None
+            action(k)
+
+        entry[2] = fire
+        heapq.heappush(heap, entry)
 
     def record(self, kind: str, **detail) -> None:
         self.trace.record(self.now, kind, **detail)
@@ -262,9 +307,11 @@ class Engine:
     def close(self) -> None:
         """Drop every pending event unfired, with its action, so no
         closure the run scheduled outlives it.  The clock, the trace and
-        the fired count stay readable; running again raises RuntimeError."""
-        for _, _, ev in self._heap:
-            ev.action = None
+        the fired count stay readable, as does whether an event was
+        cancelled; running again raises RuntimeError."""
+        for ev in self._heap:
+            if ev[2] is not None:
+                ev[2] = _closed
         self._heap.clear()
         self.closed = True
 
@@ -280,12 +327,12 @@ class Engine:
             raise ValueError(f"cannot run to {t}, above MAX_TIME={MAX_TIME}")
         heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= t:
-            at, _, ev = pop(heap)
-            if ev.cancelled:
+            at, _, action, _ = pop(heap)
+            if action is None:
                 continue
             self.now = at
             self.fired += 1
-            ev.action()
+            action()
         self.now = t
 
 
@@ -300,9 +347,6 @@ class LinkState:
 
     def peer(self, port: PortRef) -> PortRef:
         return self.spec.b if port == self.spec.a else self.spec.a
-
-    def delay_from(self, egress: PortRef) -> SimTime:
-        return self.spec.delay_ab if egress == self.spec.a else self.spec.delay_ba
 
 
 def _ignore(*args) -> None:
@@ -336,6 +380,8 @@ class Fabric:
             self.port_link[st.spec.a] = st
             self.port_link[st.spec.b] = st
         self.channels = {ch.dpid: ch for ch in spec.control_channels}
+        # each switch's dpid as the text control message records write
+        self._dpid_text = {dpid: str(dpid) for dpid in self.channels}
         self.connected: set[int] = set()
         self.channel_generation: Counter = Counter()
         self.counters: Counter = Counter()
@@ -388,71 +434,84 @@ class Fabric:
     def send_control(self, msg: ControlMessage) -> None:
         """Queue a control message toward its destination; drops (with a
         counter) if the channel is closed at send or delivery time."""
-        name = msg.kind._value_   # the plain attribute behind .value
-        src, dst = msg.src, msg.dst
+        kind, src, dst, _ = msg
+        name = kind._value_   # the plain attribute behind .value
         to_controller = src != CONTROLLER
         if to_controller:
             dpid = src
         else:
             dpid = dst
             if name in SWITCH_ONLY:
-                raise ValueError(f"{msg.kind} cannot originate at the controller")
+                raise ValueError(f"{kind} cannot originate at the controller")
         chan = self.channels.get(dpid)
         if chan is None:
             raise KeyError(f"no control channel for s{dpid}")
-        self.counters["ctrl_sent"] += 1
+        counters = self.counters
+        counters["ctrl_sent"] += 1
         if dpid not in self.connected:
-            self.counters["ctrl_dropped"] += 1
+            counters["ctrl_dropped"] += 1
             self.engine.record("ctrl_dropped", msg=name, reason="channel_closed",
                                switch=f"s{dpid}")
             return
         gen = self.channel_generation[dpid]
-        delay = chan.delay_to_controller if to_controller else chan.delay_from_controller
+        if to_controller:
+            delay, src_text, dst_text = (chan.delay_to_controller,
+                                         self._dpid_text[dpid], CONTROLLER)
+        else:
+            delay, src_text, dst_text = (chan.delay_from_controller,
+                                         CONTROLLER, self._dpid_text[dpid])
 
         def arrive():
             if dpid not in self.connected or self.channel_generation[dpid] != gen:
-                self.counters["ctrl_dropped"] += 1
+                counters["ctrl_dropped"] += 1
                 self.engine.record("ctrl_dropped", msg=name,
                                    reason="channel_closed_in_flight", switch=f"s{dpid}")
                 return
-            self.counters["ctrl_delivered"] += 1
-            self.engine.record("ctrl_delivered", msg=name, src=str(src), dst=str(dst))
+            counters["ctrl_delivered"] += 1
+            self.engine.record("ctrl_delivered", msg=name, src=src_text, dst=dst_text)
             if to_controller:
                 self.deliver_to_controller(msg)
             else:
                 self.deliver_to_switch(msg)
 
-        self.engine.schedule(delay, f"ctrl:{name}", arrive)
+        engine = self.engine
+        engine.schedule_at(engine.now + delay, _CTRL_EVENT_KINDS[name], arrive)
 
     def send_frame(self, egress: PortRef, frame: LldpFrame) -> None:
         """Emit a frame out a switch port.  Host-facing ports hand it to the
         attached host's observers; linked ports cross the link unless it is
         (or goes) down."""
-        self.counters["frames_sent"] += 1
+        counters = self.counters
+        counters["frames_sent"] += 1
         st = self.port_link.get(egress)
         if st is None:
-            self.counters["frames_to_hosts"] += 1
+            counters["frames_to_hosts"] += 1
             self.engine.record("frame_at_host", port=str(egress),
                                nonce=getattr(frame, "nonce", b"").hex())
             self.host_frame_hook(egress, frame)
             return
         if not st.alive:
-            self.counters["frames_dropped"] += 1
+            counters["frames_dropped"] += 1
             self.engine.record("frame_dropped", reason="link_down_at_send", port=str(egress))
             return
         gen = st.generation
-        peer = st.peer(egress)
+        link = st.spec
+        if egress == link.a:
+            peer, delay = link.b, link.delay_ab
+        else:
+            peer, delay = link.a, link.delay_ba
 
         def arrive():
             if not st.alive or st.generation != gen:
-                self.counters["frames_dropped"] += 1
+                counters["frames_dropped"] += 1
                 self.engine.record("frame_dropped", reason="link_died_in_flight",
-                                   link=str(st.spec))
+                                   link=str(link))
                 return
-            self.counters["frames_delivered"] += 1
+            counters["frames_delivered"] += 1
             self.frame_arrival(peer, frame)
 
-        self.engine.schedule(st.delay_from(egress), "frame", arrive)
+        engine = self.engine
+        engine.schedule_at(engine.now + delay, "frame", arrive)
 
     def inject_frame(self, ingress: PortRef, frame: LldpFrame) -> None:
         """Adversarial injection: a host pushes a frame into the switch port

@@ -10,7 +10,7 @@ so a stub services object with a fake clock can drive it in unit tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -97,11 +97,12 @@ class FlowRule:
     hard_timeout: Optional[SimTime]
     installed_at: SimTime
     seq: int
+    # installed_at + hard_timeout, or None for a rule without a timeout
+    expires_at: Optional[SimTime] = field(init=False)
 
-    def expires_at(self) -> Optional[SimTime]:
-        if self.hard_timeout is None:
-            return None
-        return self.installed_at + self.hard_timeout
+    def __post_init__(self) -> None:
+        self.expires_at = (None if self.hard_timeout is None
+                           else self.installed_at + self.hard_timeout)
 
     def match_key(self) -> tuple:
         return (self.priority, self.match_ingress)
@@ -164,8 +165,9 @@ class SwitchAgent:
 
     # -- helpers ----------------------------------------------------------
     def _send(self, kind: MsgKind, body) -> None:
+        # built in C, without the NamedTuple's Python-level __new__
         self.services.send_control(
-            ControlMessage(kind=kind, src=self.id.dpid, dst=CONTROLLER, body=body))
+            tuple.__new__(ControlMessage, (kind, self.id.dpid, CONTROLLER, body)))
 
     def port(self, ref: PortRef) -> PortState:
         if ref not in self.ports:
@@ -286,10 +288,11 @@ class SwitchAgent:
         now = self.services.now()
         best: Optional[FlowRule] = None
         for rule in self.flow_table:
-            exp = rule.expires_at()
+            exp = rule.expires_at
             if exp is not None and now >= exp:
                 continue
-            if rule.match_ingress is not None and rule.match_ingress != ingress:
+            match = rule.match_ingress
+            if match is not None and match != ingress:
                 continue
             if best is None or (rule.priority, rule.seq) > (best.priority, best.seq):
                 best = rule
@@ -297,7 +300,8 @@ class SwitchAgent:
             return ("drop", "no_matching_rule")
         if best.action[0] == "drop":
             return ("drop", "rule_drop")
-        self._send(MsgKind.PACKET_IN, PacketInBody(ingress, frame))
+        self._send(MsgKind.PACKET_IN,
+                   tuple.__new__(PacketInBody, (ingress, frame)))
         return ("to_controller",)
 
     def forward_via_group(self, group_id: int, frame) -> tuple:

@@ -17,6 +17,10 @@ import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +265,30 @@ def test_report_and_metrics_are_pinned(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_ndjson_is_pinned(case):
     assert outputs_of(case)[3] == NDJSON_PINS[case]
+
+
+# Run again under another hash seed: the flood writes one record pair per
+# frame through the shared details and the text memos, and the sOFTDP
+# walkthrough exercises every sOFTDP mechanism.
+HASH_SEED_CASES = ("flood-ofdp", "walkthrough-softdp")
+
+
+def test_pinned_outputs_do_not_depend_on_the_hash_seed():
+    """No set, dict or memo order may reach an output: a subprocess with
+    another PYTHONHASHSEED gives the pinned digest, report, metrics and
+    ndjson of each case."""
+    here = Path(__file__).resolve().parent
+    seed = "7" if os.environ.get("PYTHONHASHSEED") == "4242" else "4242"
+    path = os.pathsep.join(filter(None, (
+        str(here.parent / "src"), os.environ.get("PYTHONPATH"))))
+    script = ("import sys, test_pins\n"
+              "for case in sys.argv[1:]:\n"
+              "    print(*test_pins.outputs_of(case))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script, *HASH_SEED_CASES], cwd=here,
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert [line.split() for line in done.stdout.splitlines()] == [
+        [PINS[case], REPORT_PINS[case], CSV_PINS[case], NDJSON_PINS[case]]
+        for case in HASH_SEED_CASES]

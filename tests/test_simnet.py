@@ -143,13 +143,124 @@ def test_series_fires_like_schedule_calls_made_up_front(program):
     assert _fired(program, series=True) == _fired(program, series=False)
 
 
+# -- kernel oracle ----------------------------------------------------------
+
+class _ReferenceEvent:
+    def __init__(self, ref, seq):
+        self.ref, self.seq, self.cancelled = ref, seq, False
+
+    def cancel(self):
+        self.cancelled = True
+        self.ref.pending.pop(self.seq, None)
+
+
+class ReferenceEngine:
+    """The engine's contract run the slow way: every pending event, each
+    of a series' events included, sits in a dict by seq, and each step
+    fires the least (fire_at, seq) at or before the target.  A series
+    takes its seqs when it is scheduled."""
+
+    def __init__(self):
+        self.now = 0
+        self.fired = 0
+        self.seq = 0
+        self.pending = {}       # seq -> (fire_at, action)
+
+    def schedule_at(self, at, kind, action):
+        self.seq += 1
+        self.pending[self.seq] = (at, action)
+        return _ReferenceEvent(self, self.seq)
+
+    def schedule_series(self, delay, spacing, count, kind, action):
+        for k in range(count):
+            self.seq += 1
+            self.pending[self.seq] = (self.now + delay + k * spacing,
+                                      lambda k=k: action(k))
+
+    def run_until(self, t):
+        while True:
+            due = sorted((at, seq) for seq, (at, _) in self.pending.items()
+                         if at <= t)
+            if not due:
+                break
+            at, seq = due[0]
+            _, action = self.pending.pop(seq)
+            self.now = at
+            self.fired += 1
+            action()
+        self.now = t
+
+
+# Indices into the events scheduled so far, taken modulo their number.
+_cancels = st.lists(st.integers(0, 40), max_size=2)
+# An event: (delay, the events it cancels when it fires, its children as
+# (delay, cancels)).  Small times, so events of every origin collide at
+# one instant and cancel one another there.
+_kernel_event = st.tuples(
+    st.integers(0, 4), _cancels,
+    st.lists(st.tuples(st.integers(0, 3), _cancels), max_size=2))
+_kernel_programs = st.lists(st.one_of(
+    st.tuples(st.just("at"), _kernel_event),
+    # (delay, spacing, count, event fired at each of the series' instants)
+    st.tuples(st.just("series"), st.integers(0, 4), st.integers(0, 3),
+              st.integers(0, 5), _kernel_event),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("run"), st.integers(0, 6))), max_size=25)
+
+
+def _kernel_run(program, eng):
+    """Run ``program`` on ``eng``; return what fired, as (time, tag), each
+    scheduled event's ``cancelled``, the fired count and the clock."""
+    fired, handles = [], []
+
+    def cancel(i):
+        if handles:
+            handles[i % len(handles)].cancel()
+
+    def action(tag, cancels, children):
+        def act():
+            fired.append((eng.now, tag))
+            for i in cancels:
+                cancel(i)
+            for i, (delay, child_cancels) in enumerate(children):
+                schedule(delay, f"{tag}/{i}", child_cancels, ())
+        return act
+
+    def schedule(delay, tag, cancels, children):
+        handles.append(eng.schedule_at(eng.now + delay, "t",
+                                       action(tag, cancels, children)))
+
+    for n, op in enumerate(program):
+        if op[0] == "at":
+            schedule(op[1][0], str(n), *op[1][1:])
+        elif op[0] == "series":
+            _, delay, spacing, count, (_, cancels, children) = op
+            eng.schedule_series(
+                delay, spacing, count, "s",
+                lambda k, n=n, c=cancels, ch=children: action(f"{n}.{k}", c, ch)())
+        elif op[0] == "cancel":
+            cancel(op[1])
+        else:
+            eng.run_until(eng.now + op[1])
+    eng.run_until(MAX_TIME)
+    return fired, [h.cancelled for h in handles], eng.fired, eng.now
+
+
+@given(_kernel_programs)
+@example([("at", (0, [1], [])), ("at", (0, [], [])),
+          ("run", 0)])   # a firing event cancels one due at its instant
+def test_engine_fires_as_the_reference_does(program):
+    assert _kernel_run(program, Engine()) == _kernel_run(program, ReferenceEngine())
+
+
 def test_launched_flood_keeps_one_event_pending():
     spec = scenarios.attack_scenario("flood", Protocol.OFDP)
     sim = Simulation(spec)
     (launch,) = [ev.at for ev in spec.timeline]
 
     def pending():
-        return sum(ev.kind == "attack_flood" for _, _, ev in sim.engine._heap)
+        # a heap entry is the event itself: [fire_at, seq, action, kind]
+        return sum(kind == "attack_flood" for _, _, _, kind in sim.engine._heap)
 
     for t in (launch, launch + 100 * MS, launch + 500 * MS):
         sim.engine.run_until(t)
