@@ -487,6 +487,10 @@ class Controller:
             port = PortRef(body.dpid, port_no)
             text = self._port_text[port] = str(port)
             self._port_of_text[text.encode()] = port
+            # a registering switch is a fresh boot: its port epochs
+            # restart, so those of an earlier session would make its
+            # BFD reports look stale
+            self.port_epoch.pop(port, None)
         # the topology map only lists a switch once a learned link touches
         # it; registration alone keeps session state in the registry
         self.services.record("switch_registered", dpid=body.dpid,

@@ -202,6 +202,20 @@ def test_leaver_reports_no_bfd_detection():
                 if dict(r.detail)["msg"] == "BFD_STATUS"]
 
 
+def test_rejoined_switch_bfd_down_is_not_stale():
+    # s2 leaves at 8 s and rejoins at 16 s, s11 leaves at 6 s and
+    # rejoins at 18 s: the new agents' port epochs restart at 1, so the
+    # BFD DOWN of s2.p4 and s11.p2 for the 23 s removal must be taken
+    spec = scenarios.random_scenario(11, 15, 30)
+    assert spec.protocol is Protocol.SOFTDP
+    sim = run_scenario(spec)
+    assert not records_of(sim, "stale_bfd_status")
+    entries = {(e.kind, e.at): e for e in sim.run_metrics().events}
+    for key in (("link_remove", 23 * SEC), ("link_add", 24 * SEC)):
+        assert entries[key].resolved and entries[key].learning is not None, key
+    assert sim.map_matches_ground_truth()
+
+
 def test_window_flow_mod_replaces_the_switch_armed_rule():
     # both ends of the added diagonal arm their own window rule at the
     # carrier transition, then get the controller's FLOW_MOD for it

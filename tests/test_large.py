@@ -28,7 +28,7 @@ from test_controller import _oracle_tags
 PINS = {
     (100, Protocol.OFDP): "ba30c098870c12652868e22d6d3fa31657ccbad598545322577cee40562da6bc",
     (100, Protocol.OFDPV2): "537034208fe5e3709f9fb7f7dc79eb620147b7f558f55e43d455ad9b5d67c0b5",
-    (100, Protocol.SOFTDP): "9eede26eb82ee30a82382db4bdd894decaacdf45ab4e786cddc8a69e917148c8",
+    (100, Protocol.SOFTDP): "18758c441ff2190c3e8d2aaad14f809243a8a18021ba7ad4fe2be9e7d6998818",
     (200, Protocol.OFDP): "e5976a208bce05640111698a2b1592b41d3fffc6b02eee7fcdd521129c654734",
     (200, Protocol.OFDPV2): "a802464508770110d1a822f6f98e10f35f7ebf21c006ef4490c3bb79466e34b6",
     (200, Protocol.SOFTDP): "464a005aa177ec03919179e52cba738f1d78ed851b084081fe8c46a3eebeda2a",
@@ -36,7 +36,7 @@ PINS = {
 NDJSON_PINS = {
     (100, Protocol.OFDP): "c148cb44256f9905d3e1b9d0a25ee1dcac3c3eec3745470776439ed08eda7aa8",
     (100, Protocol.OFDPV2): "ccd04411639e0ed3b999e1bac043cedd52113735a105a83c90fca698b5ca2af5",
-    (100, Protocol.SOFTDP): "6692bbf748c4d119b3e9668c6f1f2869e33b26dddccd4f135d92517184245da7",
+    (100, Protocol.SOFTDP): "659f4d2410e88643d5b23c2a811a40fece27aa33bdd9424b6382d171f2bb9259",
     (200, Protocol.OFDP): "e7e0eaeecba39f1334ba70e74d7ee53f49343effc9308771e7bf7ad3e32bfe30",
     (200, Protocol.OFDPV2): "f986c25996f214c631aa30ae0894b7b2ab54bcacf2ba1ab6bd4e31fa98f20278",
     (200, Protocol.SOFTDP): "5e3ec4fe983178d3c7fa91002ed295e5a60b462a275acf06ada07f85624c0fa5",

@@ -91,7 +91,7 @@ PINS = {
     "random2-softdp": "1ff65fd98fe76a1ad2a0168bebca05b298a4add19dcadc29af10b29c700d861b",
     "random3-ofdp": "370fa14990af65161d28c2d76a43b4691c494a3e643c677df9be8d2adefe38b2",
     "random3-ofdpv2": "d19df9dea28e53d01c1e1d89eaadc2fd8a9784f994e337e1d67a70241acfd328",
-    "random3-softdp": "4f00c11ea0611c4c19bb31bb52565ed8411a0d7cdac5fe3f345753500861790f",
+    "random3-softdp": "293e007ee346af7a83f29dd62b2c97eefbfd96e85999708a10f8d7305bf07f11",
     "relay-in-window-ofdp": "81a110c18a2036172e81c854052a7e7edfead4c38e71517ffdf11cca94cf8376",
     "relay-in-window-ofdpv2": "3f459761cbea2b626a2b2e62dd85df1f68d5809d5643fa0089c7b2cf8f0a633d",
     "relay-in-window-softdp": "e66e5e728d68c6b04e532bed03934b92c182f7951709da25058c42a800bd8888",
@@ -132,7 +132,7 @@ REPORT_PINS = {
     "random2-softdp": "47edae7bd271b22e11aaafad21d38a4881462cd307c790aaf466e1315aaf9bb9",
     "random3-ofdp": "bcc9e9bce3e793e6ce48a699fd0e8d4e1ab4e41d0f44cf0216fe5a9b5957d5db",
     "random3-ofdpv2": "03e140e0e2f0685a8ed7a84834bce5b2227d2bc1434dc881b103d6de19bbf48b",
-    "random3-softdp": "7d60819dac881a7068b8842fbd50f4fdff5bc3b6bf5ed55bd81d0b8c763edb9d",
+    "random3-softdp": "db17da6718d7c037d396a35cf4b6c7cbf6e02ada010e447a83b7c316f3b4421e",
     "relay-in-window-ofdp": "cb3fda589b49635465052691d3664098f8419a3febac974fc678e06138b01ca1",
     "relay-in-window-ofdpv2": "f9a95ce5f5d6cb3d71e53552764d48bc5a55749f3305bb56dd46bc2bddb83261",
     "relay-in-window-softdp": "979566d0801de951970c3fd81b234b87562e717cfbdcb603ca7ec3a149a92309",
@@ -210,7 +210,7 @@ NDJSON_PINS = {
     "random2-softdp": "c2f84b867e363b668f74f286a1fed3ee9823ef400be42e985bcd05b243964374",
     "random3-ofdp": "eeaf24f05212492ec77ff834d6cb3d6f12854e1835695160e94d15bf8c707573",
     "random3-ofdpv2": "fc44412d75be7d01a0212a90376f99198a485c052e8dad2abf08cd05fd4e74e7",
-    "random3-softdp": "8950c536d2053b8831d7494acbd27b3b555cd8ef67cb8e6710cd89e30bb61f8f",
+    "random3-softdp": "dde30e13fe0b996972be51a79bef9f6f09436a2d2b3b8cbe3f45ec5de56d309d",
     "relay-in-window-ofdp": "fcc53a19eff546b36d38e3d7f1d1623a948a77f8a21f80106d35ee3f82ab3983",
     "relay-in-window-ofdpv2": "fb83a9256450ab537350c33f95ca5b499b42110d85603b54dcf7dd91249473ab",
     "relay-in-window-softdp": "b4547854ebb531ac2f26434d334ed80ce9ca1702f35028c43c2bce595a5982ed",
