@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from heapq import heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations
 from math import inf
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -78,23 +77,19 @@ class PendingWindow:
     timer: object = None  # the scheduled expiry
 
 
+class Crossings(dict):
+    """Each (u, v) switch pair a tag's path has crossed, as one tuple
+    that every span holding it shares: looking a pair up returns that
+    tuple, so a span costs one set and no tuples of its own."""
+
+    def __missing__(self, crossed: tuple[int, int]) -> tuple[int, int]:
+        self[crossed] = crossed
+        return crossed
+
+
 class PathTags(NamedTuple):
     primary: tuple[int, ...]
     backups: tuple[tuple[int, ...], ...] = ()
-
-    def edges(self) -> set[tuple[int, int]]:
-        """Switch edges, as (low, high) dpid pairs, that the primary or a
-        backup crosses."""
-        return {(u, v) if u < v else (v, u)
-                for path in (self.primary, *self.backups)
-                for u, v in zip(path, path[1:])}
-
-    @property
-    def limit(self) -> int:
-        """Hop count of the backup, or of the primary without one.  A
-        walk through a changed edge no longer than this can shorten or
-        re-tie either path."""
-        return len((self.backups or (self.primary,))[0]) - 1
 
 
 @dataclass
@@ -111,10 +106,13 @@ class TopologyMap:
     Links change only through ``add_link``/``remove_link`` and tags only
     through ``set_tags``/``drop_tags``, which keep the indexes below in
     step, so every lookup here costs the degree of a switch, not the
-    size of the map; a tag change moves its pair only under the edges
-    the tag gained or lost.  The map keeps no shortest-path state: a
-    retag reads ``adj`` into one ``PathsToward`` per target switch and
-    drops them when it ends."""
+    size of the map.  Each tag is kept with its span, the switch edges
+    its primary or backup crosses and its limit, which the retag reads
+    off the ``PathsToward`` that built the tag, so no tag's edges are
+    built twice; a tag change moves its pair only under the edges the
+    old and new spans do not share.
+    The map keeps no shortest-path state: a retag reads ``adj`` into one
+    ``PathsToward`` per target switch and drops them when it ends."""
 
     def __init__(self) -> None:
         self.switches: dict[int, SwitchId] = {}
@@ -127,8 +125,17 @@ class TopologyMap:
         # are confirmed in both directions, as (own port, far port); a
         # neighbour stays while one of several parallel links remains
         self.adj: dict[int, dict[int, set[tuple[PortRef, PortRef]]]] = {}
-        # switch edge -> tagged pairs whose primary or backup crosses it
+        # tagged pair (x, y), x < y -> its span: (the switch edges its
+        # primary or backup crosses, each as (u, v) when the path crosses
+        # it from u to v on its way from x to y; the hop count of its
+        # backup, or of its primary without one: a walk through a changed
+        # edge no longer than this can shorten or re-tie either path)
+        self.tag_spans: dict[tuple[int, int], tuple[frozenset, int]] = {}
+        # crossed switch edge (u, v), as in a span -> the tagged pairs
+        # whose span holds it; a pair crossing edge u-v is under (u, v),
+        # under (v, u), or under both
         self.pairs_on: dict[tuple[int, int], set[tuple[int, int]]] = {}
+        self.crossings = Crossings()
         # switch -> tag limit -> the switches it shares a tag of that limit with
         self.partners: dict[int, dict[int, set[int]]] = {}
 
@@ -182,38 +189,69 @@ class TopologyMap:
         links = self.adj.get(src, {}).get(nxt)
         return min(links)[0] if links else None
 
-    def set_tags(self, pair: tuple[int, int], tags: PathTags) -> None:
-        old = self.path_tags.get(pair)
+    def set_tags(self, pair: tuple[int, int], tags: PathTags,
+                 edges: frozenset, limit: int) -> None:
+        """Tag ``pair`` with ``tags``, whose span is ``edges`` and
+        ``limit`` (see ``tag_spans``)."""
         self.path_tags[pair] = tags
-        self._reindex(pair, old, tags)
-
-    def drop_tags(self, pair: tuple[int, int]) -> None:
-        self._reindex(pair, self.path_tags.pop(pair), None)
-
-    def _reindex(self, pair: tuple[int, int], old: Optional[PathTags],
-                 new: Optional[PathTags]) -> None:
-        """Move ``pair`` in the tag indexes from tag ``old`` to ``new``."""
-        before = old.edges() if old else set()
-        after = new.edges() if new else set()
-        for edge in after - before:
-            self.pairs_on.setdefault(edge, set()).add(pair)
-        for edge in before - after:
-            pairs = self.pairs_on[edge]
+        old = self.tag_spans.get(pair)
+        self.tag_spans[pair] = (edges, limit)
+        if old is None:
+            added, removed = edges, ()
+            self._partner(pair, limit)
+        else:
+            old_edges, old_limit = old
+            added, removed = edges - old_edges, old_edges - edges
+            if old_limit != limit:
+                self._unpartner(pair, old_limit)
+                self._partner(pair, limit)
+        pairs_on = self.pairs_on
+        for edge in added:
+            pairs = pairs_on.get(edge)
+            if pairs is None:
+                pairs_on[edge] = {pair}
+            else:
+                pairs.add(pair)
+        for edge in removed:
+            pairs = pairs_on[edge]
             pairs.remove(pair)
             if not pairs:
-                del self.pairs_on[edge]
-        if old and new and old.limit == new.limit:
-            return
+                del pairs_on[edge]
+
+    def drop_tags(self, pair: tuple[int, int]) -> None:
+        del self.path_tags[pair]
+        edges, limit = self.tag_spans.pop(pair)
+        self._unpartner(pair, limit)
+        pairs_on = self.pairs_on
+        for edge in edges:
+            pairs = pairs_on[edge]
+            pairs.remove(pair)
+            if not pairs:
+                del pairs_on[edge]
+
+    def _partner(self, pair: tuple[int, int], limit: int) -> None:
+        partners = self.partners
         for x, y in (pair, pair[::-1]):
-            if old:
-                by_limit = self.partners[x]
-                by_limit[old.limit].remove(y)
-                if not by_limit[old.limit]:
-                    del by_limit[old.limit]
-                    if not by_limit:
-                        del self.partners[x]
-            if new:
-                self.partners.setdefault(x, {}).setdefault(new.limit, set()).add(y)
+            by_limit = partners.get(x)
+            if by_limit is None:
+                partners[x] = {limit: {y}}
+            else:
+                ys = by_limit.get(limit)
+                if ys is None:
+                    by_limit[limit] = {y}
+                else:
+                    ys.add(y)
+
+    def _unpartner(self, pair: tuple[int, int], limit: int) -> None:
+        partners = self.partners
+        for x, y in (pair, pair[::-1]):
+            by_limit = partners[x]
+            ys = by_limit[limit]
+            ys.remove(y)
+            if not ys:
+                del by_limit[limit]
+                if not by_limit:
+                    del partners[x]
 
     def dump(self) -> str:
         lines = ["switches: " + (", ".join(
@@ -242,8 +280,9 @@ class PathsToward:
     graph a retag sees, built once per target and retag by one search
     from b: each switch's hop count to b and its lex-min step, its
     smallest neighbour one hop closer.  The lex-min paths, the near ends
-    of the backups and the detours worked out from it are kept on it,
-    so the pairs with target b share them."""
+    of the backups and the detours are worked out from it on demand and
+    kept on it, so the pairs with target b share them, and a tag's span
+    is read off the two memoized paths its backup is made of."""
 
     def __init__(self, adj: dict[int, dict], b: int,
                  bridges: set[tuple[int, int]]):
@@ -303,93 +342,167 @@ class PathsToward:
         detour = self._detours.get(p) or self._detour(p)
         return primary[:self.dist[a] - self.dist[p]] + detour
 
+    def edges(self, a: int, crossings: "Crossings") -> frozenset:
+        """The switch edges that ``path(a)`` or ``backup(a)`` crosses, each
+        as its two switches in the order the path crosses it, from a
+        toward b, taken from ``crossings``; read after ``backup(a)``.  The
+        backup leaves the primary only at its detour, so these are the
+        edges of the two memoized paths."""
+        path = self._paths[a]
+        p = self._near[a]
+        crossed = zip(path, path[1:])
+        if p is not None:
+            detour = self._detours[p]
+            crossed = chain(crossed, zip(detour, detour[1:]))
+        return frozenset(map(crossings.__getitem__, crossed))
+
     def _detour(self, p: int) -> tuple[int, ...]:
         """The lexicographically smallest shortest p-b path without the
         edge p-q, where q is p's lex-min step toward b.
 
-        Without that edge p stays as far from b when it has another
+        Most detours are local (``_local_detour``).  Failing those, every
+        neighbour u of p but q is one hop farther, with p its only closer
+        neighbour, so p is u's step.  If u is p's only other neighbour, a
+        path from p without p-q goes on from u, and a path from u without
+        u-p never passes p: p's detour is p followed by u's.  Such a chain
+        of switches is climbed to its first switch that is not one, whose
+        detour is local or found by ``_cut_detour``, and every switch of
+        the chain keeps its own."""
+        detours, adj, step = self._detours, self.adj, self.step
+        climbed = []
+        while True:
+            q = step[p]
+            detour = self._local_detour(p, q)
+            if detour is not None:
+                break
+            if len(adj[p]) != 2:
+                detour = self._cut_detour(p, q)
+                break
+            climbed.append(p)
+            for u in adj[p]:
+                if u != q:
+                    break
+            p = u
+            detour = detours.get(p)
+            if detour is not None:
+                break
+        detours[p] = detour
+        for v in reversed(climbed):
+            detour = detours[v] = (v,) + detour
+        return detour
+
+    def _local_detour(self, p: int, q: int) -> Optional[tuple[int, ...]]:
+        """p's detour when it is at most three hops longer than p's hop
+        count; else None, and None for a link of a chain (one neighbour
+        besides q) that the detour of that neighbour settles.
+
+        Without the edge p-q, p stays as far from b when it has another
         neighbour one hop closer, gets one hop farther when it has a
         neighbour as far as itself, and two when a neighbour one hop
-        farther has a closer neighbour besides p; the smallest such
-        neighbour of the nearest kind leads the way.  Failing all three,
-        p and the switches all of whose shortest routes to b cross p,
-        the cut, get farther from b; every other distance stands, and so
-        does every step toward b that neither leaves nor enters the cut.
-        The cut is found level by level outward from p, a switch joining
-        it when all of its neighbours one hop closer are in it, and only
-        as far as the walk from p can need it: while the cut's new
-        distances are settled from its intact neighbours in increasing
-        order, until p's is."""
-        adj, dist, path = self.adj, self.dist, self.path
-        top, q = dist[p], self.step[p]
-        closer = [n for n in adj[p] if dist[n] < top and n != q]
-        if closer:
-            detour = self._detours[p] = (p,) + path(min(closer))
-            return detour
-        level = [n for n in adj[p] if dist[n] == top]
-        if level:
-            detour = self._detours[p] = (p,) + path(min(level))
-            return detour
-        for u in sorted(adj[p]):
-            if u == q:
-                continue
-            closer = [n for n in adj[u] if dist[n] == top and n != p]
-            if closer:
-                detour = self._detours[p] = (p, u) + path(min(closer))
-                return detour
-        cut = {p}
-        ups = {u for u in adj[p] if u != q}  # candidates for the cut at top + 1
-        settled: dict[int, int] = {}     # new distances within the cut
-        heap: list[tuple[int, int]] = []
-        while p not in settled:
-            # a distance d settles only once every level below d is known
-            while ups and (not heap or heap[0][0] > top + 1):
-                top += 1
-                new = []
-                for v in ups:
-                    for n in adj[v]:
-                        if dist[n] < top and n not in cut:
-                            # an intact switch one level above the cut
-                            for n in adj[v]:
-                                if n in cut and dist[n] < top:
-                                    heappush(heap, (top + 1, n))
-                            break
-                    else:
-                        new.append(v)
-                cut.update(new)
-                ups = set()
-                for v in new:
-                    for n in adj[v]:
-                        d = dist[n]
-                        if d > top:
-                            ups.add(n)
-                        elif n in settled:
-                            heappush(heap, (settled[n] + 1, v))
-                        elif n not in cut:
-                            heappush(heap, (d + 1, v))
-            d, v = heappop(heap)
-            if v not in settled:
-                settled[v] = d
-                for n in adj[v]:
-                    if n in cut and n not in settled:
-                        heappush(heap, (d + 1, n))
-        walk = [p]
-        cur = p
-        while cur in cut:
-            k = settled[cur] - 1
-            cur = min([n for n in adj[cur]
-                       if (settled.get(n, -1) if n in cut else dist[n]) == k
-                       and (cur, n) != (p, q)])
-            walk.append(cur)
-        # Out of the cut for good.  Above p's level the smallest closer
-        # switch may be in the cut; from p's level down none is.
+        farther has a closer neighbour besides p.  Else every neighbour
+        of p but q is one hop farther with p its only closer neighbour,
+        so each gets farther too, and p gets three hops farther when one
+        of them has a neighbour as far as itself with a closer neighbour
+        besides p.  The smallest way of the nearest kind leads, in the
+        order the walk meets its switches.  (Plain loops: each
+        comprehension would be a call of its own.)"""
+        adj, dist = self.adj, self.dist
         top = dist[p]
-        while dist[cur] > top:
-            k = dist[cur] - 1
-            cur = min([n for n in adj[cur] if dist[n] == k and n not in cut])
-            walk.append(cur)
-        detour = self._detours[p] = tuple(walk[:-1]) + self.path(cur)
-        return detour
+        closer = level = None
+        for n in adj[p]:
+            d = dist[n]
+            if d < top:
+                if n != q and (closer is None or n < closer):
+                    closer = n
+            elif d == top and (level is None or n < level):
+                level = n
+        if closer is not None:
+            return (p,) + self.path(closer)
+        if level is not None:
+            return (p,) + self.path(level)
+        # every neighbour but q is one hop farther than p
+        ups = sorted(adj[p])
+        ups.remove(q)
+        for u in ups:
+            for n in adj[u]:
+                if dist[n] == top and n != p and (level is None or n < level):
+                    level = n
+            if level is not None:
+                return (p, u) + self.path(level)
+        if len(ups) == 1:
+            # p is a link of a chain: its detour is its one neighbour's
+            return None
+        for u in ups:
+            for w in sorted(adj[u]):
+                if dist[w] == top + 1:
+                    for n in adj[w]:
+                        if dist[n] == top and n != p and (level is None or n < level):
+                            level = n
+                    if level is not None:
+                        return (p, u, w) + self.path(level)
+        return None
+
+    def _cut_detour(self, p: int, q: int) -> tuple[int, ...]:
+        """p's detour, p having no local way round.
+
+        Every switch as close to b as p or closer, p aside, keeps its
+        hop count without p-q, since none of its shortest routes crosses
+        p.  So a path from p first climbs through farther switches and
+        leaves them at some such switch x, then follows x's lex-min path,
+        and p's new hop count is the least (hops from p to x) + dist[x].
+        One search outward from p through the farther switches finds it,
+        skipping a switch whose hop count from p plus its old hop count
+        to b (never more than its new one) already exceeds the best
+        found.  The switches that lie on a shortest detour are then
+        marked from the farthest layer in, and the walk from p takes the
+        smallest marked neighbour, or way out, at each step."""
+        adj, dist = self.adj, self.dist
+        top = dist[p]
+        g = {p: 0}                # hops from p through farther switches
+        layers = []
+        layer, k, best = [p], 0, inf
+        while layer and k + top < best:
+            layers.append(layer)
+            nxt = []
+            k1 = k + 1
+            for w in layer:
+                for n in adj[w]:
+                    d = dist[n]
+                    if d > top:
+                        if n not in g and k1 + d <= best:
+                            g[n] = k1
+                            nxt.append(n)
+                    elif k1 + d < best and n != p and (w != p or n != q):
+                        best = k1 + d
+            layer, k = nxt, k1
+        # farther switch -> its place on a shortest detour from p
+        on_detour: dict[int, int] = {}
+        for k in range(len(layers) - 1, 0, -1):
+            k1 = k + 1
+            for w in layers[k]:
+                if k + dist[w] > best:
+                    continue
+                for n in adj[w]:
+                    d = dist[n]
+                    if (on_detour.get(n) == k1 if d > top
+                            else k1 + d == best and n != p):
+                        on_detour[w] = k
+                        break
+        walk = [p]
+        cur, k = p, 0
+        while dist[cur] > top or cur == p:
+            k += 1
+            nxt = None
+            for n in adj[cur]:
+                if nxt is None or n < nxt:
+                    d = dist[n]
+                    if (on_detour.get(n) == k if d > top
+                            else k + d == best and n != p
+                            and (cur != p or n != q)):
+                        nxt = n
+            walk.append(nxt)
+            cur = nxt
+        return tuple(walk[:-1]) + self.path(cur)
 
 
 class Controller:
@@ -425,9 +538,11 @@ class Controller:
         self._edges: set[tuple[int, int]] = set()
         self._comp: dict[int, int] = {}
         self._sent_groups: dict[tuple[int, int], tuple] = {}
-        # the ports of registered switches as text, and back: filled at
-        # registration only, so frames cannot grow them
+        # the ports of registered switches as text, as the port ids of
+        # cleartext frames, and back: filled at registration only, so
+        # frames cannot grow them
         self._port_text: dict[PortRef, str] = {}
+        self._port_id: dict[PortRef, bytes] = {}
         self._port_of_text: dict[bytes, PortRef] = {}
 
     # -- plumbing ----------------------------------------------------------
@@ -486,7 +601,8 @@ class Controller:
         for port_no in range(1, body.port_count + 1):
             port = PortRef(body.dpid, port_no)
             text = self._port_text[port] = str(port)
-            self._port_of_text[text.encode()] = port
+            port_id = self._port_id[port] = text.encode()
+            self._port_of_text[port_id] = port
             # a registering switch is a fresh boot: its port epochs
             # restart, so those of an earlier session would make its
             # BFD reports look stale
@@ -685,7 +801,7 @@ class Controller:
     def _cleartext_frame(self, reg: RegisteredSwitch, port: Optional[PortRef]) -> LldpFrame:
         return LldpFrame(
             chassis_id=reg.id.local_mac.encode(),
-            port_id=str(port).encode() if port is not None else b"",
+            port_id=self._port_id[port] if port is not None else b"",
             system_description=self.product)
 
     def _dispatch_round(self) -> None:
@@ -846,24 +962,22 @@ class Controller:
         alive_edges = {(u, v) for u in adj for v in adj[u] if u <= v}
         # Every tag edge was alive at the previous retag, so the tag edges
         # that died since are among the edges the graph lost.
+        pairs_on = self.map.pairs_on
         stale_pairs = set().union(*(
-            self.map.pairs_on.get(e, ()) for e in
-            (bridges ^ self._bridges) | (self._edges - alive_edges)))
+            pairs_on.get(crossed, ()) for (u, v) in
+            (bridges ^ self._bridges) | (self._edges - alive_edges)
+            for crossed in ((u, v), (v, u))))
         tested = {(min(a.dpid, b.dpid), max(a.dpid, b.dpid))
                   for (a, b) in changed_links} & alive_edges
         # per target switch: the shortest paths toward it
         toward: dict[int, PathsToward] = {}
-
-        def paths_to(v: int) -> PathsToward:
-            paths = toward.get(v)
-            if paths is None:
-                paths = toward[v] = PathsToward(adj, v, bridges)
-            return paths
+        for v in {v for edge in tested for v in edge}:
+            toward[v] = PathsToward(adj, v, bridges)
 
         candidates = stale_pairs | self._newly_connected(comp)
         walks = []
         for (u, v) in tested:
-            du, dv = paths_to(u).dist, paths_to(v).dist
+            du, dv = toward[u].dist, toward[v].dist
             walks.append((du, dv))
             candidates |= self._walk_hits(du, dv)
         if alive_edges - self._edges - tested:
@@ -872,29 +986,39 @@ class Controller:
         group_sends: list[tuple[int, int]] = []
         recomputed = 0
         hops: dict[tuple[int, int], tuple] = {}
-        for (a, b) in sorted(candidates):
-            old = tags.get((a, b))
+        spans, crossings = self.map.tag_spans, self.map.crossings
+        for pair in sorted(candidates):
+            a, b = pair
+            old = tags.get(pair)
             root = comp.get(a)
             if root is None or root != comp.get(b):
                 if old is not None:
-                    self.map.drop_tags((a, b))
+                    self.map.drop_tags(pair)
                 continue
-            paths = paths_to(b)
+            paths = toward.get(b)
+            if paths is None:
+                paths = toward[b] = PathsToward(adj, b, bridges)
             if (old is not None and len(old.primary) - 1 == paths.dist[a]
-                    and (a, b) not in stale_pairs
-                    and all(1 + min(du.get(a, inf) + dv.get(b, inf),
-                                    dv.get(a, inf) + du.get(b, inf)) > old.limit
-                            for du, dv in walks)):
-                continue
+                    and pair not in stale_pairs):
+                limit = spans[pair][1]
+                for du, dv in walks:
+                    if 1 + min(du.get(a, inf) + dv.get(b, inf),
+                               dv.get(a, inf) + du.get(b, inf)) <= limit:
+                        break
+                else:
+                    continue
             primary = paths.path(a)
             backup = paths.backup(a)
             backups = (backup,) if backup is not None else ()
             recomputed += 1
             if old == (primary, backups):
                 continue
-            entry = PathTags(primary, backups)
-            self.map.set_tags((a, b), entry)
-            group_sends.extend(self._push_groups(a, b, entry, hops))
+            # built in C, without the NamedTuple's Python-level __new__
+            entry = tuple.__new__(PathTags, (primary, backups))
+            self.map.set_tags(pair, entry, paths.edges(a, crossings),
+                              len(backup or primary) - 1)
+            if not self.te_override:
+                self._push_groups(a, b, entry, hops, group_sends)
 
         self._bridges, self._edges, self._comp = bridges, alive_edges, comp
         for (pa, pb) in changed_links:
@@ -918,17 +1042,15 @@ class Controller:
         hop = hops[(src, nxt)] = (port, GroupBucket(port, port), str(port))
         return hop
 
-    def _push_groups(self, a: int, b: int, entry: PathTags,
-                     hops: dict) -> list[tuple[int, int]]:
-        """Fast-failover groups at both endpoints of a tagged pair: first
-        bucket follows the primary, second the backup; liveness is the
-        watch port's link flag so switchover needs no controller round
-        trip.  Every hop of a path the retag just built is a confirmed
-        link, so each bucket has a port.  TE override suppresses
-        installation."""
-        if self.te_override:
-            return []
-        sends = []
+    def _push_groups(self, a: int, b: int, entry: PathTags, hops: dict,
+                     sends: list[tuple[int, int]]) -> None:
+        """Fast-failover groups at both endpoints of a tagged pair, each
+        send appended to ``sends``: first bucket follows the primary,
+        second the backup; liveness is the watch port's link flag so
+        switchover needs no controller round trip.  Every hop of a path
+        the retag just built is a confirmed link, so each bucket has a
+        port.  (TE override suppresses installation: the caller skips
+        this then.)"""
         sent = self._sent_groups
         primary, backups = entry
         # the second switch of each path seen from a, and from b
@@ -951,9 +1073,9 @@ class Controller:
                     continue
                 buckets, texts = (first[1],), [first[2]]
             sent[(src, dst)] = watch
-            self._send(MsgKind.GROUP_MOD, src,
-                       tuple.__new__(GroupModBody, (src, dst, buckets)))
+            self.services.send_control(tuple.__new__(ControlMessage, (
+                MsgKind.GROUP_MOD, CONTROLLER, src,
+                tuple.__new__(GroupModBody, (src, dst, buckets)))))
             self.services.record("group_dispatch", dpid=src, group_id=dst,
                                  buckets=texts)
             sends.append((src, dst))
-        return sends

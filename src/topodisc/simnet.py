@@ -17,7 +17,8 @@ records of one kind with equal payloads of str, int, bool and None values
 may hold one and the same dict, which the digest and the ndjson export
 encode once.  A record looks its detail up by kind, keys and values;
 a detail with an int or bool value is then told apart by its value types,
-and one with a float or list value is not shared.
+and one with a float value is not shared.  Nor is any detail of a kind
+that has carried a list, which is not looked up.
 
 An event is its own heap entry, a ``SimEvent``: the list ``[fire_at,
 seq, action, kind]``, which heapq orders by (fire_at, seq) alone, as
@@ -36,6 +37,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, repeat
 from typing import Callable, Iterator, NamedTuple
 
@@ -147,6 +149,9 @@ class Trace:
         # (kind, keys, values, value types), in the writer's key order and
         # in sorted order -> the one detail dict of that payload
         self._shared: dict[tuple, dict] = {}
+        # kind -> whether it has carried a list value, so that its
+        # details are not shared
+        self._unshared: dict[str, bool] = {}
 
     @property
     def records(self) -> TraceRecords:
@@ -163,17 +168,27 @@ class Trace:
     def record(self, ts: SimTime, kind: str, **detail) -> None:
         """Writers pass JSON primitives (str, int, float, bool, None and
         lists of them); the record keeps them as given, keys sorted.  The
-        detail is read-only: records of this kind whose values are all
-        str, int, bool or None and equal in type and value get one dict."""
-        values = detail.values()
-        key = (kind, *detail, *values)
-        try:
-            payload = self._shared.get(key)
-        except TypeError:           # a list value: not shared
+        detail is read-only: records of one kind whose values are all
+        str, int, bool or None and equal in type and value get one dict,
+        unless the kind has carried a list.  A kind whose first record
+        carries a list, as the group records do, is never looked up; one
+        that carries a list later is not looked up from then on."""
+        unshared = self._unshared.get(kind)
+        if unshared is None:
+            unshared = self._unshared[kind] = list in map(type, detail.values())
+        if unshared:
             payload = dict(sorted(detail.items()))
         else:
-            if payload is None:
-                payload = self._share(key, detail)
+            values = detail.values()
+            key = (kind, *detail, *values)
+            try:
+                payload = self._shared.get(key)
+            except TypeError:           # a list value
+                self._unshared[kind] = True
+                payload = dict(sorted(detail.items()))
+            else:
+                if payload is None:
+                    payload = self._share(key, detail)
         self._ts.append(ts)
         self._kinds.append(kind)
         self._details.append(payload)
@@ -455,29 +470,35 @@ class Fabric:
             self.engine.record("ctrl_dropped", msg=name, reason="channel_closed",
                                switch=f"s{dpid}")
             return
-        gen = self.channel_generation[dpid]
         if to_controller:
-            delay, src_text, dst_text = (chan.delay_to_controller,
-                                         self._dpid_text[dpid], CONTROLLER)
+            delay = chan.delay_to_controller
         else:
-            delay, src_text, dst_text = (chan.delay_from_controller,
-                                         CONTROLLER, self._dpid_text[dpid])
-
-        def arrive():
-            if dpid not in self.connected or self.channel_generation[dpid] != gen:
-                counters["ctrl_dropped"] += 1
-                self.engine.record("ctrl_dropped", msg=name,
-                                   reason="channel_closed_in_flight", switch=f"s{dpid}")
-                return
-            counters["ctrl_delivered"] += 1
-            self.engine.record("ctrl_delivered", msg=name, src=src_text, dst=dst_text)
-            if to_controller:
-                self.deliver_to_controller(msg)
-            else:
-                self.deliver_to_switch(msg)
-
+            delay = chan.delay_from_controller
         engine = self.engine
-        engine.schedule_at(engine.now + delay, _CTRL_EVENT_KINDS[name], arrive)
+        # a partial of the plain function, not a closure or a bound method:
+        # two objects for the collector to track per message, not eleven
+        engine.schedule_at(engine.now + delay, _CTRL_EVENT_KINDS[name], partial(
+            Fabric._control_arrives, self, msg, dpid, self.channel_generation[dpid]))
+
+    def _control_arrives(self, msg: ControlMessage, dpid: int, gen: int) -> None:
+        """Deliver a control message sent on channel generation ``gen`` of
+        switch ``dpid``, unless that channel closed since."""
+        kind, src, _, _ = msg
+        name = kind._value_
+        if dpid not in self.connected or self.channel_generation[dpid] != gen:
+            self.counters["ctrl_dropped"] += 1
+            self.engine.record("ctrl_dropped", msg=name,
+                               reason="channel_closed_in_flight", switch=f"s{dpid}")
+            return
+        self.counters["ctrl_delivered"] += 1
+        if src != CONTROLLER:
+            self.engine.record("ctrl_delivered", msg=name,
+                               src=self._dpid_text[dpid], dst=CONTROLLER)
+            self.deliver_to_controller(msg)
+        else:
+            self.engine.record("ctrl_delivered", msg=name,
+                               src=CONTROLLER, dst=self._dpid_text[dpid])
+            self.deliver_to_switch(msg)
 
     def send_frame(self, egress: PortRef, frame: LldpFrame) -> None:
         """Emit a frame out a switch port.  Host-facing ports hand it to the
@@ -496,24 +517,26 @@ class Fabric:
             counters["frames_dropped"] += 1
             self.engine.record("frame_dropped", reason="link_down_at_send", port=str(egress))
             return
-        gen = st.generation
         link = st.spec
         if egress == link.a:
             peer, delay = link.b, link.delay_ab
         else:
             peer, delay = link.a, link.delay_ba
-
-        def arrive():
-            if not st.alive or st.generation != gen:
-                counters["frames_dropped"] += 1
-                self.engine.record("frame_dropped", reason="link_died_in_flight",
-                                   link=str(link))
-                return
-            counters["frames_delivered"] += 1
-            self.frame_arrival(peer, frame)
-
         engine = self.engine
-        engine.schedule_at(engine.now + delay, "frame", arrive)
+        engine.schedule_at(engine.now + delay, "frame", partial(
+            Fabric._frame_arrives, self, st, st.generation, peer, frame))
+
+    def _frame_arrives(self, st: LinkState, gen: int, peer: PortRef,
+                       frame: LldpFrame) -> None:
+        """Hand a frame to ``peer`` unless its link, ``st``, went down
+        since it was sent in generation ``gen``."""
+        if not st.alive or st.generation != gen:
+            self.counters["frames_dropped"] += 1
+            self.engine.record("frame_dropped", reason="link_died_in_flight",
+                               link=str(st.spec))
+            return
+        self.counters["frames_delivered"] += 1
+        self.frame_arrival(peer, frame)
 
     def inject_frame(self, ingress: PortRef, frame: LldpFrame) -> None:
         """Adversarial injection: a host pushes a frame into the switch port

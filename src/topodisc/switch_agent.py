@@ -146,6 +146,10 @@ class SwitchAgent:
             PortRef(decl.id.dpid, n): PortState(PortRef(decl.id.dpid, n))
             for n in range(1, decl.port_count + 1)
         }
+        # each port with its id as the baselines' frames write it, in
+        # port order: the copies of a replicate-to-all PACKET_OUT
+        self._port_ids: tuple[tuple[PortRef, bytes], ...] = tuple(
+            (ref, str(ref).encode()) for ref in sorted(self.ports))
         self.flow_table: list[FlowRule] = []
         self.group_table: dict[int, FailoverGroup] = {}
         # bucket list of a GROUP_MOD -> its "watch->out" texts
@@ -349,9 +353,11 @@ class SwitchAgent:
         if body.egress is not None:
             self.services.send_frame(body.egress, body.frame)
             return
-        for ref in sorted(self.ports):
-            frame = body.frame._replace(port_id=str(ref).encode())
-            self.services.send_frame(ref, frame)
+        chassis_id, _, description, nonce = body.frame
+        for ref, port_id in self._port_ids:
+            # built in C, without the NamedTuple's Python-level __new__
+            self.services.send_frame(ref, tuple.__new__(
+                LldpFrame, (chassis_id, port_id, description, nonce)))
 
     def _install_rule(self, priority: int, match_ingress: Optional[PortRef],
                       action: tuple, hard_timeout: Optional[SimTime]) -> FlowRule:

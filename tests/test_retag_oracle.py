@@ -236,24 +236,31 @@ class ReferenceRetag:
         return sends
 
 
-def rebuilt_indexes(path_tags) -> tuple[dict, dict]:
-    """``pairs_on`` and ``partners`` as they follow from the path tags,
-    read off the path tuples alone: each switch edge, as a (low, high)
-    pair, maps to the pairs whose primary or backup crosses it, and each
-    switch maps, per hop count of its tag's backup (or of the primary
-    without one), to the switches it shares such a tag with."""
+def rebuilt_indexes(path_tags) -> tuple[dict, dict, dict]:
+    """``tag_spans``, ``pairs_on`` and ``partners`` as they follow from
+    the path tags, read off the path tuples alone.  A pair's span is the
+    set of (u, v) for each hop from u to v of its primary or backup, both
+    read from its low switch to its high one, with the hop count of its
+    backup (or of the primary without one); each such (u, v) maps to the
+    pairs whose span holds it; and each switch maps, per that hop count,
+    to the switches it shares such a tag with."""
+    spans: dict = {}
     pairs_on: dict = {}
     partners: dict = {}
     for (x, y), tags in path_tags.items():
         paths = [tags.primary, *tags.backups]
+        assert all(path[0] == x and path[-1] == y for path in paths)
+        crossed = set()
         for path in paths:
             for i in range(len(path) - 1):
-                edge = tuple(sorted(path[i:i + 2]))
-                pairs_on.setdefault(edge, set()).add((x, y))
+                crossed.add((path[i], path[i + 1]))
+        for edge in crossed:
+            pairs_on.setdefault(edge, set()).add((x, y))
         hops = len(paths[1] if tags.backups else paths[0]) - 1
+        spans[(x, y)] = (crossed, hops)
         for a, b in ((x, y), (y, x)):
             partners.setdefault(a, {}).setdefault(hops, set()).add(b)
-    return pairs_on, partners
+    return spans, pairs_on, partners
 
 
 # -- histories -------------------------------------------------------------
@@ -286,7 +293,7 @@ def replay(n: int, links, ops) -> None:
         return (b, a) if reverse else (a, b)
 
     def check_indexes(where):
-        assert (ctrl.map.pairs_on, ctrl.map.partners) \
+        assert (ctrl.map.tag_spans, ctrl.map.pairs_on, ctrl.map.partners) \
             == rebuilt_indexes(ctrl.map.path_tags), where
 
     seen_records = 0
