@@ -987,6 +987,7 @@ class Controller:
         recomputed = 0
         hops: dict[tuple[int, int], tuple] = {}
         spans, crossings = self.map.tag_spans, self.map.crossings
+        set_tags, push = self.map.set_tags, not self.te_override
         for pair in sorted(candidates):
             a, b = pair
             old = tags.get(pair)
@@ -1015,9 +1016,9 @@ class Controller:
                 continue
             # built in C, without the NamedTuple's Python-level __new__
             entry = tuple.__new__(PathTags, (primary, backups))
-            self.map.set_tags(pair, entry, paths.edges(a, crossings),
-                              len(backup or primary) - 1)
-            if not self.te_override:
+            set_tags(pair, entry, paths.edges(a, crossings),
+                     len(backup or primary) - 1)
+            if push:
                 self._push_groups(a, b, entry, hops, group_sends)
 
         self._bridges, self._edges, self._comp = bridges, alive_edges, comp
@@ -1055,27 +1056,30 @@ class Controller:
         primary, backups = entry
         # the second switch of each path seen from a, and from b
         for src, dst, hop in ((a, b, 1), (b, a, -2)):
-            if not backups and (src, dst) not in sent:
+            group = (src, dst)
+            installed = sent.get(group)
+            if not backups and installed is None:
                 # Nothing installed earlier and no alternative to fail
                 # over to: a single-bucket group buys nothing.
                 continue
-            first = hops.get((src, primary[hop])) or self._hop(src, primary[hop], hops)
+            nxt = primary[hop]
+            first = hops.get((src, nxt)) or self._hop(src, nxt, hops)
             if backups:
                 nxt = backups[0][hop]
                 second = hops.get((src, nxt)) or self._hop(src, nxt, hops)
                 watch = (first[0], second[0])
-                if sent.get((src, dst)) == watch:
+                if installed == watch:
                     continue
                 buckets, texts = (first[1], second[1]), [first[2], second[2]]
             else:
                 watch = (first[0],)
-                if sent.get((src, dst)) == watch:
+                if installed == watch:
                     continue
                 buckets, texts = (first[1],), [first[2]]
-            sent[(src, dst)] = watch
+            sent[group] = watch
             self.services.send_control(tuple.__new__(ControlMessage, (
                 MsgKind.GROUP_MOD, CONTROLLER, src,
                 tuple.__new__(GroupModBody, (src, dst, buckets)))))
             self.services.record("group_dispatch", dpid=src, group_id=dst,
                                  buckets=texts)
-            sends.append((src, dst))
+            sends.append(group)

@@ -59,11 +59,28 @@ from .core import (
 # ---------------------------------------------------------------------------
 # engine
 
-# One encoder for every record, with json.dumps's defaults otherwise;
-# json.dumps builds a fresh encoder for each call with non-default args.
-_payload_json = json.JSONEncoder(separators=(",", ":")).encode
-# An ndjson row: the record's ts and kind beside its detail's keys.
-_ndjson_row = json.JSONEncoder(sort_keys=True).encode
+
+
+def _encoder(**options) -> Callable[[object], str]:
+    """``json.JSONEncoder(**options).encode``, with json.dumps's defaults
+    otherwise, as one C encoder built once: ``encode`` builds a fresh one,
+    with a markers dict and a float formatter, on every call.  It skips
+    the circular-reference check, which a record's primitives and lists
+    of them never need, and gives the same text."""
+    encoder = json.JSONEncoder(**options)
+    make = json.encoder.c_make_encoder
+    if make is None:                # no C accelerator: the plain encoder
+        return encoder.encode
+    encode = make(None, encoder.default, json.encoder.encode_basestring_ascii,
+                  None, encoder.key_separator, encoder.item_separator,
+                  encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+# One encoder for every record's detail, and one for an ndjson row: the
+# record's ts and kind beside its detail's keys.
+_payload_json = _encoder(separators=(",", ":"))
+_ndjson_row = _encoder(sort_keys=True)
 
 # The value types whose equal values always encode alike (1 == True and
 # 0.0 == -0.0 differ in type or encoding), and that can be dict keys.

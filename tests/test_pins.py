@@ -268,9 +268,10 @@ def test_trace_ndjson_is_pinned(case):
 
 
 # Run again under another hash seed: the flood writes one record pair per
-# frame through the shared details and the text memos, and the sOFTDP
-# walkthrough exercises every sOFTDP mechanism.
-HASH_SEED_CASES = ("flood-ofdp", "walkthrough-softdp")
+# frame through the shared details and the text memos, the sOFTDP
+# walkthrough exercises every sOFTDP mechanism, and the 60-switch churn
+# runs the retag's tag index, spans and detour memos at scale.
+HASH_SEED_CASES = ("flood-ofdp", "walkthrough-softdp", "churn60-softdp")
 
 
 def test_pinned_outputs_do_not_depend_on_the_hash_seed():

@@ -20,11 +20,12 @@ map's tag indexes must equal a rebuild from its path tags.
 import random
 from math import inf
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from topodisc.core import GroupBucket, GroupModBody, MsgKind, PortRef, link_key
-from topodisc.controller import PathTags
+from topodisc.controller import PathsToward, PathTags
 
 from test_controller import _registered
 
@@ -419,3 +420,81 @@ def _histories(draw):
 @given(_histories())
 def test_retag_matches_reference_property(history):
     replay(*history)
+
+
+# -- backups against networkx ------------------------------------------------
+
+@st.composite
+def _chained_graphs(draw):
+    """A sparse random graph whose edges are stretched into degree-2
+    chains, hung off switch s of a theta: s and t joined by three chains,
+    the first at least five hops shorter than the other two.  Toward s,
+    t then has no way round within three hops of its own distance, so
+    its detour takes the cut search.  Switch ids are shuffled, so ties
+    break differently from one example to the next."""
+    short = draw(st.integers(1, 3))
+    arms = [short, draw(st.integers(short + 5, short + 8)),
+            draw(st.integers(short + 5, short + 9))]
+    extra = draw(st.integers(0, 6))
+    base = [(draw(st.integers(0, i)), i + 1) for i in range(extra)]
+    base += draw(st.lists(st.tuples(st.integers(0, extra), st.integers(0, extra))
+                          .filter(lambda e: e[0] != e[1]), max_size=3))
+    # s is 0 and t is 1; base switch i > 0 is i + 1; then chain links
+    edges, nxt = [], extra + 2
+    for (u, v), hops in [((0, 1), h) for h in arms] + [
+            ((u + (u > 0), v + (v > 0)), draw(st.integers(1, 4)))
+            for u, v in base]:
+        walk = [u] + list(range(nxt, nxt + hops - 1)) + [v]
+        nxt += hops - 1
+        edges += zip(walk, walk[1:])
+    nodes = sorted({x for e in edges for x in e})
+    labels = draw(st.permutations(range(1, len(nodes) + 1)))
+    name = dict(zip(nodes, labels))
+    return [(name[u], name[v]) for u, v in edges], name[0], name[1]
+
+
+def _lex_min_shortest(g, a, b):
+    return min(tuple(p) for p in nx.all_shortest_paths(g, a, b))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_chained_graphs())
+def test_backup_matches_networkx_on_chained_graphs(graph):
+    """``PathsToward.backup`` is the lex-min shortest path in the graph
+    without the primary's first non-bridge edge (which keeps the
+    primary's bridge stretch in front), or None when every primary edge
+    is a bridge; networkx finds both the paths and the bridges."""
+    edges, s, t = graph
+    g = nx.Graph(edges)
+    adj = {v: set(g[v]) for v in g}
+    bridges = {(min(e), max(e)) for e in nx.bridges(g)}
+    cut_searches = []
+    real = PathsToward._cut_detour
+
+    def counted(paths, p, q):
+        cut_searches.append((paths.path(p)[-1], p))
+        return real(paths, p, q)
+
+    PathsToward._cut_detour = counted
+    try:
+        for b in sorted(g):
+            paths = PathsToward(adj, b, bridges)
+            for a in sorted(g):
+                if a == b:
+                    continue
+                primary = _lex_min_shortest(g, a, b)
+                assert paths.path(a) == primary
+                cut = next(((u, v) for u, v in zip(primary, primary[1:])
+                            if (min(u, v), max(u, v)) not in bridges), None)
+                if cut is None:
+                    assert paths.backup(a) is None, (a, b)
+                    continue
+                g.remove_edge(*cut)
+                want = _lex_min_shortest(g, a, b)
+                g.add_edge(*cut)
+                assert want[:primary.index(cut[0]) + 1] \
+                    == primary[:primary.index(cut[0]) + 1]
+                assert paths.backup(a) == want, (a, b)
+    finally:
+        PathsToward._cut_detour = real
+    assert (s, t) in cut_searches
