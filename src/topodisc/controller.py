@@ -205,6 +205,18 @@ class TopologyMap:
             if old_limit != limit:
                 self._unpartner(pair, old_limit)
                 self._partner(pair, limit)
+        self._file(pair, added, removed)
+
+    def drop_tags(self, pair: tuple[int, int]) -> None:
+        del self.path_tags[pair]
+        edges, limit = self.tag_spans.pop(pair)
+        self._unpartner(pair, limit)
+        self._file(pair, (), edges)
+
+    def _file(self, pair: tuple[int, int], added: Iterable,
+              removed: Iterable) -> None:
+        """File ``pair`` in ``pairs_on`` under the ``added`` edges, and
+        take it out from under the ``removed`` ones."""
         pairs_on = self.pairs_on
         for edge in added:
             pairs = pairs_on.get(edge)
@@ -213,17 +225,6 @@ class TopologyMap:
             else:
                 pairs.add(pair)
         for edge in removed:
-            pairs = pairs_on[edge]
-            pairs.remove(pair)
-            if not pairs:
-                del pairs_on[edge]
-
-    def drop_tags(self, pair: tuple[int, int]) -> None:
-        del self.path_tags[pair]
-        edges, limit = self.tag_spans.pop(pair)
-        self._unpartner(pair, limit)
-        pairs_on = self.pairs_on
-        for edge in edges:
             pairs = pairs_on[edge]
             pairs.remove(pair)
             if not pairs:
@@ -951,9 +952,12 @@ class Controller:
         A visited pair (a, b), a < b, reads the shortest paths toward b,
         built once per target switch and retag (``PathsToward``): its
         primary and backup are lookups there, shared with the other
-        pairs toward b.  A pair whose tags come out unchanged builds no
-        tag and sends nothing, and each (switch, neighbour) first-hop
-        port is looked up once per retag."""
+        pairs toward b, and so is the detour its backup is made of.  A
+        pair whose tags come out unchanged builds no tag and sends
+        nothing.  A changed tag's span is read off those two memoized
+        paths, once, and kept with the tag, so the map files the pair by
+        what the two spans do not share; each (switch, neighbour)
+        first-hop port is looked up once per retag."""
         if self.protocol is not Protocol.SOFTDP:
             return []
         changed_links = list(changed_links)
