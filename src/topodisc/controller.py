@@ -444,66 +444,51 @@ class PathsToward:
         return None
 
     def _cut_detour(self, p: int, q: int) -> tuple[int, ...]:
-        """p's detour, p having no local way round.
+        """p's detour, p having no local way round, so that q is its only
+        neighbour as close to b as itself or closer.
 
         Every switch as close to b as p or closer, p aside, keeps its
         hop count without p-q, since none of its shortest routes crosses
-        p.  So a path from p first climbs through farther switches and
-        leaves them at some such switch x, then follows x's lex-min path,
-        and p's new hop count is the least (hops from p to x) + dist[x].
-        One search outward from p through the farther switches finds it,
-        skipping a switch whose hop count from p plus its old hop count
-        to b (never more than its new one) already exceeds the best
-        found.  The switches that lie on a shortest detour are then
-        marked from the farthest layer in, and the walk from p takes the
-        smallest marked neighbour, or way out, at each step."""
+        p.  So a detour climbs from p through farther switches to one
+        with a neighbour as close as p, a way out, and then follows that
+        neighbour's lex-min path: the fewer hops to a way out, the
+        shorter the detour.  One search outward from p through the
+        farther switches, layer by layer, stops at the first layer with
+        a way out.  The switches on a shortest climb to one are marked
+        from that layer in, and the walk from p takes the smallest
+        marked neighbour at each step, then the smallest way out."""
         adj, dist = self.adj, self.dist
         top = dist[p]
-        g = {p: 0}                # hops from p through farther switches
-        layers = []
-        layer, k, best = [p], 0, inf
-        while layer and k + top < best:
+        layer = [u for u in adj[p] if u != q]
+        seen = {p, *layer}
+        layers, out = [], []
+        while layer and not out:
             layers.append(layer)
-            nxt = []
-            k1 = k + 1
             for w in layer:
                 for n in adj[w]:
-                    d = dist[n]
-                    if d > top:
-                        if n not in g and k1 + d <= best:
-                            g[n] = k1
-                            nxt.append(n)
-                    elif k1 + d < best and n != p and (w != p or n != q):
-                        best = k1 + d
-            layer, k = nxt, k1
-        # farther switch -> its place on a shortest detour from p
-        on_detour: dict[int, int] = {}
-        for k in range(len(layers) - 1, 0, -1):
-            k1 = k + 1
-            for w in layers[k]:
-                if k + dist[w] > best:
-                    continue
-                for n in adj[w]:
-                    d = dist[n]
-                    if (on_detour.get(n) == k1 if d > top
-                            else k1 + d == best and n != p):
-                        on_detour[w] = k
+                    if dist[n] <= top and n != p:
+                        out.append(w)
                         break
+            if not out:
+                # no way out here, so every closer neighbour of this
+                # layer is p
+                nxt = []
+                for w in layer:
+                    for n in adj[w]:
+                        if n not in seen:
+                            seen.add(n)
+                            nxt.append(n)
+                layer = nxt
+        marked = set(out)
+        climb = [marked]
+        for layer in reversed(layers[:-1]):
+            marked = {w for w in layer if not marked.isdisjoint(adj[w])}
+            climb.append(marked)
         walk = [p]
-        cur, k = p, 0
-        while dist[cur] > top or cur == p:
-            k += 1
-            nxt = None
-            for n in adj[cur]:
-                if nxt is None or n < nxt:
-                    d = dist[n]
-                    if (on_detour.get(n) == k if d > top
-                            else k + d == best and n != p
-                            and (cur != p or n != q)):
-                        nxt = n
-            walk.append(nxt)
-            cur = nxt
-        return tuple(walk[:-1]) + self.path(cur)
+        for marked in reversed(climb):
+            walk.append(min(marked.intersection(adj[walk[-1]])))
+        out = min([n for n in adj[walk[-1]] if dist[n] <= top and n != p])
+        return tuple(walk) + self.path(out)
 
 
 class Controller:
