@@ -59,8 +59,6 @@ from .core import (
 # ---------------------------------------------------------------------------
 # engine
 
-
-
 def _encoder(**options) -> Callable[[object], str]:
     """``json.JSONEncoder(**options).encode``, with json.dumps's defaults
     otherwise, as one C encoder built once: ``encode`` builds a fresh one,
