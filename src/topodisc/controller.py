@@ -77,16 +77,6 @@ class PendingWindow:
     timer: object = None  # the scheduled expiry
 
 
-class Crossings(dict):
-    """Each (u, v) switch pair a tag's path has crossed, as one tuple
-    that every span holding it shares: looking a pair up returns that
-    tuple, so a span costs one set and no tuples of its own."""
-
-    def __missing__(self, crossed: tuple[int, int]) -> tuple[int, int]:
-        self[crossed] = crossed
-        return crossed
-
-
 class PathTags(NamedTuple):
     primary: tuple[int, ...]
     backups: tuple[tuple[int, ...], ...] = ()
@@ -125,17 +115,14 @@ class TopologyMap:
         # are confirmed in both directions, as (own port, far port); a
         # neighbour stays while one of several parallel links remains
         self.adj: dict[int, dict[int, set[tuple[PortRef, PortRef]]]] = {}
-        # tagged pair (x, y), x < y -> its span: (the switch edges its
-        # primary or backup crosses, each as (u, v) when the path crosses
-        # it from u to v on its way from x to y; the hop count of its
-        # backup, or of its primary without one: a walk through a changed
-        # edge no longer than this can shorten or re-tie either path)
-        self.tag_spans: dict[tuple[int, int], tuple[frozenset, int]] = {}
-        # crossed switch edge (u, v), as in a span -> the tagged pairs
-        # whose span holds it; a pair crossing edge u-v is under (u, v),
-        # under (v, u), or under both
+        # tagged pair -> its span: (the switch edges, as (low, high)
+        # dpid pairs, that its primary or backup crosses; the hop count
+        # of its backup, or of its primary without one: a walk through a
+        # changed edge no longer than this can shorten or re-tie either
+        # path)
+        self.tag_spans: dict[tuple[int, int], tuple[set, int]] = {}
+        # switch edge -> tagged pairs whose primary or backup crosses it
         self.pairs_on: dict[tuple[int, int], set[tuple[int, int]]] = {}
-        self.crossings = Crossings()
         # switch -> tag limit -> the switches it shares a tag of that limit with
         self.partners: dict[int, dict[int, set[int]]] = {}
 
@@ -190,7 +177,7 @@ class TopologyMap:
         return min(links)[0] if links else None
 
     def set_tags(self, pair: tuple[int, int], tags: PathTags,
-                 edges: frozenset, limit: int) -> None:
+                 edges: set, limit: int) -> None:
         """Tag ``pair`` with ``tags``, whose span is ``edges`` and
         ``limit`` (see ``tag_spans``)."""
         self.path_tags[pair] = tags
@@ -343,19 +330,18 @@ class PathsToward:
         detour = self._detours.get(p) or self._detour(p)
         return primary[:self.dist[a] - self.dist[p]] + detour
 
-    def edges(self, a: int, crossings: "Crossings") -> frozenset:
-        """The switch edges that ``path(a)`` or ``backup(a)`` crosses, each
-        as its two switches in the order the path crosses it, from a
-        toward b, taken from ``crossings``; read after ``backup(a)``.  The
-        backup leaves the primary only at its detour, so these are the
-        edges of the two memoized paths."""
+    def edges(self, a: int) -> set[tuple[int, int]]:
+        """The switch edges, as (low, high) dpid pairs, that ``path(a)``
+        or ``backup(a)`` crosses; read after ``backup(a)``.  The backup
+        leaves the primary only at its detour, so these are the edges of
+        the two memoized paths."""
         path = self._paths[a]
         p = self._near[a]
         crossed = zip(path, path[1:])
         if p is not None:
             detour = self._detours[p]
             crossed = chain(crossed, zip(detour, detour[1:]))
-        return frozenset(map(crossings.__getitem__, crossed))
+        return {(u, v) if u < v else (v, u) for u, v in crossed}
 
     def _detour(self, p: int) -> tuple[int, ...]:
         """The lexicographically smallest shortest p-b path without the
@@ -393,19 +379,14 @@ class PathsToward:
         return detour
 
     def _local_detour(self, p: int, q: int) -> Optional[tuple[int, ...]]:
-        """p's detour when it is at most three hops longer than p's hop
-        count; else None, and None for a link of a chain (one neighbour
-        besides q) that the detour of that neighbour settles.
+        """p's detour when it is at most two hops longer than p's hop
+        count, else None.
 
         Without the edge p-q, p stays as far from b when it has another
         neighbour one hop closer, gets one hop farther when it has a
         neighbour as far as itself, and two when a neighbour one hop
-        farther has a closer neighbour besides p.  Else every neighbour
-        of p but q is one hop farther with p its only closer neighbour,
-        so each gets farther too, and p gets three hops farther when one
-        of them has a neighbour as far as itself with a closer neighbour
-        besides p.  The smallest way of the nearest kind leads, in the
-        order the walk meets its switches.  (Plain loops: each
+        farther has a closer neighbour besides p; the smallest such
+        neighbour of the nearest kind leads the way.  (Plain loops: each
         comprehension would be a call of its own.)"""
         adj, dist = self.adj, self.dist
         top = dist[p]
@@ -422,25 +403,13 @@ class PathsToward:
         if level is not None:
             return (p,) + self.path(level)
         # every neighbour but q is one hop farther than p
-        ups = sorted(adj[p])
-        ups.remove(q)
-        for u in ups:
-            for n in adj[u]:
-                if dist[n] == top and n != p and (level is None or n < level):
-                    level = n
-            if level is not None:
-                return (p, u) + self.path(level)
-        if len(ups) == 1:
-            # p is a link of a chain: its detour is its one neighbour's
-            return None
-        for u in ups:
-            for w in sorted(adj[u]):
-                if dist[w] == top + 1:
-                    for n in adj[w]:
-                        if dist[n] == top and n != p and (level is None or n < level):
-                            level = n
-                    if level is not None:
-                        return (p, u, w) + self.path(level)
+        for u in sorted(adj[p]):
+            if u != q:
+                for n in adj[u]:
+                    if dist[n] == top and n != p and (level is None or n < level):
+                        level = n
+                if level is not None:
+                    return (p, u) + self.path(level)
         return None
 
     def _cut_detour(self, p: int, q: int) -> tuple[int, ...]:
@@ -951,11 +920,9 @@ class Controller:
         alive_edges = {(u, v) for u in adj for v in adj[u] if u <= v}
         # Every tag edge was alive at the previous retag, so the tag edges
         # that died since are among the edges the graph lost.
-        pairs_on = self.map.pairs_on
         stale_pairs = set().union(*(
-            pairs_on.get(crossed, ()) for (u, v) in
-            (bridges ^ self._bridges) | (self._edges - alive_edges)
-            for crossed in ((u, v), (v, u))))
+            self.map.pairs_on.get(e, ()) for e in
+            (bridges ^ self._bridges) | (self._edges - alive_edges)))
         tested = {(min(a.dpid, b.dpid), max(a.dpid, b.dpid))
                   for (a, b) in changed_links} & alive_edges
         # per target switch: the shortest paths toward it
@@ -975,7 +942,7 @@ class Controller:
         group_sends: list[tuple[int, int]] = []
         recomputed = 0
         hops: dict[tuple[int, int], tuple] = {}
-        spans, crossings = self.map.tag_spans, self.map.crossings
+        spans = self.map.tag_spans
         set_tags, push = self.map.set_tags, not self.te_override
         for pair in sorted(candidates):
             a, b = pair
@@ -1005,7 +972,7 @@ class Controller:
                 continue
             # built in C, without the NamedTuple's Python-level __new__
             entry = tuple.__new__(PathTags, (primary, backups))
-            set_tags(pair, entry, paths.edges(a, crossings),
+            set_tags(pair, entry, paths.edges(a),
                      len(backup or primary) - 1)
             if push:
                 self._push_groups(a, b, entry, hops, group_sends)
@@ -1066,9 +1033,8 @@ class Controller:
                     continue
                 buckets, texts = (first[1],), [first[2]]
             sent[group] = watch
-            self.services.send_control(tuple.__new__(ControlMessage, (
-                MsgKind.GROUP_MOD, CONTROLLER, src,
-                tuple.__new__(GroupModBody, (src, dst, buckets)))))
+            self._send(MsgKind.GROUP_MOD, src,
+                       tuple.__new__(GroupModBody, (src, dst, buckets)))
             self.services.record("group_dispatch", dpid=src, group_id=dst,
                                  buckets=texts)
             sends.append(group)

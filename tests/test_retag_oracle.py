@@ -240,11 +240,11 @@ class ReferenceRetag:
 def rebuilt_indexes(path_tags) -> tuple[dict, dict, dict]:
     """``tag_spans``, ``pairs_on`` and ``partners`` as they follow from
     the path tags, read off the path tuples alone.  A pair's span is the
-    set of (u, v) for each hop from u to v of its primary or backup, both
-    read from its low switch to its high one, with the hop count of its
-    backup (or of the primary without one); each such (u, v) maps to the
-    pairs whose span holds it; and each switch maps, per that hop count,
-    to the switches it shares such a tag with."""
+    set of switch edges, as (low, high) pairs, that its primary or backup
+    crosses, with the hop count of its backup (or of the primary without
+    one); each such edge maps to the pairs whose span holds it; and each
+    switch maps, per that hop count, to the switches it shares such a tag
+    with."""
     spans: dict = {}
     pairs_on: dict = {}
     partners: dict = {}
@@ -254,7 +254,7 @@ def rebuilt_indexes(path_tags) -> tuple[dict, dict, dict]:
         crossed = set()
         for path in paths:
             for i in range(len(path) - 1):
-                crossed.add((path[i], path[i + 1]))
+                crossed.add(tuple(sorted(path[i:i + 2])))
         for edge in crossed:
             pairs_on.setdefault(edge, set()).add((x, y))
         hops = len(paths[1] if tags.backups else paths[0]) - 1
@@ -429,7 +429,7 @@ def _chained_graphs(draw):
     """A sparse random graph whose edges are stretched into degree-2
     chains, hung off switch s of a theta: s and t joined by three chains,
     the first at least five hops shorter than the other two.  Toward s,
-    t then has no way round within three hops of its own distance, so
+    t then has no way round within two hops of its own distance, so
     its detour takes the cut search.  Switch ids are shuffled, so ties
     break differently from one example to the next."""
     short = draw(st.integers(1, 3))
