@@ -65,10 +65,10 @@ def _encoder(**options) -> Callable[[object], str]:
     with a markers dict and a float formatter, on every call.  It skips
     the circular-reference check, which a record's primitives and lists
     of them never need, and gives the same text."""
-    encoder = json.JSONEncoder(**options)
     make = json.encoder.c_make_encoder
-    if make is None:                # no C accelerator: the plain encoder
-        return encoder.encode
+    if make is None:
+        raise ImportError("topodisc needs the C accelerator of the json module")
+    encoder = json.JSONEncoder(**options)
     encode = make(None, encoder.default, json.encoder.encode_basestring_ascii,
                   None, encoder.key_separator, encoder.item_separator,
                   encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)

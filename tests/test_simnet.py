@@ -23,7 +23,8 @@ from topodisc.core import (
     ScenarioSpec,
 )
 from topodisc.harness import Simulation
-from topodisc.simnet import Engine, Fabric, Trace, TraceRecord
+from topodisc.simnet import (
+    Engine, Fabric, Trace, TraceRecord, _ndjson_row, _payload_json)
 from topodisc import cli, scenarios
 
 
@@ -387,6 +388,22 @@ def test_trace_export_matches_per_record_encoding(ops, direct):
     for _ in range(2):  # a second pass reads the same bytes
         assert trace.digest() == reference_digest(expected)
         assert _ndjson(trace) == reference_ndjson(expected)
+
+
+_primitive = (st.text() | st.floats() | st.integers() | st.booleans()
+              | st.none())
+
+
+@given(st.dictionaries(st.text(), _primitive | st.lists(_primitive, max_size=4),
+                       max_size=6))
+@example({"ü": "é \U0001f600\ud800", "x": [1.5, -0.0, float("nan"), float("inf")],
+          "n": 10 ** 30, "b": [True, None, "\x00"]})
+def test_record_encoders_write_what_json_dumps_writes(detail):
+    """The trace's encoders, built from json's C encoder, give json.dumps's
+    text for every detail a writer may pass: non-ASCII and control text,
+    floats, big ints and lists of them."""
+    assert _payload_json(detail) == json.dumps(detail, separators=(",", ":"))
+    assert _ndjson_row(detail) == json.dumps(detail, sort_keys=True)
 
 
 def test_equal_primitive_payloads_of_one_kind_share_one_dict():
