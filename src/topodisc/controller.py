@@ -487,7 +487,6 @@ class Controller:
         self.mac_to_dpid: dict[str, int] = {}
         self.hasher = IdentityHasher.from_seed(spec.rng_seed)
         self.counters: Counter = Counter()
-        self.te_override = False
         self.link_learned_hook: Optional[Callable] = None
 
         # Each open window is in both maps; _close_window takes it out of
@@ -957,7 +956,7 @@ class Controller:
         recomputed = 0
         hops: dict[tuple[int, int], tuple] = {}
         spans, edge_of = self.map.tag_spans, self.map.edge_of
-        set_tags, push = self.map.set_tags, not self.te_override
+        set_tags = self.map.set_tags
         for pair in sorted(candidates):
             a, b = pair
             old = tags.get(pair)
@@ -988,8 +987,7 @@ class Controller:
             entry = tuple.__new__(PathTags, (primary, backups))
             set_tags(pair, entry, paths.edges(a, edge_of),
                      len(backup or primary) - 1)
-            if push:
-                self._push_groups(a, b, entry, hops, group_sends)
+            self._push_groups(a, b, entry, hops, group_sends)
 
         self._bridges, self._edges, self._comp = bridges, alive_edges, comp
         for (pa, pb) in changed_links:
@@ -1020,8 +1018,7 @@ class Controller:
         second the backup; liveness is the watch port's link flag so
         switchover needs no controller round trip.  Every hop of a path
         the retag just built is a confirmed link, so each bucket has a
-        port.  (TE override suppresses installation: the caller skips
-        this then.)"""
+        port."""
         sent = self._sent_groups
         primary, backups = entry
         # the second switch of each path seen from a, and from b

@@ -10,12 +10,11 @@ are dropped and counted, never silently lost.
 A trace keeps its records in three columns: the ts of each in an
 ``array('q')``, its kind and its detail dict in two lists, so a record
 costs no object of its own.  ``Trace.record`` appends to them and returns
-nothing.  ``Trace.records`` is a read-only sequence view over the
-columns that builds an immutable ``(ts, kind, detail)`` tuple with named
-fields (a ``TraceRecord``) on each access.  A detail is read-only:
-records of one kind with equal payloads of str, int, bool and None values
-may hold one and the same dict, which the digest and the ndjson export
-encode once.  A record looks its detail up by kind, keys and values;
+nothing.  ``Trace.records`` builds, on each access, a new list of
+immutable ``(ts, kind, detail)`` tuples with named fields
+(``TraceRecord``s).  A detail is read-only: records of one kind with
+equal payloads of str, int, bool and None values may hold one and the
+same dict, which the digest and the ndjson export encode once.  A record looks its detail up by kind, keys and values;
 a detail with an int or bool value is then told apart by its value types,
 and one with a float value is not shared.  Nor is any detail of a kind
 that has carried a list, which is not looked up.
@@ -35,7 +34,6 @@ import heapq
 import json
 from array import array
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, repeat
@@ -124,35 +122,6 @@ class TraceRecord(NamedTuple):
         return _payload_json(self.detail)
 
 
-def _as_records(ts, kinds, details) -> Iterator[TraceRecord]:
-    """The rows of three columns as records, each built in C from its
-    ``(ts, kind, detail)`` tuple, without the NamedTuple's Python-level
-    ``__new__``."""
-    return map(tuple.__new__, repeat(TraceRecord), zip(ts, kinds, details))
-
-
-class TraceRecords(Sequence):
-    """A read-only view of a trace's records, in record order: ``len``,
-    index, slice and iteration build each ``TraceRecord`` on access.  It
-    holds the trace's columns, not the trace, and sees later records."""
-
-    __slots__ = ("_ts", "_kinds", "_details")
-
-    def __init__(self, ts: array, kinds: list, details: list) -> None:
-        self._ts, self._kinds, self._details = ts, kinds, details
-
-    def __len__(self) -> int:
-        return len(self._ts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(_as_records(self._ts[i], self._kinds[i], self._details[i]))
-        return tuple.__new__(TraceRecord, (self._ts[i], self._kinds[i], self._details[i]))
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return _as_records(self._ts, self._kinds, self._details)
-
-
 class Trace:
     """Append-only event log with a run digest over its ordered lines."""
 
@@ -169,10 +138,11 @@ class Trace:
         self._unshared: dict[str, bool] = {}
 
     @property
-    def records(self) -> TraceRecords:
-        # built per access: a view stored on the trace would hold it in a
-        # reference cycle
-        return TraceRecords(self._ts, self._kinds, self._details)
+    def records(self) -> list[TraceRecord]:
+        """A new list of the records so far, in record order, each built
+        in C without the NamedTuple's Python-level ``__new__``."""
+        return list(map(tuple.__new__, repeat(TraceRecord),
+                        zip(self._ts, self._kinds, self._details)))
 
     @property
     def columns(self) -> tuple[array, list[str], list[dict]]:

@@ -1,6 +1,7 @@
-"""Simulated OpenFlow switch: port lifecycle, priority flow table with hard
-timeouts, fast-failover group table, BFD session endpoints, and emission of
-PORT_STATUS / BFD_STATUS / PACKET_IN.
+"""Simulated OpenFlow switch: port lifecycle, a priority flow table with
+hard timeouts (one rule per priority and ingress match), a fast-failover
+group table (each group id's bucket tuple), BFD session endpoints, and
+emission of PORT_STATUS / BFD_STATUS / PACKET_IN.
 
 The harness feeds the agent port events, frames and control messages.
 The agent emits, and keeps its own timers (flow-rule hard timeouts, BFD
@@ -104,19 +105,9 @@ class FlowRule:
         self.expires_at = (None if self.hard_timeout is None
                            else self.installed_at + self.hard_timeout)
 
-    def match_key(self) -> tuple:
-        return (self.priority, self.match_ingress)
-
-
-@dataclass
-class FailoverGroup:
-    group_id: int
-    buckets: tuple[GroupBucket, ...]
-
 
 @dataclass
 class PortState:
-    ref: PortRef
     link_up: bool = False
     epoch: int = 0
 
@@ -143,15 +134,17 @@ class SwitchAgent:
         self.bfd_params = bfd
         self.services = services
         self.ports: dict[PortRef, PortState] = {
-            PortRef(decl.id.dpid, n): PortState(PortRef(decl.id.dpid, n))
+            PortRef(decl.id.dpid, n): PortState()
             for n in range(1, decl.port_count + 1)
         }
         # each port with its id as the baselines' frames write it, in
         # port order: the copies of a replicate-to-all PACKET_OUT
         self._port_ids: tuple[tuple[PortRef, bytes], ...] = tuple(
             (ref, str(ref).encode()) for ref in sorted(self.ports))
-        self.flow_table: list[FlowRule] = []
-        self.group_table: dict[int, FailoverGroup] = {}
+        # (priority, match_ingress) -> the one rule of that match
+        self.flow_table: dict[tuple, FlowRule] = {}
+        # group id -> its buckets, first live bucket wins
+        self.group_table: dict[int, tuple[GroupBucket, ...]] = {}
         # bucket list of a GROUP_MOD -> its "watch->out" texts
         self._bucket_texts: dict[tuple[GroupBucket, ...], tuple[str, ...]] = {}
         self.bfd_sessions: dict[PortRef, BfdSession] = {}
@@ -188,7 +181,7 @@ class SwitchAgent:
         so it naturally reports every port down; the initial roster answers
         with its ports already live."""
         ports_up = tuple(sorted(
-            p.ref.port_no for p in self.ports.values() if p.link_up))
+            ref.port_no for ref, p in self.ports.items() if p.link_up))
         self._send(MsgKind.FEATURE_REPLY,
                    FeatureReplyBody(self.id.dpid, self.id.local_mac,
                                     self.decl.port_count, ports_up))
@@ -291,7 +284,7 @@ class SwitchAgent:
             raise KeyError(f"{ingress} does not belong to {self.id}")
         now = self.services.now()
         best: Optional[FlowRule] = None
-        for rule in self.flow_table:
+        for rule in self.flow_table.values():
             exp = rule.expires_at
             if exp is not None and now >= exp:
                 continue
@@ -312,10 +305,10 @@ class SwitchAgent:
         """First-live-bucket semantics; bucket liveness is the watch port's
         link_up flag, so data-plane switchover never waits on the
         controller."""
-        group = self.group_table.get(group_id)
-        if group is None:
+        buckets = self.group_table.get(group_id)
+        if buckets is None:
             return ("drop", "no_such_group")
-        for bucket in group.buckets:
+        for bucket in buckets:
             watch = self.ports.get(bucket.watch)
             if watch is not None and watch.link_up:
                 self.services.send_frame(bucket.out, frame)
@@ -336,7 +329,7 @@ class SwitchAgent:
             if body.dpid != self.id.dpid:
                 raise KeyError(f"GROUP_MOD for s{body.dpid} delivered to {self.id}")
             # last-writer-wins on duplicate group ids
-            self.group_table[body.group_id] = FailoverGroup(body.group_id, body.buckets)
+            self.group_table[body.group_id] = body.buckets
             texts = self._bucket_texts.get(body.buckets)
             if texts is None:
                 texts = self._bucket_texts[body.buckets] = tuple(
@@ -367,15 +360,13 @@ class SwitchAgent:
                         seq=self._rule_seq)
         self._rule_seq += 1
         # same (priority, match) replaces the previous rule
-        self.flow_table = [r for r in self.flow_table if r.match_key() != rule.match_key()]
-        self.flow_table.append(rule)
+        key = (priority, match_ingress)
+        self.flow_table[key] = rule
         if hard_timeout is not None:
-            seq = rule.seq
 
             def expire():
-                before = len(self.flow_table)
-                self.flow_table = [r for r in self.flow_table if r.seq != seq]
-                if len(self.flow_table) != before:
+                if self.flow_table.get(key) is rule:
+                    del self.flow_table[key]
                     self.services.record("flow_rule_expired", switch=str(self.id),
                                          port=str(match_ingress) if match_ingress else "any")
 

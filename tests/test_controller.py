@@ -542,16 +542,6 @@ def test_group_push_buckets_watch_first_hop():
     assert len(mods_after) == before
 
 
-def test_te_override_suppresses_group_push():
-    ctrl, services = _registered(3)
-    ctrl.te_override = True
-    _learn_link(ctrl, services, PortRef(1, 1), PortRef(2, 1))
-    _learn_link(ctrl, services, PortRef(2, 2), PortRef(3, 1))
-    _learn_link(ctrl, services, PortRef(3, 2), PortRef(1, 2))
-    assert not [m for m in services.sent if m.kind is MsgKind.GROUP_MOD]
-    assert ctrl.map.path_tags  # tags still computed
-
-
 def test_safe_to_remove_marks_only_the_changed_link():
     ctrl, services = _registered(3)
     a1, b1 = PortRef(1, 1), PortRef(2, 1)

@@ -225,7 +225,7 @@ def test_window_flow_mod_replaces_the_switch_armed_rule():
                  if r.ts > SEC and dict(r.detail)["msg"] == "FLOW_MOD"}
     assert flow_mods == {"1", "3"}
     for port in new_ports:
-        rules = [r for r in sim.agents[port.dpid].flow_table
+        rules = [r for r in sim.agents[port.dpid].flow_table.values()
                  if r.match_ingress == port]
         assert [r.priority for r in rules] == [WINDOW_RULE_PRIORITY], port
         assert rules[0].installed_at > SEC + MS    # the FLOW_MOD's, not the switch's

@@ -39,7 +39,6 @@ class ReferenceRetag:
         self.directed_links: set = set()
         self.path_tags: dict = {}
         self.safe_to_remove: set = set()
-        self.te_override = False
         self._bridges: set = set()
         self._edges: set = set()
         self._sent_groups: dict = {}
@@ -206,8 +205,6 @@ class ReferenceRetag:
         return group_sends
 
     def _push_groups(self, a, b, entry) -> list:
-        if self.te_override:
-            return []
         sends = []
         for src, dst, path in ((a, b, entry.primary),
                                (b, a, tuple(reversed(entry.primary)))):
@@ -284,8 +281,7 @@ def replay(n: int, links, ops) -> None:
     one direction of cable i; ``("remove", [(i, reverse), ...])`` removes
     directed entries; ``("edit", i, reverse, add)`` adds or removes one
     directed entry in the map with no retag, so a later retag meets a
-    change nobody named; ``("retag", [i, ...])`` retags naming cables;
-    ``("te",)`` toggles the TE override."""
+    change nobody named; ``("retag", [i, ...])`` retags naming cables."""
     ctrl, services = _registered(n)
     ref = ReferenceRetag()
 
@@ -323,14 +319,10 @@ def replay(n: int, links, ops) -> None:
                 ref.directed_links.discard(link)
             check_indexes(where)
             continue
-        elif op[0] == "retag":
+        else:
             changed = [link_key(*links[i]) for i in op[1]]
             got = ctrl.retag_paths(changed)
             want = ref.retag_paths(changed)
-        else:
-            ctrl.te_override = ref.te_override = not ref.te_override
-            check_indexes(where)
-            continue
         check_indexes(where)
         assert got == want, where
         assert ctrl.map.directed_links == ref.directed_links, where
@@ -369,10 +361,8 @@ def _random_history(rng: random.Random, n: int, cables: int, steps: int):
         elif r < 0.9:
             ops.append(("retag", rng.sample(range(len(links)),
                                             rng.randint(0, min(2, len(links))))))
-        elif r < 0.95:
-            ops.append(("edit", i, rng.random() < 0.5, rng.random() < 0.7))
         else:
-            ops.append(("te",))
+            ops.append(("edit", i, rng.random() < 0.5, rng.random() < 0.7))
     return links, ops
 
 
@@ -411,8 +401,8 @@ def _histories(draw):
                   st.lists(st.tuples(cable, st.booleans()), min_size=1,
                            max_size=3)),
         st.tuples(st.just("retag"), st.lists(cable, max_size=2)),
-        st.tuples(st.just("edit"), cable, st.booleans(), st.booleans()),
-        st.tuples(st.just("te"))), max_size=40))
+        st.tuples(st.just("edit"), cable, st.booleans(), st.booleans())),
+        max_size=40))
     return n, links, ops
 
 

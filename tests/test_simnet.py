@@ -5,7 +5,6 @@ import hashlib
 import io
 import json
 from collections import Counter
-from collections.abc import Sequence
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -415,46 +414,42 @@ def test_equal_primitive_payloads_of_one_kind_share_one_dict():
     assert list(recs[1].detail) == ["b", "i", "n", "s"]
     trace.record(3, "m")
     trace.record(4, "m")
+    recs = trace.records
     assert recs[2].detail is recs[3].detail
     # equal as keys, yet encoded differently: never one object
     trace.record(5, "m", v=1)
     trace.record(6, "m", v=True)
+    recs = trace.records
     assert recs[4].detail is not recs[5].detail
     trace.record(7, "m", v=0.0)
     trace.record(8, "m", v=-0.0)
+    recs = trace.records
     assert recs[6].detail is not recs[7].detail
     # a list payload is not shared, and is still written whole
     trace.record(9, "m", v=[1])
     trace.record(10, "m", v=[1])
+    recs = trace.records
     assert recs[8].detail is not recs[9].detail
     assert [r.ts for r in trace.records] == list(range(1, 11))
 
 
-def test_records_view_reads_the_rows_written():
+def test_records_list_the_rows_written_in_order():
     trace = Trace()
     rows = [(0, "a", {"v": 1}), (0, "b", {"v": 1}), (5, "a", {"v": 1}),
             (9, "c", {"l": [1, 2]}), (2**63 - 1, "a", {})]
     for ts, kind, detail in rows:
         trace.record(ts, kind, **detail)
-    view = trace.records
-    assert isinstance(view, Sequence)
-    assert len(view) == len(rows)
-    assert list(view) == rows
-    assert view[-1] == rows[-1] and view[-5] == rows[0]
-    assert view[1:4] == rows[1:4] and view[::-2] == rows[::-2]
-    assert all(type(r) is TraceRecord for r in (*view, *view[:2], view[3]))
-    assert (view[2].ts, view[2].kind, view[2].detail) == rows[2]
-    # one kind, one payload: one dict, however it is read
-    assert view[0].detail is view[2].detail is view[2:3][0].detail
-    assert view[0].detail is not view[1].detail
-    with pytest.raises(IndexError):
-        view[len(rows)]
-    # read-only, and a view sees records written after it was taken
-    assert not hasattr(view, "append")
-    with pytest.raises(TypeError):
-        view[0] = rows[0]
+    recs = trace.records
+    assert type(recs) is list and recs == rows
+    assert all(type(r) is TraceRecord for r in recs)
+    assert [(r.ts, r.kind, r.detail) for r in recs] == rows
+    # one kind, one payload: one dict, however often it is read
+    assert recs[0].detail is recs[2].detail is trace.records[2].detail
+    assert recs[0].detail is not recs[1].detail
+    # each read is a new list: later records show in the next one only
     trace.record(10**12, "d")
-    assert len(view) == len(rows) + 1 and view[-1] == (10**12, "d", {})
+    assert len(recs) == len(rows)
+    assert trace.records == [*rows, (10**12, "d", {})]
 
 
 def test_shared_records_add_no_tracked_objects():
