@@ -758,9 +758,16 @@ class Controller:
         """Graceful teardown: the control session for a switch went away,
         so the switch and everything attached to it leaves the map.  A
         switch is in the map only while a link touches it, so removing its
-        links removes the switch too."""
+        links removes the switch too.  The controller forgets the switch,
+        so no round probes it and no window on its ports stays open; a
+        rejoin registers it afresh."""
         if dpid in self._await_boot:
             self._boot_settled(dpid)
+        reg = self.registry.pop(dpid, None)
+        if reg is not None:
+            del self.mac_to_dpid[reg.id.local_mac]
+        for port in sorted(p for p in self.windows if p.dpid == dpid):
+            self._close_window(self.windows[port], "window_expired")
         links = self.map.links_of_switch(dpid)
         if links:
             self._remove_links(_both_ways(links), cause="channel_closed")

@@ -128,6 +128,18 @@ def test_leave_learned_through_neighbors_when_channel_notice_is_slow():
     assert gone[0].ts < 2 * SEC + from_ms(10)
 
 
+@pytest.mark.parametrize("protocol", [Protocol.OFDP, Protocol.OFDPV2])
+def test_baselines_stop_probing_a_switch_once_its_leave_is_noticed(protocol):
+    spec = scenarios.walkthrough(protocol)
+    sim = run_scenario(spec)
+    notice_at = 2 * SEC + spec.channel(2).delay_to_controller
+    late = [r for r in records_of(sim, "ctrl_dropped")
+            if r.detail["switch"] == "s2" and r.detail["msg"] == "PACKET_OUT"
+            and r.ts > notice_at]
+    assert late == []
+    assert 2 not in sim.controller.registry
+
+
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_boot_switch_leaving_before_it_registers_still_bootstraps(protocol):
     # s4 leaves before its FEATURE_REPLY: the bootstrap stops waiting for

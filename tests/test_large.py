@@ -26,19 +26,19 @@ from topodisc.harness import Simulation
 from test_controller import _oracle_tags
 
 PINS = {
-    (100, Protocol.OFDP): "ba30c098870c12652868e22d6d3fa31657ccbad598545322577cee40562da6bc",
-    (100, Protocol.OFDPV2): "537034208fe5e3709f9fb7f7dc79eb620147b7f558f55e43d455ad9b5d67c0b5",
+    (100, Protocol.OFDP): "90e7a59706cd6582a746b932e4887959934b054bfeac13dbf039116372b38e3e",
+    (100, Protocol.OFDPV2): "d3c38423b8c9e5d852254976ffe48ffa37963c9381cd5fc66e4538248718d3eb",
     (100, Protocol.SOFTDP): "18758c441ff2190c3e8d2aaad14f809243a8a18021ba7ad4fe2be9e7d6998818",
-    (200, Protocol.OFDP): "e5976a208bce05640111698a2b1592b41d3fffc6b02eee7fcdd521129c654734",
-    (200, Protocol.OFDPV2): "a802464508770110d1a822f6f98e10f35f7ebf21c006ef4490c3bb79466e34b6",
+    (200, Protocol.OFDP): "cde375bf69bbc5e09a4b82a7b3bff6e9dd24ef2958c0c5750cacc053ecdc5070",
+    (200, Protocol.OFDPV2): "347754564c69621a6e2d0bdfc6f469258f3e7304c1afa28431f5ce911bda0adc",
     (200, Protocol.SOFTDP): "464a005aa177ec03919179e52cba738f1d78ed851b084081fe8c46a3eebeda2a",
 }
 NDJSON_PINS = {
-    (100, Protocol.OFDP): "c148cb44256f9905d3e1b9d0a25ee1dcac3c3eec3745470776439ed08eda7aa8",
-    (100, Protocol.OFDPV2): "ccd04411639e0ed3b999e1bac043cedd52113735a105a83c90fca698b5ca2af5",
+    (100, Protocol.OFDP): "e503cb8b50201905a93e3bed3cfa530550c3cc5b9e6e88190996b9e9d8499f2f",
+    (100, Protocol.OFDPV2): "c13ce45b6861197b3c18a1482527aa7e86a9094329fd215bea2346d794a825b9",
     (100, Protocol.SOFTDP): "659f4d2410e88643d5b23c2a811a40fece27aa33bdd9424b6382d171f2bb9259",
-    (200, Protocol.OFDP): "e7e0eaeecba39f1334ba70e74d7ee53f49343effc9308771e7bf7ad3e32bfe30",
-    (200, Protocol.OFDPV2): "f986c25996f214c631aa30ae0894b7b2ab54bcacf2ba1ab6bd4e31fa98f20278",
+    (200, Protocol.OFDP): "d2a42f04213c4fc6f9f14bac9731b6d2d726e7b1f8051d4e5a5ad1ca62b41e7f",
+    (200, Protocol.OFDPV2): "342890448c31aa8ce5ce74158c1bc4c8c44f133e0c5b970b04ac8f1a04c94aea",
     (200, Protocol.SOFTDP): "5e3ec4fe983178d3c7fa91002ed295e5a60b462a275acf06ada07f85624c0fa5",
 }
 

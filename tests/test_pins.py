@@ -83,14 +83,14 @@ PINS = {
     "inject-ofdp": "f5e985839cae7efc1ae0ec24db90546ecacd9ef6fb3d91722672330f00ac765b",
     "inject-ofdpv2": "63f6169c8afc0312e6e2e23ca089e4e70d89f546af72e1332c51b99a03df69bd",
     "inject-softdp": "2b354b5d6c03afbfb9ed940b4b2971533f83c0ac3efd4bc0f8f721e6b1b74929",
-    "random1-ofdp": "f39895068d5a395191a0780a7d673236d61513d8f028b0cce1970fdb612a6896",
-    "random1-ofdpv2": "31eb282f7e8da8714853e0fdd086c24fefa7c3c1c39f87043874b23ebbce9cc0",
+    "random1-ofdp": "72828499ea7a6ad79e7b5e629929d3c00942aa24dc3466468ac2bd88949d01a5",
+    "random1-ofdpv2": "ed03bec1c8f8e8c561337b513452183e76a1e8e4152dfd36420cc40435206523",
     "random1-softdp": "3f9d38e1d0c4107bed65c6a885c87cc341dcb36d82ca285a64e3ae891dd5be9d",
-    "random2-ofdp": "27e44d464dfc02c9ae774fbce70eaae9d34740130b9613da5c2d7d7cdb9b4c36",
-    "random2-ofdpv2": "973cf4c805ffcbae8a90d367588c3af2dbaecc358295fb38db5c34f83d0d5e82",
+    "random2-ofdp": "0bd12aea17d1b2d8533f885c06c4e196f01c15901b8d78273bc237a2a6aaf099",
+    "random2-ofdpv2": "595864551331786847e7366784a56cb091fb7569ae367e17a61871ce7e76d24f",
     "random2-softdp": "1ff65fd98fe76a1ad2a0168bebca05b298a4add19dcadc29af10b29c700d861b",
-    "random3-ofdp": "370fa14990af65161d28c2d76a43b4691c494a3e643c677df9be8d2adefe38b2",
-    "random3-ofdpv2": "d19df9dea28e53d01c1e1d89eaadc2fd8a9784f994e337e1d67a70241acfd328",
+    "random3-ofdp": "4ad34bb9f79b602d53d1734bf85610e118b5cba2881d3035eb8a645b05ee1042",
+    "random3-ofdpv2": "549de5d1c640ddf4dfbc6748560c75ae8bb384ff5a5d4dda9827a18d7ad8b381",
     "random3-softdp": "293e007ee346af7a83f29dd62b2c97eefbfd96e85999708a10f8d7305bf07f11",
     "relay-in-window-ofdp": "81a110c18a2036172e81c854052a7e7edfead4c38e71517ffdf11cca94cf8376",
     "relay-in-window-ofdpv2": "3f459761cbea2b626a2b2e62dd85df1f68d5809d5643fa0089c7b2cf8f0a633d",
@@ -101,8 +101,8 @@ PINS = {
     "spoof-ofdp": "6581c62a32cfe294a7d56850a65dd77823865c1d678cd6552bf1c2ebe1a53f47",
     "spoof-ofdpv2": "7678a1f389afcf09c336bbd3be8f89adca92899d1c063597fad5626a51b82c96",
     "spoof-softdp": "fc33ad6aaf57347c868dba01b08622c1b7c3a9ad8bce69b6ec6b721e51622751",
-    "walkthrough-ofdp": "c5fc9afdd97e79547782717a997eb9ebb38fa86e3c840a6c780c1ea270378f82",
-    "walkthrough-ofdpv2": "2f8bfd63a4151e1e8d64e03a4688c78a6a303cfb288a9e3c2ad00613b3cc1e30",
+    "walkthrough-ofdp": "0b937c1434a44e4ee9095860e3ef5c7b89f0e26f3d8c8c54862a402fe82783c2",
+    "walkthrough-ofdpv2": "f23b1a05cbd056a960258cffce10ad084bf0b3cf0185f7457d5e8f1b314e81d9",
     "walkthrough-softdp": "2088af6bb811f656d2fc52153a01ea76c757f2d12a7fd469d0f0441038a00b03",
 }
 
@@ -124,14 +124,14 @@ REPORT_PINS = {
     "inject-ofdp": "32ba606c53d403340acd7a1cd03a41a207aad90252a5fecdb9589066171190e4",
     "inject-ofdpv2": "1ad38000a4744856a98092a19ae2ee4c8663c766c332ea7c9269dafe385fee35",
     "inject-softdp": "afc189dcd2de8f4f28524b9c573dade4efb13ebe67572750058d131c9bdb351a",
-    "random1-ofdp": "202362a706739e80168b157f590301325e72795b1dbd8e6839f40a1389d95515",
-    "random1-ofdpv2": "91f379734b345ed03792a2b2885ac61f7f87a0fab90cc170bcd14474b3c89065",
+    "random1-ofdp": "a08fcfb34c62ea12ebfd05be29a32d3c55b1f4a24f6cd0784f9418a01249bf90",
+    "random1-ofdpv2": "98fd80b512ab41c40f1b0ea1241e22d4068d7ff2aca7ca14e2ffe05205065877",
     "random1-softdp": "bef34dc25c69c348b7d5d8d0053e6d5fdffb25b5fa773fe314da4d8153a44602",
-    "random2-ofdp": "6e19f9a213c0869ea63b2a0c6070573c2f8d891c13d3009b8f9c358c36091bf3",
-    "random2-ofdpv2": "a78608caa28b288f98fda99b63d09b9e087902b016cf00850a85157bccdc8337",
+    "random2-ofdp": "07c117715324410fff343c9e450d939b77415234edb82890f673e3a9101ff097",
+    "random2-ofdpv2": "77462448a864e75d257db852a61d57226b10fd7a74a25c04013731b4672d4942",
     "random2-softdp": "47edae7bd271b22e11aaafad21d38a4881462cd307c790aaf466e1315aaf9bb9",
-    "random3-ofdp": "bcc9e9bce3e793e6ce48a699fd0e8d4e1ab4e41d0f44cf0216fe5a9b5957d5db",
-    "random3-ofdpv2": "03e140e0e2f0685a8ed7a84834bce5b2227d2bc1434dc881b103d6de19bbf48b",
+    "random3-ofdp": "163925448c35124d8825a3bf57a723330874021ac65bfbd43eceda237a19a8e0",
+    "random3-ofdpv2": "bc8430ab74e60cd51016e4cebd96ce5e677d584da64c9a7e50c4cde6684c9add",
     "random3-softdp": "db17da6718d7c037d396a35cf4b6c7cbf6e02ada010e447a83b7c316f3b4421e",
     "relay-in-window-ofdp": "cb3fda589b49635465052691d3664098f8419a3febac974fc678e06138b01ca1",
     "relay-in-window-ofdpv2": "f9a95ce5f5d6cb3d71e53552764d48bc5a55749f3305bb56dd46bc2bddb83261",
@@ -142,8 +142,8 @@ REPORT_PINS = {
     "spoof-ofdp": "d30a030f618a289770bfa21c14bf3be7e4c8083d32ff267c6b465aa30fa17251",
     "spoof-ofdpv2": "62764b9847cf0d5ef8892315c8b3dd9de890ed93c15d5bd8a973506ba1b3e23d",
     "spoof-softdp": "209b107824138b13d533d53fcecbfc92ae9f99741d5efd857a39af07a0ec5b83",
-    "walkthrough-ofdp": "b8918a42fcaca822e6338a32304c683da5b91766fee1ef8b4a0fc6f52236b2bf",
-    "walkthrough-ofdpv2": "e5b1e9c97297923893dcda34ae3b1a2a647f0b47847a54e8e5a21f9b4bd6e74a",
+    "walkthrough-ofdp": "232cd91c7bdd51892b778a549fa9a8f47ba676b5faa3cc43234fda1929641da5",
+    "walkthrough-ofdpv2": "ab9b787e708f854eb6be77077131c731a5cce7adf446c9b959d7094bd9c8bdad",
     "walkthrough-softdp": "d7ddd20970c7c04b54f448306c7fccca3bcebcabf4b2dc6bb65f692871beaa04",
 }
 CSV_PINS = {
@@ -163,14 +163,14 @@ CSV_PINS = {
     "inject-ofdp": "4290835b63a0a9774676f7b78991c23961b1ef4b6d5ad4d10f61ed466c36a29e",
     "inject-ofdpv2": "567c5ea05833c424e3dc02cdd2162091e20a7902c92c99d64937b9e346a278ce",
     "inject-softdp": "58812d7484289459f264f5377bb0d8dc2b6f2830d9078529599889f9c8e5e58d",
-    "random1-ofdp": "518f97d5072fccece60c4af019a5b4e6e93f36d0286979c09c77f6fd169677b1",
-    "random1-ofdpv2": "5956f44f903fbf440dcc8c75c2681c01ac769dadb663facd15120f208c8b119e",
+    "random1-ofdp": "d4b3068fa2994daf0c2ff05df5493046e7613194c52369972ecd3ce829a0e43e",
+    "random1-ofdpv2": "41dc80ba1f40035c2ec39e566b3381fc047ea2b7d5401a76dd2d3eba7f770093",
     "random1-softdp": "8ae75acf5972244ed819e0a138f533fbf25a129282b08b4c3177ee62bfd99a43",
-    "random2-ofdp": "196ab7bf3a479dc3305eed875b6a682fb227a2111ee8f20441d2d8b2804e30fa",
-    "random2-ofdpv2": "dbb43d4dbf649072bebe700448ba7ff712fbcf7f42eee933240e4bfe1ffb6907",
+    "random2-ofdp": "77648160e2352321910086556355c1a034c46ab0e5c1b0ee894a1122d54ad788",
+    "random2-ofdpv2": "d26803677ab0a2e7fd50aa492ae8d9c201b64b79edfdf54391278d538c2e941c",
     "random2-softdp": "a8e5b195d858f82c0ac45ac4c7cd8003f8038968a590ed14fe106296134d97b9",
-    "random3-ofdp": "7c6fa15483a2dae87096186f69cb2891d83dac279f0848df9b7a4173e08e7918",
-    "random3-ofdpv2": "2636351f2c4af2409785bd54b4e8b4322a034aea3519207a522908f57379ee2c",
+    "random3-ofdp": "d86a8e9adcc6cc8c803586d8d81f82982d5797c97f25bc89bff9e859850cef76",
+    "random3-ofdpv2": "bd5a900e748f0a2e29210fd63e742eca50c5f9d0863441bce72c8097bd8f145d",
     "random3-softdp": "f35159d05789725610a912bf0358f2281a034bc4ae340eebf7d885ae52374b74",
     "relay-in-window-ofdp": "266dfbf355e44153f102465671f2a2649d63ef89af3044eeb157c26ace0b5ff0",
     "relay-in-window-ofdpv2": "d10c915e021ec5db33ca2f52627051b0eafcc982983f307cac31a6ed72b7f299",
@@ -181,8 +181,8 @@ CSV_PINS = {
     "spoof-ofdp": "bfc034c3395947f3c52ee744d46683f1c8330afe7801b27efd6c778ce732eaa1",
     "spoof-ofdpv2": "0dda801f70c03066ff76bd37f441898641050999f71a719a53b74e7d4c5e3e63",
     "spoof-softdp": "69c3ebcde02bee28cdb43285b4dd0269a6c993b3989accc98096b46478e18136",
-    "walkthrough-ofdp": "bba02988a7a293fb7a73e0395670b1d65df8a6b575a9f3b1364c09ca83ddc93a",
-    "walkthrough-ofdpv2": "8d9cddd8300a13b5731fa891cf2adca77970aff6d5aee235d9c583c989a39807",
+    "walkthrough-ofdp": "f715c43581e13304c50f16319d96b599f22c130d9ba878f3c2353cd864abd302",
+    "walkthrough-ofdpv2": "df5bc92df20e34b0c3e509fc12f85a65941d0ca4a75e90b9058e8ba3ef478b24",
     "walkthrough-softdp": "fdd0f0823777ab50540d049580c6118261a5576a2581a979590684eb3667dca3",
 }
 NDJSON_PINS = {
@@ -202,14 +202,14 @@ NDJSON_PINS = {
     "inject-ofdp": "b527497616a87892f87675fdc0503e6f7f89b479ad254f8902821763a52c649a",
     "inject-ofdpv2": "79cc1c7fe680c113c3af5f5970846b67c70f75e88e45595016450622bfaba3b2",
     "inject-softdp": "9e443dbc658800c6b4faf6f6ac7f8952031b9c67adcb6856c2849141d96b6327",
-    "random1-ofdp": "7d62eef6337449d3dc5559a7d35f53f3e88fc64109c62b1272efae9d18af0575",
-    "random1-ofdpv2": "956fc593cc1790b8e01793aa67c5733d936e1d397b07e4c74d9a3dd8b9e32f83",
+    "random1-ofdp": "dd784cbdb90b033fa4534a3b471523a24886310f65ff2ef80ff7cd4dcc8874a7",
+    "random1-ofdpv2": "028d17992f23dcf0450090e533f603f7cde0485f0829cdff14198718ea3bea94",
     "random1-softdp": "6e68e1f82f89066bedb4d333f07af7c67035cf4cda5a0b8f63618a0c2b3c52f7",
-    "random2-ofdp": "f9175ac8ad6cb0e407baeccec8e1f15f20dc7667d4b28847f3cbc4dbcd30efc9",
-    "random2-ofdpv2": "e9e2fe7841f12cf4fd67ebf2ea17164944376a6612c533bb871bc7942ed4ce85",
+    "random2-ofdp": "916a25723ba9a56ef848f249368e1f21643f8ca920a0a49735cc4d79c7d20e4b",
+    "random2-ofdpv2": "975184df19802f57307e9bc3bd2f4a1c25e903ea65136330d15fb9212d9cb866",
     "random2-softdp": "c2f84b867e363b668f74f286a1fed3ee9823ef400be42e985bcd05b243964374",
-    "random3-ofdp": "eeaf24f05212492ec77ff834d6cb3d6f12854e1835695160e94d15bf8c707573",
-    "random3-ofdpv2": "fc44412d75be7d01a0212a90376f99198a485c052e8dad2abf08cd05fd4e74e7",
+    "random3-ofdp": "7e140b5e37d7a3cb41df632ed20f19db1a475f3e67d29a994ededbed71e22578",
+    "random3-ofdpv2": "9d75ae5b18e03608f06b05831e2b993e8a056fb78a1ddd3f998735b9057b7b3a",
     "random3-softdp": "dde30e13fe0b996972be51a79bef9f6f09436a2d2b3b8cbe3f45ec5de56d309d",
     "relay-in-window-ofdp": "fcc53a19eff546b36d38e3d7f1d1623a948a77f8a21f80106d35ee3f82ab3983",
     "relay-in-window-ofdpv2": "fb83a9256450ab537350c33f95ca5b499b42110d85603b54dcf7dd91249473ab",
@@ -220,8 +220,8 @@ NDJSON_PINS = {
     "spoof-ofdp": "f705f8d1e605c591fed49c22ff82294f201675f02da5f5af8a535866c299ca69",
     "spoof-ofdpv2": "fd36b3e120e790d2385053b13190215e6e1e447b54e5d466b4cd67086dccfd56",
     "spoof-softdp": "c64e9c2f921d0f723cf6f1fc4955852e6256f84a2cb766d83d5b57c07aac95cb",
-    "walkthrough-ofdp": "5115d9e35dec643e9bf4c176b46c75b63173aaefd080b4be1ec47a5ffc7a8a73",
-    "walkthrough-ofdpv2": "765b9f5605c7af0594c6a6508955f9dd9120b7cd74bd768d2ba561542bf2c7ea",
+    "walkthrough-ofdp": "e0d0bf2123321f5d167f21c7513df36bf3c6b3eb8ad1f4b13e26e46cc3a3fa9b",
+    "walkthrough-ofdpv2": "97ebd6412151204a93c4b6392a10a109e5e600480f5289447cfe63488396da02",
     "walkthrough-softdp": "ce139ac92a4748e32625d03633161334cae0d1466652421d701f2d6f8570519e",
 }
 

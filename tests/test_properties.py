@@ -5,7 +5,8 @@ churn.  Decoded, it is either refused with violations located in its
 timeline, or every engine's map matches the fabric's ground truth once
 the churn has settled, and the two baselines agree on the map.  Under
 sOFTDP the trace also shows no adaptation ahead of its link's learning
-and no BFD detection on a switch that has left.
+and no BFD detection on a switch that has left; under the baselines, no
+probe to a switch that has left after the controller hears of it.
 """
 import dataclasses
 
@@ -71,6 +72,8 @@ def check_document(text: str) -> None:
         maps[protocol] = (sim.controller.map.switches, sim.controller.map.directed_links)
         if protocol is Protocol.SOFTDP:
             check_softdp_trace(sim.engine.trace, text)
+        else:
+            check_baseline_trace(sim.engine.trace, spec, text)
     assert maps[Protocol.OFDP] == maps[Protocol.OFDPV2]
 
 
@@ -81,17 +84,38 @@ def check_softdp_trace(trace, text: str) -> None:
     for e in metrics.measure(trace).events:
         if e.kind == LinkAdd.name and e.adaptation is not None:
             assert e.learning is not None and e.adaptation >= e.learning, (e, text)
-    # per switch, the ts of its leave and join records, in trace order
-    moves = {}
-    for r in trace.records:
-        if r.kind == "timeline" and r.detail["event"] in (SwitchLeave.name,
-                                                           SwitchJoin.name):
-            moves.setdefault(r.detail["dpid"], []).append((r.ts, r.detail["event"]))
+    moves = _moves(trace)
     for r in trace.records:
         if r.kind == "bfd_down_detected":
             dpid = PortRef.parse(r.detail["port"]).dpid
             last = [event for ts, event in moves.get(dpid, ()) if ts <= r.ts]
             assert not last or last[-1] != SwitchLeave.name, (r, text)
+
+
+def _moves(trace) -> dict:
+    """Per switch, the ts and name of its leave and join records, in
+    trace order."""
+    moves = {}
+    for r in trace.records:
+        if r.kind == "timeline" and r.detail["event"] in (SwitchLeave.name,
+                                                           SwitchJoin.name):
+            moves.setdefault(r.detail["dpid"], []).append((r.ts, r.detail["event"]))
+    return moves
+
+
+def check_baseline_trace(trace, spec, text: str) -> None:
+    """Read off the trace and the spec only: a PACKET_OUT dropped on a
+    switch's closed channel is dropped no later than the controller
+    hears of the switch's last leave, one channel delay after it."""
+    moves = _moves(trace)
+    for r in trace.records:
+        if (r.kind == "ctrl_dropped" and r.detail["msg"] == "PACKET_OUT"
+                and r.detail["reason"] == "channel_closed"):
+            dpid = int(r.detail["switch"][1:])
+            last = [(ts, event) for ts, event in moves.get(dpid, ()) if ts <= r.ts]
+            assert last and last[-1][1] == SwitchLeave.name, (r, text)
+            notice = last[-1][0] + spec.channel(dpid).delay_to_controller
+            assert r.ts <= notice, (r, text)
 
 
 def _with_timeline(base, *events) -> str:
@@ -104,6 +128,8 @@ def _with_timeline(base, *events) -> str:
 @example(_with_timeline(scenarios.adaptation_scenario(),
                         LinkRemove(SEC, PortRef(1, 1), PortRef(2, 1)),
                         LinkAdd(SEC + 2 * MS, PortRef(1, 3), PortRef(3, 3))))
+# s2 leaves for good: the baselines stop probing it once they hear of it
+@example(encode_scenario(scenarios.walkthrough()))
 # s1 leaves with the detection of its dead s1.p1 still pending
 @example(_with_timeline(scenarios.square(),
                         LinkRemove(SEC, PortRef(1, 1), PortRef(2, 1)),
