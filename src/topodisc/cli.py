@@ -123,16 +123,23 @@ def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
 # ---------------------------------------------------------------------------
 # run
 
-def cmd_run(args) -> int:
-    until = _parse_until(args.until)
-    name, spec = load_scenario(args.scenario, args.seed or 0)
-    spec = _apply_overrides(spec, args)
+def _run_closed(spec: ScenarioSpec, name: str, until) -> Simulation:
+    """Run ``spec`` to ``until`` and close the run, which stays readable;
+    a spec the harness refuses is a scenario error."""
     try:
         sim = Simulation(spec, name=name)
     except ValueError as exc:
         raise ScenarioError(str(exc))
     with sim:
         sim.run(until)
+    return sim
+
+
+def cmd_run(args) -> int:
+    until = _parse_until(args.until)
+    name, spec = load_scenario(args.scenario, args.seed or 0)
+    spec = _apply_overrides(spec, args)
+    sim = _run_closed(spec, name, until)
     report = sim.report()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -261,12 +268,7 @@ def cmd_attack(args) -> int:
         spec = scenarios.attack_scenario(args.attack, protocol=protocol)
         if args.seed is not None:
             spec = dataclasses.replace(spec, rng_seed=args.seed)
-    try:
-        sim = Simulation(spec, name=name)
-    except ValueError as exc:
-        raise ScenarioError(str(exc))
-    with sim:
-        sim.run(until)
+    sim = _run_closed(spec, name, until)
     if not sim.attack_results:
         print("no verdict reached inside the horizon", file=sys.stderr)
         return EXIT_FAILURE
