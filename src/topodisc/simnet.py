@@ -14,10 +14,11 @@ nothing.  ``Trace.records`` builds, on each access, a new list of
 immutable ``(ts, kind, detail)`` tuples with named fields
 (``TraceRecord``s).  A detail is read-only: records of one kind with
 equal payloads of str, int, bool and None values may hold one and the
-same dict, which the digest and the ndjson export encode once.  A record looks its detail up by kind, keys and values;
-a detail with an int or bool value is then told apart by its value types,
-and one with a float value is not shared.  Nor is any detail of a kind
-that has carried a list, which is not looked up.
+same dict, which the digest and the ndjson export encode once.  A
+record looks its detail up by kind, keys and values; a detail with an
+int or bool value is then told apart by its value types, and one with a
+float value is not shared.  Nor is any detail of a kind that has
+carried a list, which is not looked up.
 
 An event is its own heap entry, a ``SimEvent``: the list ``[fire_at,
 seq, action, kind]``, which heapq orders by (fire_at, seq) alone, as

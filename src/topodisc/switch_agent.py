@@ -363,7 +363,6 @@ class SwitchAgent:
         key = (priority, match_ingress)
         self.flow_table[key] = rule
         if hard_timeout is not None:
-
             def expire():
                 if self.flow_table.get(key) is rule:
                     del self.flow_table[key]
