@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from itertools import chain, combinations
-from math import inf
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -500,10 +499,8 @@ class Controller:
         self.bootstrap_done = False
         self.round_no = 0
         self._last_confirm: dict[tuple[PortRef, PortRef], int] = {}
-        # bridges, edges and component labels of the graph the last
-        # retag saw
+        # bridges and component labels of the graph the last retag saw
         self._bridges: set[tuple[int, int]] = set()
-        self._edges: set[tuple[int, int]] = set()
         self._comp: dict[int, int] = {}
         self._sent_groups: dict[tuple[int, int], tuple] = {}
         # the ports of registered switches as text, as the port ids of
@@ -821,11 +818,8 @@ class Controller:
         # a port id this controller wrote is a registered port's text
         egress = self._port_of_text.get(frame.port_id)
         if egress is None:
-            try:
-                egress = PortRef.parse(frame.port_id.decode("ascii"))
-            except (ValueError, UnicodeDecodeError):
-                self._suspicious_packet_in("unreadable_port", body.ingress)
-                return
+            self._suspicious_packet_in("unknown_port", body.ingress)
+            return
         if egress.dpid != dpid:
             self._suspicious_packet_in("chassis_port_mismatch", body.ingress)
             return
@@ -913,15 +907,15 @@ class Controller:
         tags changed and have a backup.  Returns the (dpid, group_id)
         pairs actually pushed.
 
-        A pair keeps its tag unless it is newly connected, its distance
-        changed, a tag edge went stale (died or flipped bridge status), or
-        a changed edge lies on a walk no longer than the tag's limit.
-        Only pairs that can meet one of these are visited, in sorted
-        order: those the map indexes under a stale edge, those newly
-        connected, and those a changed edge's walk test reaches.  A
-        distance grows only when a primary edge died, and shrinks only
-        through an added edge, which the caller names; an added edge it
-        does not name puts every tagged pair under test.
+        Every call names every link whose map entries changed since the
+        last call, as ``_learn_directed`` and ``_remove_links``, the map's
+        only writers, do.  A pair's tag can change only if the pair is
+        newly connected, a tag edge went stale (died or flipped bridge
+        status), or a named edge lies on a walk no longer than the tag's
+        limit; a distance grows only when a primary edge died, and shrinks
+        only through an added edge.  Those pairs are recomputed, in sorted
+        order: the ones the map indexes under a stale edge, the newly
+        connected ones, and the ones a named edge's walk test reaches.
 
         A visited pair (a, b), a < b, reads the shortest paths toward b,
         built once per target switch and retag (``PathsToward``): its
@@ -937,32 +931,27 @@ class Controller:
         changed_links = list(changed_links)
         adj, tags = self.map.adj, self.map.path_tags
         bridges, comp = self._bridges_and_components(adj)
-        alive_edges = {(u, v) for u in adj for v in adj[u] if u <= v}
+        named = {(min(a.dpid, b.dpid), max(a.dpid, b.dpid))
+                 for (a, b) in changed_links}
+        tested = {(u, v) for (u, v) in named if v in adj.get(u, ())}
         # Every tag edge was alive at the previous retag, so the tag edges
-        # that died since are among the edges the graph lost.
+        # that died since are among the named edges the graph lost.
         stale_pairs = set().union(*(
             self.map.pairs_on.get(e, ()) for e in
-            (bridges ^ self._bridges) | (self._edges - alive_edges)))
-        tested = {(min(a.dpid, b.dpid), max(a.dpid, b.dpid))
-                  for (a, b) in changed_links} & alive_edges
+            (bridges ^ self._bridges) | (named - tested)))
         # per target switch: the shortest paths toward it
         toward: dict[int, PathsToward] = {}
         for v in {v for edge in tested for v in edge}:
             toward[v] = PathsToward(adj, v, bridges)
 
         candidates = stale_pairs | self._newly_connected(comp)
-        walks = []
         for (u, v) in tested:
-            du, dv = toward[u].dist, toward[v].dist
-            walks.append((du, dv))
-            candidates |= self._walk_hits(du, dv)
-        if alive_edges - self._edges - tested:
-            candidates.update(tags)
+            candidates |= self._walk_hits(toward[u].dist, toward[v].dist)
 
         group_sends: list[tuple[int, int]] = []
         recomputed = 0
         hops: dict[tuple[int, int], tuple] = {}
-        spans, edge_of = self.map.tag_spans, self.map.edge_of
+        edge_of = self.map.edge_of
         set_tags = self.map.set_tags
         for pair in sorted(candidates):
             a, b = pair
@@ -975,15 +964,6 @@ class Controller:
             paths = toward.get(b)
             if paths is None:
                 paths = toward[b] = PathsToward(adj, b, bridges)
-            if (old is not None and len(old.primary) - 1 == paths.dist[a]
-                    and pair not in stale_pairs):
-                limit = spans[pair][1]
-                for du, dv in walks:
-                    if 1 + min(du.get(a, inf) + dv.get(b, inf),
-                               dv.get(a, inf) + du.get(b, inf)) <= limit:
-                        break
-                else:
-                    continue
             primary = paths.path(a)
             backup = paths.backup(a)
             backups = (backup,) if backup is not None else ()
@@ -996,12 +976,12 @@ class Controller:
                      len(backup or primary) - 1)
             self._push_groups(a, b, entry, hops, group_sends)
 
-        self._bridges, self._edges, self._comp = bridges, alive_edges, comp
+        self._bridges, self._comp = bridges, comp
         for (pa, pb) in changed_links:
             key = link_key(pa, pb)
             pair = (min(pa.dpid, pb.dpid), max(pa.dpid, pb.dpid))
             entry = tags.get(pair)
-            if pair in alive_edges and entry and entry.backups:
+            if pair in tested and entry and entry.backups:
                 self.map.safe_to_remove.add(key)
             else:
                 self.map.safe_to_remove.discard(key)

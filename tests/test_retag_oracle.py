@@ -8,10 +8,8 @@ port by scanning all directed links.  It keeps its own copy of the map
 state it reads and writes.
 
 The controller and the reference see the same history of link learning,
-link removal, map edits that no retag follows at once, explicit retags
-and TE-override toggles, on random
-multigraphs with parallel links and links confirmed in one direction
-only.  After every step they must agree on the path tags, the
+link removal and explicit retags, on random multigraphs with parallel
+links and links confirmed in one direction only.  After every step they must agree on the path tags, the
 ``safe_to_remove`` set, the group sends a retag returns, the GROUP_MOD
 messages and the ``retag`` and ``group_dispatch`` trace records, and the
 map's tag indexes must equal a rebuild from its path tags.
@@ -279,9 +277,7 @@ def replay(n: int, links, ops) -> None:
     """Apply ``ops`` to a controller and to the reference, comparing every
     observable after each step.  Ops: ``("learn", i, reverse)`` confirms
     one direction of cable i; ``("remove", [(i, reverse), ...])`` removes
-    directed entries; ``("edit", i, reverse, add)`` adds or removes one
-    directed entry in the map with no retag, so a later retag meets a
-    change nobody named; ``("retag", [i, ...])`` retags naming cables."""
+    directed entries; ``("retag", [i, ...])`` retags naming cables."""
     ctrl, services = _registered(n)
     ref = ReferenceRetag()
 
@@ -309,16 +305,6 @@ def replay(n: int, links, ops) -> None:
             ctrl._remove_links(entries, cause="oracle")
             ref.remove(entries)
             got = want = None   # _remove_links discards the sends
-        elif op[0] == "edit":
-            link = directed(op[1], op[2])
-            if op[3]:
-                ctrl.map.add_link(*link)
-                ref.directed_links.add(link)
-            else:
-                ctrl.map.remove_link(*link)
-                ref.directed_links.discard(link)
-            check_indexes(where)
-            continue
         else:
             changed = [link_key(*links[i]) for i in op[1]]
             got = ctrl.retag_paths(changed)
@@ -358,11 +344,9 @@ def _random_history(rng: random.Random, n: int, cables: int, steps: int):
             k = rng.randint(1, 3)
             ops.append(("remove", [(rng.randrange(len(links)), rng.random() < 0.5)
                                    for _ in range(k)]))
-        elif r < 0.9:
+        else:
             ops.append(("retag", rng.sample(range(len(links)),
                                             rng.randint(0, min(2, len(links))))))
-        else:
-            ops.append(("edit", i, rng.random() < 0.5, rng.random() < 0.7))
     return links, ops
 
 
@@ -400,8 +384,7 @@ def _histories(draw):
         st.tuples(st.just("remove"),
                   st.lists(st.tuples(cable, st.booleans()), min_size=1,
                            max_size=3)),
-        st.tuples(st.just("retag"), st.lists(cable, max_size=2)),
-        st.tuples(st.just("edit"), cable, st.booleans(), st.booleans())),
+        st.tuples(st.just("retag"), st.lists(cable, max_size=2))),
         max_size=40))
     return n, links, ops
 
