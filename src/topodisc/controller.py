@@ -674,9 +674,6 @@ class Controller:
 
     def _packet_in_event_driven(self, body: PacketInBody) -> None:
         frame = body.frame
-        if not isinstance(frame, LldpFrame):
-            self.counters["ignored_data_packet_in"] += 1
-            return
         if frame.nonce in self._superseded:
             self._superseded.remove(frame.nonce)
             self.counters["superseded_probe"] += 1
@@ -803,9 +800,6 @@ class Controller:
 
     def _packet_in_baseline(self, body: PacketInBody) -> None:
         frame = body.frame
-        if not isinstance(frame, LldpFrame):
-            self.counters["ignored_data_packet_in"] += 1
-            return
         try:
             mac = frame.chassis_id.decode("ascii")
         except UnicodeDecodeError:

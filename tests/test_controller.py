@@ -343,12 +343,21 @@ def test_baseline_learns_from_cleartext_and_never_tags():
     assert ctrl.retag_paths([]) == []
 
 
-def test_baseline_chassis_port_mismatch_is_suspicious():
+@pytest.mark.parametrize("port_id, reason", [
+    (b"s2.p1", "chassis_port_mismatch"),
+    (b"s1.p99", "unknown_port"),    # s1 has two ports
+    (b"s1.p0", "unknown_port"),
+    (b"\xff\xfe", "unknown_port"),
+])
+def test_baseline_chassis_port_mismatch_is_suspicious(port_id, reason):
     ctrl, services = _registered(2, Protocol.OFDP, port_count=2)
-    lying = LldpFrame(_mac(1).encode(), b"s2.p1", b"x")
+    lying = LldpFrame(_mac(1).encode(), port_id, b"x")
     ctrl.handle(ControlMessage(MsgKind.PACKET_IN, src=2, dst="controller",
                                body=PacketInBody(PortRef(2, 1), lying)))
     assert ctrl.suspicious == 1
+    assert [d["reason"] for k, d in services.records
+            if k == "suspicious_packet_in"] == [reason]
+    assert ctrl.map.directed_links == set()
 
 
 def test_baseline_prunes_unconfirmed_links_after_one_missed_round():

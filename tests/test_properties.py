@@ -4,9 +4,10 @@ A scenario file is a walkthrough topology plus random link and switch
 churn.  Decoded, it is either refused with violations located in its
 timeline, or every engine's map matches the fabric's ground truth once
 the churn has settled, and the two baselines agree on the map.  Under
-sOFTDP the trace also shows no adaptation ahead of its link's learning
-and no BFD detection on a switch that has left; under the baselines, no
-probe to a switch that has left after the controller hears of it.
+sOFTDP the settled path tags also equal networkx's over the live links,
+and the trace shows no adaptation ahead of its link's learning and no
+BFD detection on a switch that has left; under the baselines, no probe
+to a switch that has left after the controller hears of it.
 """
 import dataclasses
 
@@ -28,6 +29,7 @@ from topodisc.core import (
 )
 
 from conftest import run_scenario
+from test_controller import _oracle_tags
 
 BASES = {
     "square": scenarios.square,
@@ -71,6 +73,9 @@ def check_document(text: str) -> None:
         assert sim.map_matches_ground_truth(), (protocol, text)
         maps[protocol] = (sim.controller.map.switches, sim.controller.map.directed_links)
         if protocol is Protocol.SOFTDP:
+            live = {(min(a.dpid, b.dpid), max(a.dpid, b.dpid))
+                    for (a, b) in sim.ground_truth()[1]}
+            assert sim.controller.map.path_tags == _oracle_tags(sorted(live)), text
             check_softdp_trace(sim.engine.trace, text)
         else:
             check_baseline_trace(sim.engine.trace, spec, text)

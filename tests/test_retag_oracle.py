@@ -9,10 +9,11 @@ state it reads and writes.
 
 The controller and the reference see the same history of link learning,
 link removal and explicit retags, on random multigraphs with parallel
-links and links confirmed in one direction only.  After every step they must agree on the path tags, the
-``safe_to_remove`` set, the group sends a retag returns, the GROUP_MOD
-messages and the ``retag`` and ``group_dispatch`` trace records, and the
-map's tag indexes must equal a rebuild from its path tags.
+links and links confirmed in one direction only.  After every step they
+must agree on the path tags, the ``safe_to_remove`` set, the group sends
+a retag returns, the GROUP_MOD messages and the ``retag`` and
+``group_dispatch`` trace records, and the map's tag indexes must equal a
+rebuild from its path tags.
 """
 
 import random
