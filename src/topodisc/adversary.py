@@ -8,7 +8,10 @@ bookkeeping about what "should" have happened.
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
+from operator import eq, itemgetter
 from typing import Optional
 
 from .core import (
@@ -67,16 +70,17 @@ def _finish(sim, verdict: AttackVerdict) -> None:
 
 def _packet_in_counts(sim, lo: SimTime, mid: SimTime,
                       hi: SimTime) -> tuple[int, int]:
-    """PACKET_INs delivered in [lo, mid) and in [mid, hi), in one pass."""
-    before = during = 0
-    for ts, kind, detail in zip(*sim.engine.trace.columns):
-        if kind == "ctrl_delivered" and lo <= ts < hi \
-                and detail["msg"] == "PACKET_IN":
-            if ts < mid:
-                before += 1
-            else:
-                during += 1
-    return before, during
+    """PACKET_INs delivered in [lo, mid) and in [mid, hi), for lo <= mid
+    <= hi: each counted in bulk over the rows between its instants, as
+    the ts never decreases."""
+    ts, kinds, details = sim.engine.trace.columns
+    start, split, stop = (bisect_left(ts, t) for t in (lo, mid, hi))
+
+    def packet_ins(i: int, j: int) -> int:
+        delivered = compress(islice(details, i, j), map(
+            eq, islice(kinds, i, j), repeat("ctrl_delivered")))
+        return sum(map(eq, map(itemgetter("msg"), delivered), repeat("PACKET_IN")))
+    return packet_ins(start, split), packet_ins(split, stop)
 
 
 def _map_links_touching(sim, ports: set[PortRef]) -> list[str]:
@@ -90,9 +94,9 @@ def _map_links_touching(sim, ports: set[PortRef]) -> list[str]:
 def _ever_added_touching(sim, ports: set[PortRef]) -> int:
     strs = {str(p) for p in ports}
     _, kinds, details = sim.engine.trace.columns
-    return sum(1 for kind, detail in zip(kinds, details)
-               if kind == "map_add_link"
-               and (detail["egress"] in strs or detail["ingress"] in strs))
+    added = compress(details, map(eq, kinds, repeat("map_add_link")))
+    return sum(1 for detail in added
+               if detail["egress"] in strs or detail["ingress"] in strs)
 
 
 # -- spoof -------------------------------------------------------------------
@@ -202,11 +206,12 @@ def _launch_flood(sim, params: dict) -> None:
     n_frames = max(1, rate * duration // SEC)
     spacing = duration // n_frames
 
+    inject, new = sim.fabric.inject_frame, tuple.__new__
+
     def send(k: int) -> None:
         # (chassis_id, port_id, system_description, nonce), built in C
         # without the NamedTuple's Python-level __new__
-        sim.fabric.inject_frame(port, tuple.__new__(
-            LldpFrame, (b"flood", b"flood%d" % k, b"flood", b"")))
+        inject(port, new(LldpFrame, (b"flood", b"flood%d" % k, b"flood", b"")))
 
     sim.engine.schedule_series(0, spacing, n_frames, "attack_flood", send)
 

@@ -92,9 +92,9 @@ def atomic_write(path: str):
 
 
 def trace_ndjson(trace, fh) -> None:
-    """Write one JSON object per record to ``fh``, row by row; an empty
-    trace writes nothing."""
-    fh.writelines(trace.ndjson_rows())
+    """Write one JSON object per record to ``fh``, one write per chunk of
+    rows; an empty trace writes nothing."""
+    fh.writelines(trace.ndjson_chunks())
 
 
 def _parse_until(value: Optional[str]):

@@ -9,7 +9,8 @@ one PACKET_OUT per port (classic), or one per switch with switch-side
 replication (the v2 optimization).
 
 The controller is a passive event handler bound to injected services
-(now / send_control / schedule / record); the harness owns the clock.
+(now / send_control / schedule / record / shared / append); the harness
+owns the clock.
 """
 from __future__ import annotations
 
@@ -87,6 +88,13 @@ class SwitchEdges(dict):
         u, v = crossed
         edge = self[crossed] = crossed if u <= v else self[v, u]
         return edge
+
+
+class PortTexts(dict):
+    """Registered port -> its text; any other port's is built, not kept."""
+
+    def __missing__(self, port: PortRef) -> str:
+        return str(port)
 
 
 class PathTags(NamedTuple):
@@ -506,9 +514,11 @@ class Controller:
         # the ports of registered switches as text, as the port ids of
         # cleartext frames, and back: filled at registration only, so
         # frames cannot grow them
-        self._port_text: dict[PortRef, str] = {}
+        self._port_text = PortTexts()
         self._port_id: dict[PortRef, bytes] = {}
         self._port_of_text: dict[bytes, PortRef] = {}
+        # (reason, ingress) -> its suspicious_packet_in row
+        self._suspicious_rows: dict[tuple, tuple[str, dict]] = {}
 
     # -- plumbing ----------------------------------------------------------
     @property
@@ -614,7 +624,7 @@ class Controller:
         del self.windows[window.port]
         del self._window_of_nonce[window.nonce]
         window.timer.cancel()
-        self.services.record(event, port=str(window.port))
+        self.services.record(event, port=self._port_text[window.port])
 
     def _probe(self, port: PortRef) -> None:
         """Open a fresh window on ``port``, rotating out any open one, and
@@ -633,11 +643,12 @@ class Controller:
         window.timer = self.services.schedule(
             self.spec.lldp_window, "window_expiry",
             lambda: self._close_window(window, "window_expired"))
-        self.services.record("window_open", port=str(port))
+        text = self._port_text[port]
+        self.services.record("window_open", port=text)
         reg = self.registry[port.dpid]
         frame = LldpFrame(
             chassis_id=self.hasher.digest(mac_bytes(reg.id.local_mac)),
-            port_id=self.hasher.digest(str(port).encode()),
+            port_id=self.hasher.digest(text.encode()),
             system_description=self.hasher.digest(self.product),
             nonce=window.nonce)
         self._send(MsgKind.PACKET_OUT, port.dpid, PacketOutBody(port, frame))
@@ -698,11 +709,12 @@ class Controller:
         for dpid in (egress.dpid, ingress.dpid):
             if dpid not in self.map.switches and dpid in self.registry:
                 self.map.switches[dpid] = self.registry[dpid].id
-        self.services.record("map_add_link", egress=str(egress),
-                             ingress=str(ingress))
+        text = self._port_text
+        self.services.record("map_add_link", egress=text[egress],
+                             ingress=text[ingress])
         if self.map.has_link(ingress, egress):
             a, b = link_key(egress, ingress)
-            self.services.record("map_link_bidirectional", a=str(a), b=str(b))
+            self.services.record("map_link_bidirectional", a=text[a], b=text[b])
             if self.protocol is Protocol.SOFTDP:
                 # the baselines keep no path tags, so a learned link has no
                 # group updates to wait for and no adaptation to report
@@ -737,8 +749,8 @@ class Controller:
         for entry in directed:
             if self.map.remove_link(*entry):
                 self._last_confirm.pop(entry, None)
-                self.services.record("map_remove_link", egress=str(entry[0]),
-                                     ingress=str(entry[1]), cause=cause)
+                self.services.record("map_remove_link", egress=self._port_text[entry[0]],
+                                     ingress=self._port_text[entry[1]], cause=cause)
             removed_keys.add(link_key(*entry))
         for key in sorted(removed_keys):
             self.map.safe_to_remove.discard(key)
@@ -822,8 +834,11 @@ class Controller:
 
     def _suspicious_packet_in(self, reason: str, ingress: PortRef) -> None:
         self.counters["suspicious"] += 1
-        self.services.record("suspicious_packet_in", reason=reason,
-                             ingress=self._port_text.get(ingress) or str(ingress))
+        row = self._suspicious_rows.get((reason, ingress))
+        if row is None:
+            row = self._suspicious_rows[reason, ingress] = self.services.shared(
+                "suspicious_packet_in", reason=reason, ingress=self._port_text[ingress])
+        self.services.append(row)
 
     # -- path tagging ------------------------------------------------------
     @staticmethod

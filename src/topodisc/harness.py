@@ -63,9 +63,12 @@ class Services:
     def __init__(self, engine: Engine, fabric: Fabric, spec: ScenarioSpec):
         self._engine = engine
         self.lldp_window: SimTime = spec.lldp_window
-        # record(kind, **detail): the engine's own, stamped with its clock;
-        # send_control(msg) and send_frame(egress, frame): the fabric's own
+        # record(kind, **detail), shared(kind, **detail) and append(row):
+        # the engine's own, stamped with its clock; send_control(msg) and
+        # send_frame(egress, frame): the fabric's own
         self.record = engine.record
+        self.shared = engine.shared
+        self.append = engine.append
         self.send_control = fabric.send_control
         self.send_frame = fabric.send_frame
 
@@ -199,15 +202,14 @@ class Simulation:
 
     # -- timeline ----------------------------------------------------------
     def _dispatch_timeline(self, ev) -> None:
-        if isinstance(ev, LinkAdd):
-            self.engine.record("timeline", event=ev.name,
-                               a=str(ev.a), b=str(ev.b))
-            self._adapt_watch[link_key(ev.a, ev.b)] = None
-            self.fabric.set_link_alive(ev.a, ev.b, True)
-        elif isinstance(ev, LinkRemove):
-            self.engine.record("timeline", event=ev.name,
-                               a=str(ev.a), b=str(ev.b))
-            self.fabric.set_link_alive(ev.a, ev.b, False)
+        if isinstance(ev, (LinkAdd, LinkRemove)):
+            st = self.fabric.link_state(ev.a, ev.b)
+            i = 1 if ev.a == st.spec.a else 2     # ev.a's place in st.texts
+            self.engine.record("timeline", event=ev.name, a=st.texts[i],
+                               b=st.texts[3 - i])
+            if isinstance(ev, LinkAdd):
+                self._adapt_watch[link_key(ev.a, ev.b)] = None
+            self.fabric.set_link_alive(ev.a, ev.b, isinstance(ev, LinkAdd))
         elif isinstance(ev, SwitchJoin):
             self.engine.record("timeline", event=ev.name, dpid=ev.dpid)
             self._do_join(ev.dpid)

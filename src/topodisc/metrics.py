@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from collections import Counter
 from itertools import chain, compress, count, islice, repeat
-from operator import eq, floordiv, gt, itemgetter
+from operator import eq, gt, itemgetter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -253,20 +254,22 @@ def _reading_order(ts, kinds, details) -> Iterator[Iterable[tuple]]:
 
 def _message_counts(ts, kinds, details) -> tuple[dict, dict]:
     """Delivered control messages by wire name, and by second and wire
-    name, each in first-delivery order."""
-    def delivered():
-        return map(eq, kinds, repeat("ctrl_delivered"))
-    by_second = Counter(zip(
-        map(floordiv, compress(ts, delivered()), repeat(SEC)),
-        map(itemgetter("msg"), compress(details, delivered()))))
+    name, each in first-delivery order; one second's slice of the
+    columns at a time, as the ts never decreases."""
     msg_counts: Counter = Counter()
     per_second: dict[int, Counter] = {}
-    for (second, msg), n in by_second.items():
-        msg_counts[msg] += n
-        counts = per_second.get(second)
-        if counts is None:
-            counts = per_second[second] = Counter()
-        counts[msg] = n
+    kinds, details = iter(kinds), iter(details)
+    start, end = 0, len(ts)
+    while start < end:
+        second = ts[start] // SEC
+        stop = bisect_left(ts, (second + 1) * SEC, start)
+        counts = Counter(map(itemgetter("msg"), compress(
+            islice(details, stop - start),
+            map(eq, islice(kinds, stop - start), repeat("ctrl_delivered")))))
+        if counts:
+            msg_counts.update(counts)
+            per_second[second] = counts
+        start = stop
     return dict(msg_counts), per_second
 
 

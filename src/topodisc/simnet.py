@@ -89,8 +89,8 @@ _EXACT = frozenset({str, type(None)})
 # Per wire name of a message kind: the kind of its delivery event.
 _CTRL_EVENT_KINDS = {kind.value: f"ctrl:{kind.value}" for kind in MsgKind}
 
-# Rows hashed per sha256 update in Trace.digest: enough to spread the
-# cost of a call, and few enough that a batch's text stays small (4,096
+# Rows per chunk of Trace.digest and Trace.ndjson_chunks text: enough to
+# spread the cost of a call, and few enough that a chunk stays small (4,096
 # rows held about 0.7 MB more at the peak of a seed-7 churn digest).
 _DIGEST_BATCH = 512
 
@@ -202,48 +202,62 @@ class Trace:
         self._shared[key] = payload
         return payload
 
-    def _shared_ids(self) -> set[int]:
-        return {id(d) for d in self._shared.values()}
+    def shared(self, kind: str, **detail) -> tuple[str, dict]:
+        """The row ``(kind, detail)`` to ``append`` again and again, its
+        detail the dict ``record()`` shares for these values; ValueError
+        for values ``record()`` would not share."""
+        if not _SHAREABLE.issuperset(map(type, detail.values())) \
+                or self._unshared.get(kind):
+            raise ValueError(f"a {kind!r} record with {detail} is not shared")
+        return kind, self._share((kind, *detail, *detail.values()), detail)
+
+    def append(self, ts: SimTime, row: tuple[str, dict]) -> None:
+        """Write a ``shared()`` row: a pair, as a shared detail has one kind."""
+        kind, detail = row
+        self._ts.append(ts)
+        self._kinds.append(kind)
+        self._details.append(detail)
+
+    def _chunks(self, split: Callable[[str, dict], tuple[str, str]],
+                line: Callable[[SimTime, str, dict], str]) -> Iterator[str]:
+        """The rows as text, ``_DIGEST_BATCH`` at a time: a shared detail's
+        as the text before and after its ts, ``split(kind, detail)``, made
+        once per call; any other as ``line(ts, kind, detail)``."""
+        parts = {}
+        for key, detail in self._shared.items():
+            if id(detail) not in parts:
+                parts[id(detail)] = split(key[0], detail)
+        get, rows = parts.get, zip(self._ts, self._kinds, self._details)
+        while chunk := [f"{part[0]}{ts}{part[1]}" if (part := get(id(detail)))
+                        else line(ts, kind, detail)
+                        for ts, kind, detail in islice(rows, _DIGEST_BATCH)]:
+            yield "".join(chunk)
 
     def digest(self) -> str:
         """sha256 over one line per record, ``<ts> <kind> <detail hash>``,
         the detail hash being the first 12 hex digits of the sha256 of
-        the record's ``payload_json``.  Hashed in batches of lines, a
-        shared detail once per call (it has one kind)."""
-        h = hashlib.sha256()
-        shared, tails = self._shared_ids(), {}
-        rows = zip(self._ts, self._kinds, self._details)
-        while True:
-            lines = []
-            for ts, kind, detail in islice(rows, _DIGEST_BATCH):
-                tail = tails.get(id(detail))
-                if tail is None:
-                    detail_hash = hashlib.sha256(
-                        _payload_json(detail).encode()).hexdigest()[:12]
-                    tail = f" {kind} {detail_hash}\n"
-                    if id(detail) in shared:
-                        tails[id(detail)] = tail
-                lines.append(f"{ts}{tail}")
-            if not lines:
-                return h.hexdigest()
-            h.update("".join(lines).encode())
+        the record's ``payload_json``."""
+        def detail_hash(detail: dict) -> str:
+            return hashlib.sha256(_payload_json(detail).encode()).hexdigest()[:12]
 
-    def ndjson_rows(self) -> Iterator[str]:
-        """Yield each record as one JSON object with its ``ts``, ``kind``
-        and detail keys sorted, newline included.  A shared detail (it has
-        one kind) is encoded once per call, as the text before and after
-        its ts: ``record()`` cannot write a ``ts`` or ``kind`` key."""
-        shared, parts = self._shared_ids(), {}
-        for ts, kind, detail in zip(self._ts, self._kinds, self._details):
-            part = parts.get(id(detail))
-            if part is None:
-                if id(detail) not in shared:
-                    yield _ndjson_row({"ts": ts, "kind": kind, **detail}) + "\n"
-                    continue
-                row = _ndjson_row({"ts": 0, "kind": kind, **detail})
-                at = row.index('"ts": 0') + len('"ts": ')
-                part = parts[id(detail)] = (row[:at], row[at + 1:] + "\n")
-            yield part[0] + str(ts) + part[1]
+        h = hashlib.sha256()
+        for chunk in self._chunks(
+                lambda kind, detail: ("", f" {kind} {detail_hash(detail)}\n"),
+                lambda ts, kind, detail: f"{ts} {kind} {detail_hash(detail)}\n"):
+            h.update(chunk.encode())
+        return h.hexdigest()
+
+    def ndjson_chunks(self) -> Iterator[str]:
+        """The records as ndjson text in chunks of rows: one JSON object
+        each, ``ts``, ``kind`` and detail keys sorted, newline included
+        (``record()`` cannot write a ``ts`` or ``kind`` key)."""
+        def split(kind: str, detail: dict) -> tuple[str, str]:
+            row = _ndjson_row({"ts": 0, "kind": kind, **detail})
+            at = row.index('"ts": 0') + len('"ts": ')
+            return row[:at], row[at + 1:] + "\n"
+
+        return self._chunks(split, lambda ts, kind, detail: _ndjson_row(
+            {"ts": ts, "kind": kind, **detail}) + "\n")
 
 
 class Engine:
@@ -287,25 +301,31 @@ class Engine:
         self._seq += count
         if count == 0:
             return
-        heap = self._heap
+        heap, push, last = self._heap, heapq.heappush, first + count - 1
         entry = SimEvent((self.now + delay, first, None, kind))
 
         def fire() -> None:
-            k = entry[1] - first
-            if k + 1 < count:
+            seq = entry[1]
+            if seq < last:
                 entry[0] += spacing
-                entry[1] += 1
-                heapq.heappush(heap, entry)
+                entry[1] = seq + 1
+                push(heap, entry)
             else:
                 # the last event lets go of the entry it refers to
                 entry[2] = None
-            action(k)
+            action(seq - first)
 
         entry[2] = fire
         heapq.heappush(heap, entry)
 
     def record(self, kind: str, **detail) -> None:
         self.trace.record(self.now, kind, **detail)
+
+    def shared(self, kind: str, **detail) -> tuple[str, dict]:
+        return self.trace.shared(kind, **detail)
+
+    def append(self, row: tuple[str, dict]) -> None:
+        self.trace.append(self.now, row)
 
     def close(self) -> None:
         """Drop every pending event unfired, with its action, so no
@@ -347,6 +367,7 @@ class LinkState:
     spec: Link
     alive: bool
     generation: int = 0
+    texts: tuple[str, ...] = ()     # the link, a and b as record text
 
     def peer(self, port: PortRef) -> PortRef:
         return self.spec.b if port == self.spec.a else self.spec.a
@@ -376,18 +397,19 @@ class Fabric:
         self.spec = spec
         alive = spec.initially_alive()
         self.links: dict[tuple, LinkState] = {
-            l.key(): LinkState(l, alive=l.key() in alive) for l in spec.links
+            l.key(): LinkState(l, l.key() in alive, texts=(str(l), str(l.a), str(l.b)))
+            for l in spec.links
         }
         self.port_link: dict[PortRef, LinkState] = {}
         for st in self.links.values():
             self.port_link[st.spec.a] = st
             self.port_link[st.spec.b] = st
         self.channels = {ch.dpid: ch for ch in spec.control_channels}
-        # each switch's dpid as the text control message records write
-        self._dpid_text = {dpid: str(dpid) for dpid in self.channels}
         self.connected: set[int] = set()
         self.channel_generation: Counter = Counter()
         self.counters: Counter = Counter()
+        # (wire name, src, dpid) -> its ctrl_delivered row
+        self._delivered: dict[tuple, tuple[str, dict]] = {}
         self.detach()
 
     def detach(self) -> None:
@@ -410,7 +432,7 @@ class Fabric:
         st.alive = alive
         st.generation += 1
         self.engine.record("link_up" if alive else "link_down",
-                           link=str(st.spec), a=str(st.spec.a), b=str(st.spec.b))
+                           link=st.texts[0], a=st.texts[1], b=st.texts[2])
         for port in (st.spec.a, st.spec.b):
             self.link_flag_change(port, alive)
 
@@ -477,13 +499,15 @@ class Fabric:
                                reason="channel_closed_in_flight", switch=f"s{dpid}")
             return
         self.counters["ctrl_delivered"] += 1
+        row = self._delivered.get((name, src, dpid))
+        if row is None:
+            ends = (src, str(dpid)) if src == CONTROLLER else (str(dpid), CONTROLLER)
+            row = self._delivered[name, src, dpid] = self.engine.shared(
+                "ctrl_delivered", msg=name, src=ends[0], dst=ends[1])
+        self.engine.append(row)
         if src != CONTROLLER:
-            self.engine.record("ctrl_delivered", msg=name,
-                               src=self._dpid_text[dpid], dst=CONTROLLER)
             self.deliver_to_controller(msg)
         else:
-            self.engine.record("ctrl_delivered", msg=name,
-                               src=CONTROLLER, dst=self._dpid_text[dpid])
             self.deliver_to_switch(msg)
 
     def send_frame(self, egress: PortRef, frame: LldpFrame) -> None:
@@ -519,7 +543,7 @@ class Fabric:
         if not st.alive or st.generation != gen:
             self.counters["frames_dropped"] += 1
             self.engine.record("frame_dropped", reason="link_died_in_flight",
-                               link=str(st.spec))
+                               link=st.texts[0])
             return
         self.counters["frames_delivered"] += 1
         self.frame_arrival(peer, frame)

@@ -282,12 +282,13 @@ class SwitchAgent:
         ("drop", reason)."""
         if ingress not in self.ports:
             raise KeyError(f"{ingress} does not belong to {self.id}")
-        now = self.services.now()
-        best: Optional[FlowRule] = None
+        now = best = None
         for rule in self.flow_table.values():
             exp = rule.expires_at
-            if exp is not None and now >= exp:
-                continue
+            if exp is not None:
+                now = self.services.now() if now is None else now
+                if now >= exp:
+                    continue
             match = rule.match_ingress
             if match is not None and match != ingress:
                 continue

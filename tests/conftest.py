@@ -66,6 +66,12 @@ class StubServices:
     def record(self, kind, **detail):
         self.records.append((kind, detail))
 
+    def shared(self, kind, **detail):
+        return kind, detail
+
+    def append(self, row):
+        self.records.append(row)
+
     def sent_kinds(self):
         return [m.kind.name for m in self.sent]
 

@@ -8,8 +8,10 @@ document that hosts cannot race the pending windows either, because
 windows never open on host-facing ports.
 """
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from topodisc.core import (
     ATTACK_KINDS,
@@ -17,6 +19,7 @@ from topodisc.core import (
     REQUIRED,
     AttackDecl,
     AttackStart,
+    PortRef,
     Protocol,
     SEC,
     ScenarioSpec,
@@ -26,6 +29,7 @@ from topodisc.core import (
 )
 from topodisc import adversary, scenarios
 from topodisc.harness import Simulation
+from topodisc.simnet import Engine
 
 from conftest import run_scenario
 
@@ -229,3 +233,90 @@ def test_verdicts_land_in_trace_and_report():
     assert dict(recs[0].detail)["succeeded"] is True
     rep = sim.report()
     assert rep["attacks"] == [v.as_dict()]
+
+
+# -- verdict scans against plain loops ----------------------------------------
+
+def reference_packet_in_counts(records, lo, mid, hi):
+    before = during = 0
+    for ts, kind, detail in records:
+        if kind == "ctrl_delivered" and detail["msg"] == "PACKET_IN":
+            if lo <= ts < mid:
+                before += 1
+            elif mid <= ts < hi:
+                during += 1
+    return before, during
+
+
+def reference_ever_added_touching(records, ports):
+    texts = {str(p) for p in ports}
+    count = 0
+    for _, kind, detail in records:
+        if kind == "map_add_link" and (detail["egress"] in texts
+                                       or detail["ingress"] in texts):
+            count += 1
+    return count
+
+
+_P1, _P2, _P3 = PortRef(1, 1), PortRef(2, 1), PortRef(3, 2)
+
+# (ts step, kind, msg or (egress, ingress)): deliveries of PACKET_IN and
+# of other messages, learned links on and off the watched ports, and
+# records of other kinds
+_row = st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(["ctrl_delivered", "map_add_link", "window_open"]),
+    st.sampled_from(["PACKET_IN", "PACKET_OUT", "HELLO"]),
+    st.sampled_from([(_P1, _P2), (_P2, _P1), (_P3, _P2), (_P2, _P3)]))
+
+
+def _scanned_sim(rows):
+    """A stand-in simulation whose trace holds ``rows``, ts ascending."""
+    engine, ts = Engine(), 0
+    for step, kind, msg, (egress, ingress) in rows:
+        ts += step
+        if kind == "ctrl_delivered":
+            engine.trace.record(ts, kind, msg=msg, src="s1", dst="c")
+        elif kind == "map_add_link":
+            engine.trace.record(ts, kind, egress=str(egress),
+                                ingress=str(ingress))
+        else:
+            engine.trace.record(ts, kind, port=str(egress))
+    return SimpleNamespace(engine=engine)
+
+
+# ts 1, 2, 3, 3, 3, 5, 5: PACKET_INs at 1, 3 and 5, other rows between
+_AT_BOUNDS = [(step, kind, msg, (_P1, _P2)) for step, kind, msg in (
+    (1, "ctrl_delivered", "PACKET_IN"), (1, "ctrl_delivered", "PACKET_OUT"),
+    (1, "ctrl_delivered", "PACKET_IN"), (0, "map_add_link", "HELLO"),
+    (0, "ctrl_delivered", "HELLO"), (2, "ctrl_delivered", "PACKET_IN"),
+    (0, "window_open", "HELLO"))]
+
+
+@given(st.lists(_row, max_size=40), st.lists(st.integers(0, 130), min_size=3,
+                                             max_size=3))
+@example(_AT_BOUNDS, [1, 3, 5])     # a PACKET_IN at each of lo, mid and hi
+@example(_AT_BOUNDS, [2, 2, 2])
+def test_verdict_scans_match_plain_loops(rows, bounds):
+    sim = _scanned_sim(rows)
+    lo, mid, hi = sorted(bounds)
+    records = sim.engine.trace.records
+    assert adversary._packet_in_counts(sim, lo, mid, hi) == \
+        reference_packet_in_counts(records, lo, mid, hi)
+    for ports in ({_P1}, {_P3, _P1}, {PortRef(9, 9)}):
+        assert adversary._ever_added_touching(sim, ports) == \
+            reference_ever_added_touching(records, ports)
+
+
+def test_verdict_scans_match_plain_loops_on_attack_runs():
+    _, flood = run_attack("flood", Protocol.OFDP)
+    start, end = flood.spec.timeline[0].at, flood.engine.now
+    records = flood.engine.trace.records
+    for lo, mid, hi in ((0, start, end), (start - 1, start, start + SEC),
+                        (records[5].ts, records[9].ts, records[-1].ts)):
+        assert adversary._packet_in_counts(flood, lo, mid, hi) == \
+            reference_packet_in_counts(records, lo, mid, hi)
+    _, inject = run_attack("inject", Protocol.OFDP)
+    ports = {inject.spec.timeline[0].attack.params["inject"]}
+    assert adversary._ever_added_touching(inject, ports) == \
+        reference_ever_added_touching(inject.engine.trace.records, ports) > 0

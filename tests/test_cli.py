@@ -26,6 +26,8 @@ from topodisc.core import (
 from topodisc import scenarios
 from topodisc.simnet import Engine
 
+from test_simnet import reference_ndjson
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -58,6 +60,24 @@ def test_trace_ndjson_failing_mid_write_leaves_the_old_file(tmp_path):
             cli.trace_ndjson(eng.trace, fh)
     assert [p.name for p in tmp_path.iterdir()] == ["trace.ndjson"]
     assert path.read_text() == "old\n"
+
+
+def test_run_trace_ndjson_is_the_per_record_export(tmp_path, monkeypatch):
+    """Over several export chunks, ``trace.ndjson`` holds what encoding
+    each record of the run on its own gives."""
+    sims = []
+    run_closed = cli._run_closed
+
+    def keep(*args):
+        sims.append(run_closed(*args))
+        return sims[-1]
+    monkeypatch.setattr(cli, "_run_closed", keep)
+    out = tmp_path / "res"
+    assert run_cli("run", "--scenario", "random", "--seed", "1",
+                   "--out", str(out)) == 0
+    records = sims[0].engine.trace.records
+    assert len(records) > 2 * 512
+    assert (out / "trace.ndjson").read_text() == reference_ndjson(records)
 
 
 def test_empty_trace_writes_an_empty_file():

@@ -175,6 +175,19 @@ def test_link_lost_before_its_bfd_session_is_up_leaves_the_map():
     assert sim.map_matches_ground_truth()
 
 
+def test_timeline_records_name_link_ends_in_the_events_order():
+    a, b = PortRef(1, 1), PortRef(2, 1)
+    spec = scenarios.square(timeline=(
+        LinkRemove(SEC, b, a), LinkAdd(2 * SEC, b, a), LinkRemove(3 * SEC, a, b)))
+    sim = run_scenario(spec)
+    assert [(r.detail["event"], r.detail["a"], r.detail["b"])
+            for r in records_of(sim, "timeline")] == [
+        ("link_remove", "s2.p1", "s1.p1"), ("link_add", "s2.p1", "s1.p1"),
+        ("link_remove", "s1.p1", "s2.p1")]
+    assert [r.detail for r in records_of(sim, "link_down")][0] == {
+        "link": "s1.p1<->s2.p1", "a": "s1.p1", "b": "s2.p1"}
+
+
 @pytest.mark.parametrize("join_after, s1p1_detected, digest", [
     (300 * US, False,
      "41f9a9b356a40829eeb2328a382049547c3c8dc19c3918ce54002cf6803f6e03"),

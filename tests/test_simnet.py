@@ -351,35 +351,59 @@ def _trace_ops(draw):
     """Records of two kinds whose details hold one key set, given in
     either order, so that equal and colliding payloads are common; about
     one op in four records the payload of an earlier record again, under
-    any kind."""
+    any kind, and one in four writes a held row of such a payload twice."""
     keys = draw(st.lists(_keys, unique=True, max_size=2))
     ops = []
     for _ in range(draw(st.integers(1, 30))):
         ts = draw(st.integers(0, 3))
-        if draw(st.integers(0, 3)):
-            names = keys if draw(st.booleans()) else keys[::-1]
-            ops.append(("record", ts, draw(st.sampled_from("xy")),
-                        {k: draw(_colliding) for k in names}))
-        else:
+        op = draw(st.sampled_from(["record", "record", "hold", "reuse"]))
+        if op == "reuse":
             ops.append(("reuse", ts, draw(st.sampled_from("xyz")),
                         draw(st.integers(0, 50))))
+        else:
+            names = keys if draw(st.booleans()) else keys[::-1]
+            ops.append((op, ts, draw(st.sampled_from("xy")),
+                        {k: draw(_colliding) for k in names}))
     return ops
+
+
+# More rows than two export chunks hold: held rows of "x" between shared
+# records of "x" and unshared records of "y".
+_MANY_ROWS = [row for t in range(400) for row in (
+    ("hold", t % 4, "x", {"a": (1, True, "s", None)[t % 4]}),
+    ("record", t % 4, "x", {"a": (True, 1, None)[t % 3]}),
+    ("record", t % 4, "y", {"a": (0.5, [t], -0.0)[t % 3]}))]
 
 
 @given(_trace_ops(), st.dictionaries(_keys, _colliding, max_size=2))
 @example([("record", 0, "x", {"a": v}) for v in (1, True, 1.0, [1], [True])]
          + [("record", 1, "x", {"m": v, "a": None}) for v in (0, False, 0.0, -0.0)]
          + [("reuse", 2, "y", 0), ("reuse", 3, "y", 5)], {"tsx": 1})
+@example([("hold", 0, "x", {"a": v}) for v in (1, True, None, 0.0)]
+         + [("record", 1, "x", {"a": v}) for v in (True, 1, [1])]
+         + [("hold", 2, "x", {"a": 1}), ("reuse", 3, "y", 1)], {})
+@example(_MANY_ROWS, {"m": "s"})
 def test_trace_export_matches_per_record_encoding(ops, direct):
-    trace, expected = Trace(), []
+    trace, expected, listed = Trace(), [], set()
     for op, ts, kind, arg in ops:
+        if op == "reuse":
+            if not expected:
+                continue
+            op, arg = "record", expected[arg % len(expected)][2]
+        detail = dict(sorted(arg.items()))
         if op == "record":
             trace.record(ts, kind, **arg)
-            expected.append((ts, kind, dict(sorted(arg.items()))))
-        elif expected:
-            payload = expected[arg % len(expected)][2]
-            trace.record(ts, kind, **payload)
-            expected.append((ts, kind, payload))
+            expected.append((ts, kind, detail))
+            listed.update(kind for v in arg.values() if type(v) is list)
+        elif kind in listed or {float, list} & set(map(type, arg.values())):
+            # a detail record() would not share
+            with pytest.raises(ValueError):
+                trace.shared(kind, **arg)
+        else:
+            row = trace.shared(kind, **arg)
+            for t in (ts, ts + 1):      # held, and written again
+                trace.append(t, row)
+                expected.append((t, kind, detail))
     # one payload recorded under two kinds
     for kind in ("x", "w"):
         trace.record(7, kind, **direct)
@@ -425,12 +449,28 @@ def test_equal_primitive_payloads_of_one_kind_share_one_dict():
     trace.record(8, "m", v=-0.0)
     recs = trace.records
     assert recs[6].detail is not recs[7].detail
+    # a held row's detail is the dict record() shares for those values,
+    # kept apart by value type as record() keeps them
+    assert trace.shared("m", i=1, s="a", n=None, b=False) == ("m", recs[0].detail)
+    assert trace.shared("m", i=1, s="a", n=None, b=False)[1] is recs[0].detail
+    assert trace.shared("m", v=1)[1] is recs[4].detail
+    assert trace.shared("m", v=True)[1] is recs[5].detail
+    assert trace.shared("n", v=1)[1] is not recs[4].detail
+    # a float or list value is not shared, so no row holds it
+    for value in (0.0, -0.0, [1]):
+        with pytest.raises(ValueError):
+            trace.shared("m", v=value)
     # a list payload is not shared, and is still written whole
     trace.record(9, "m", v=[1])
     trace.record(10, "m", v=[1])
     recs = trace.records
     assert recs[8].detail is not recs[9].detail
     assert [r.ts for r in trace.records] == list(range(1, 11))
+    # nor, from then on, is any detail of its kind
+    with pytest.raises(ValueError):
+        trace.shared("m", v=1)
+    trace.append(11, trace.shared("n", v=1))
+    assert trace.records[-1] == (11, "n", {"v": 1})
 
 
 def test_records_list_the_rows_written_in_order():
