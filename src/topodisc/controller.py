@@ -43,6 +43,8 @@ from .core import (
 )
 
 DEFAULT_PRODUCT = b"aster-ctl/2.1"
+# read per message: on Python 3.11 an Enum member read off its class is slow
+_PACKET_IN, _SOFTDP = MsgKind.PACKET_IN, Protocol.SOFTDP
 
 DIGEST_LEN = 16
 NONCE_LEN = 8
@@ -543,8 +545,8 @@ class Controller:
     # -- top-level dispatch ------------------------------------------------
     def handle(self, msg: ControlMessage) -> None:
         kind, src, _, body = msg
-        if kind is MsgKind.PACKET_IN:
-            if self.protocol is Protocol.SOFTDP:
+        if kind is _PACKET_IN:
+            if self.protocol is _SOFTDP:
                 self._packet_in_event_driven(body)
             else:
                 self._packet_in_baseline(body)

@@ -206,8 +206,7 @@ class Trace:
         """The row ``(kind, detail)`` to ``append`` again and again, its
         detail the dict ``record()`` shares for these values; ValueError
         for values ``record()`` would not share."""
-        if not _SHAREABLE.issuperset(map(type, detail.values())) \
-                or self._unshared.get(kind):
+        if self._unshared.get(kind) or not _SHAREABLE.issuperset(map(type, detail.values())):
             raise ValueError(f"a {kind!r} record with {detail} is not shared")
         return kind, self._share((kind, *detail, *detail.values()), detail)
 
@@ -223,10 +222,8 @@ class Trace:
         """The rows as text, ``_DIGEST_BATCH`` at a time: a shared detail's
         as the text before and after its ts, ``split(kind, detail)``, made
         once per call; any other as ``line(ts, kind, detail)``."""
-        parts = {}
-        for key, detail in self._shared.items():
-            if id(detail) not in parts:
-                parts[id(detail)] = split(key[0], detail)
+        shared = {id(detail): (key[0], detail) for key, detail in self._shared.items()}
+        parts = {i: split(kind, detail) for i, (kind, detail) in shared.items()}
         get, rows = parts.get, zip(self._ts, self._kinds, self._details)
         while chunk := [f"{part[0]}{ts}{part[1]}" if (part := get(id(detail)))
                         else line(ts, kind, detail)

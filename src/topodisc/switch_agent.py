@@ -43,6 +43,8 @@ BFD_DOWN = "DOWN"
 # The default LLDP disposition (drop under the event-driven protocol,
 # forward under the baselines); core.WINDOW_RULE_PRIORITY outranks it.
 DEFAULT_LLDP_PRIORITY = 10
+# read per frame: on Python 3.11 an Enum member read off its class is slow
+_PACKET_IN = MsgKind.PACKET_IN
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -298,8 +300,7 @@ class SwitchAgent:
             return ("drop", "no_matching_rule")
         if best.action[0] == "drop":
             return ("drop", "rule_drop")
-        self._send(MsgKind.PACKET_IN,
-                   tuple.__new__(PacketInBody, (ingress, frame)))
+        self._send(_PACKET_IN, tuple.__new__(PacketInBody, (ingress, frame)))
         return ("to_controller",)
 
     def forward_via_group(self, group_id: int, frame) -> tuple:
