@@ -9,8 +9,8 @@ one PACKET_OUT per port (classic), or one per switch with switch-side
 replication (the v2 optimization).
 
 The controller is a passive event handler bound to injected services
-(now / send_control / schedule / record / shared / append); the harness
-owns the clock.
+(now / send_control / schedule / record / shared / append / layout); the
+harness owns the clock.
 """
 from __future__ import annotations
 
@@ -45,6 +45,10 @@ from .core import (
 DEFAULT_PRODUCT = b"aster-ctl/2.1"
 # read per message: on Python 3.11 an Enum member read off its class is slow
 _PACKET_IN, _SOFTDP = MsgKind.PACKET_IN, Protocol.SOFTDP
+_HELLO, _FEATURE_REQUEST, _FEATURE_REPLY = (
+    MsgKind.HELLO, MsgKind.FEATURE_REQUEST, MsgKind.FEATURE_REPLY)
+_PORT_STATUS, _BFD_STATUS = MsgKind.PORT_STATUS, MsgKind.BFD_STATUS
+_PACKET_OUT, _GROUP_MOD = MsgKind.PACKET_OUT, MsgKind.GROUP_MOD
 
 DIGEST_LEN = 16
 NONCE_LEN = 8
@@ -513,6 +517,9 @@ class Controller:
         self._bridges: set[tuple[int, int]] = set()
         self._comp: dict[int, int] = {}
         self._sent_groups: dict[tuple[int, int], tuple] = {}
+        # watch ports of a group -> (those ports, the buckets, their texts)
+        self._bucket_sets: dict[tuple[PortRef, ...], tuple] = {}
+        services.layout("group_dispatch", "buckets", "dpid", "group_id")
         # the ports of registered switches as text, as the port ids of
         # cleartext frames, and back: filled at registration only, so
         # frames cannot grow them
@@ -550,18 +557,18 @@ class Controller:
                 self._packet_in_event_driven(body)
             else:
                 self._packet_in_baseline(body)
-        elif kind is MsgKind.HELLO:
-            self._send(MsgKind.HELLO, src, None)
-            self._send(MsgKind.FEATURE_REQUEST, src, None)
-        elif kind is MsgKind.FEATURE_REPLY:
+        elif kind is _HELLO:
+            self._send(_HELLO, src, None)
+            self._send(_FEATURE_REQUEST, src, None)
+        elif kind is _FEATURE_REPLY:
             self._register(body)
-        elif kind is MsgKind.PORT_STATUS:
-            if self.protocol is Protocol.SOFTDP:
+        elif kind is _PORT_STATUS:
+            if self.protocol is _SOFTDP:
                 self.on_port_status(body)
             else:
                 self.counters["ignored_port_status"] += 1
-        elif kind is MsgKind.BFD_STATUS:
-            if self.protocol is Protocol.SOFTDP:
+        elif kind is _BFD_STATUS:
+            if self.protocol is _SOFTDP:
                 self.on_bfd_status(body)
             else:
                 self.counters["ignored_bfd_status"] += 1
@@ -653,7 +660,7 @@ class Controller:
             port_id=self.hasher.digest(text.encode()),
             system_description=self.hasher.digest(self.product),
             nonce=window.nonce)
-        self._send(MsgKind.PACKET_OUT, port.dpid, PacketOutBody(port, frame))
+        self._send(_PACKET_OUT, port.dpid, PacketOutBody(port, frame))
 
     # -- event-driven engine ----------------------------------------------
     def on_port_status(self, body: PortStatusBody) -> None:
@@ -799,11 +806,11 @@ class Controller:
             if self.protocol is Protocol.OFDP:
                 for port_no in range(1, reg.port_count + 1):
                     port = PortRef(dpid, port_no)
-                    self._send(MsgKind.PACKET_OUT, dpid,
+                    self._send(_PACKET_OUT, dpid,
                                PacketOutBody(port, self._cleartext_frame(reg, port)))
                     packet_outs += 1
             else:
-                self._send(MsgKind.PACKET_OUT, dpid,
+                self._send(_PACKET_OUT, dpid,
                            PacketOutBody(None, self._cleartext_frame(reg, None)))
                 packet_outs += 1
         self.services.record("round_dispatch", protocol=self.protocol.value,
@@ -1001,13 +1008,19 @@ class Controller:
                                  changed=[f"{a}~{b}" for (a, b) in changed_links])
         return group_sends
 
-    def _hop(self, src: int, nxt: int, hops: dict) -> tuple:
-        """The first-hop port from ``src`` toward neighbour ``nxt``, with
-        the group bucket and the text a send builds from it, looked up
-        once per retag in ``hops``."""
-        port = self.map.first_hop_port(src, nxt)
-        hop = hops[(src, nxt)] = (port, GroupBucket(port, port), str(port))
-        return hop
+    def _hop(self, src: int, nxt: int, hops: dict) -> PortRef:
+        """The first-hop port from ``src`` toward neighbour ``nxt``,
+        looked up once per retag in ``hops``."""
+        port = hops[(src, nxt)] = self.map.first_hop_port(src, nxt)
+        return port
+
+    def _bucket_set(self, watch: tuple[PortRef, ...]) -> tuple:
+        """The watch ports of a group, its buckets and their texts, kept
+        once per watch ports."""
+        kept = self._bucket_sets[watch] = (
+            watch, tuple([GroupBucket(port, port) for port in watch]),
+            tuple(map(self._port_text.__getitem__, watch)))
+        return kept
 
     def _push_groups(self, a: int, b: int, entry: PathTags, hops: dict,
                      sends: list[tuple[int, int]]) -> None:
@@ -1016,8 +1029,10 @@ class Controller:
         second the backup; liveness is the watch port's link flag so
         switchover needs no controller round trip.  Every hop of a path
         the retag just built is a confirmed link, so each bucket has a
-        port."""
-        sent = self._sent_groups
+        port.  A group's watch ports, buckets and texts are the ones
+        kept for those ports (``_bucket_set``), so a send builds no tuple
+        that outlives it but the message, its body and its row."""
+        sent, bucket_sets = self._sent_groups, self._bucket_sets
         primary, backups = entry
         # the second switch of each path seen from a, and from b
         for src, dst, hop in ((a, b, 1), (b, a, -2)):
@@ -1031,19 +1046,14 @@ class Controller:
             first = hops.get((src, nxt)) or self._hop(src, nxt, hops)
             if backups:
                 nxt = backups[0][hop]
-                second = hops.get((src, nxt)) or self._hop(src, nxt, hops)
-                watch = (first[0], second[0])
-                if installed == watch:
-                    continue
-                buckets, texts = (first[1], second[1]), [first[2], second[2]]
+                watch = (first, hops.get((src, nxt)) or self._hop(src, nxt, hops))
             else:
-                watch = (first[0],)
-                if installed == watch:
-                    continue
-                buckets, texts = (first[1],), [first[2]]
+                watch = (first,)
+            if installed == watch:
+                continue
+            watch, buckets, texts = bucket_sets.get(watch) or self._bucket_set(watch)
             sent[group] = watch
-            self._send(MsgKind.GROUP_MOD, src,
+            self._send(_GROUP_MOD, src,
                        tuple.__new__(GroupModBody, (src, dst, buckets)))
-            self.services.record("group_dispatch", dpid=src, group_id=dst,
-                                 buckets=texts)
+            self.services.append(("group_dispatch", (texts, src, dst)))
             sends.append(group)

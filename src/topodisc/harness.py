@@ -55,6 +55,9 @@ from .controller import Controller
 from . import adversary
 from . import metrics as metrics_mod
 
+# read per message: on Python 3.11 an Enum member read off its class is slow
+_FEATURE_REQUEST, _GROUP_MOD = MsgKind.FEATURE_REQUEST, MsgKind.GROUP_MOD
+
 
 class Services:
     """What agents and the controller are allowed to touch: the clock,
@@ -64,11 +67,13 @@ class Services:
         self._engine = engine
         self.lldp_window: SimTime = spec.lldp_window
         # record(kind, **detail), shared(kind, **detail) and append(row):
-        # the engine's own, stamped with its clock; send_control(msg) and
-        # send_frame(egress, frame): the fabric's own
+        # the engine's own, stamped with its clock; layout(kind, *keys):
+        # the trace's own; send_control(msg) and send_frame(egress,
+        # frame): the fabric's own
         self.record = engine.record
         self.shared = engine.shared
         self.append = engine.append
+        self.layout = engine.trace.layout
         self.send_control = fabric.send_control
         self.send_frame = fabric.send_frame
 
@@ -134,15 +139,17 @@ class Simulation:
 
     # -- delivery hooks ----------------------------------------------------
     def _deliver_to_switch(self, msg) -> None:
-        self.agents[msg.dst].handle_control(msg)
-        if msg.kind is MsgKind.FEATURE_REQUEST and msg.dst in self.pending_joins:
+        kind, _, dst, body = msg
+        self.agents[dst].handle_control(msg)
+        if kind is _GROUP_MOD:
+            if self._adapt_watch:
+                self._note_group_applied(dst, body.group_id)
+        elif kind is _FEATURE_REQUEST and dst in self.pending_joins:
             # the joiner has answered with all ports down; now its cables
             # get patched in, so PORT_STATUS reports follow registration
-            self.pending_joins.discard(msg.dst)
+            self.pending_joins.discard(dst)
             self.engine.schedule(0, "join_links_up",
-                                 lambda d=msg.dst: self._activate_join_links(d))
-        elif msg.kind is MsgKind.GROUP_MOD:
-            self._note_group_applied(msg.dst, msg.body.group_id)
+                                 lambda d=dst: self._activate_join_links(d))
 
     def _frame_arrival(self, port: PortRef, frame) -> None:
         if isinstance(frame, DataFrame):

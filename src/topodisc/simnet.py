@@ -34,7 +34,7 @@ import hashlib
 import heapq
 import json
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, repeat
@@ -137,18 +137,30 @@ class Trace:
         # kind -> whether it has carried a list value, so that its
         # details are not shared
         self._unshared: dict[str, bool] = {}
+        # kind -> the sorted keys of its laid-out rows' detail tuples
+        self._layouts: dict[str, tuple[str, ...]] = {}
 
     @property
     def records(self) -> list[TraceRecord]:
         """A new list of the records so far, in record order, each built
-        in C without the NamedTuple's Python-level ``__new__``."""
+        in C without the NamedTuple's Python-level ``__new__``; a laid-out
+        row's detail is a new dict of its keys, a tuple value as a list."""
+        details = self._details
+        if self._layouts:
+            details = [self._as_dict(kind, detail) if detail.__class__ is tuple
+                       else detail for kind, detail in zip(self._kinds, details)]
         return list(map(tuple.__new__, repeat(TraceRecord),
-                        zip(self._ts, self._kinds, self._details)))
+                        zip(self._ts, self._kinds, details)))
+
+    def _as_dict(self, kind: str, values: tuple) -> dict:
+        return {key: list(value) if value.__class__ is tuple else value
+                for key, value in zip(self._layouts[kind], values)}
 
     @property
-    def columns(self) -> tuple[array, list[str], list[dict]]:
+    def columns(self) -> tuple[array, list[str], list]:
         """The three columns, ts, kind and detail, one row per record in
-        record order; for reading only."""
+        record order; for reading only.  A laid-out row's detail is its
+        tuple of values."""
         return self._ts, self._kinds, self._details
 
     def record(self, ts: SimTime, kind: str, **detail) -> None:
@@ -210,51 +222,134 @@ class Trace:
             raise ValueError(f"a {kind!r} record with {detail} is not shared")
         return kind, self._share((kind, *detail, *detail.values()), detail)
 
-    def append(self, ts: SimTime, row: tuple[str, dict]) -> None:
-        """Write a ``shared()`` row: a pair, as a shared detail has one kind."""
+    def layout(self, kind: str, *keys: str) -> None:
+        """Lay out ``kind``'s rows by ``keys``, which are sorted: a row
+        ``(kind, values)`` for ``append`` whose detail is the tuple of its
+        values in that order, each a str, int, bool, None or float, or a
+        tuple of those, which reads as a list.  Laying a kind out again
+        by the same keys does nothing; by others, or by ``ts`` or
+        ``kind``, it raises ValueError."""
+        if list(keys) != sorted(set(keys)) or {"ts", "kind"} & set(keys):
+            raise ValueError(f"{kind!r} rows cannot be laid out by {keys}")
+        if self._layouts.setdefault(kind, keys) != keys:
+            raise ValueError(f"{kind!r} rows are laid out by {self._layouts[kind]}")
+
+    def append(self, ts: SimTime, row: tuple) -> None:
+        """Write a row: a ``shared()`` row, or a laid-out one (``layout``);
+        a pair, as a shared detail has one kind."""
         kind, detail = row
         self._ts.append(ts)
         self._kinds.append(kind)
         self._details.append(detail)
 
-    def _chunks(self, split: Callable[[str, dict], tuple[str, str]],
-                line: Callable[[SimTime, str, dict], str]) -> Iterator[str]:
-        """The rows as text, ``_DIGEST_BATCH`` at a time: a shared detail's
-        as the text before and after its ts, ``split(kind, detail)``, made
-        once per call; any other as ``line(ts, kind, detail)``."""
-        shared = {id(detail): (key[0], detail) for key, detail in self._shared.items()}
-        parts = {i: split(kind, detail) for i, (kind, detail) in shared.items()}
-        get, rows = parts.get, zip(self._ts, self._kinds, self._details)
-        while chunk := [f"{part[0]}{ts}{part[1]}" if (part := get(id(detail)))
-                        else line(ts, kind, detail)
-                        for ts, kind, detail in islice(rows, _DIGEST_BATCH)]:
-            yield "".join(chunk)
+    def _shared_texts(self, text: Callable[[str, dict], object]) -> dict:
+        """id of each shared detail -> ``text(kind, detail)``, made once
+        per export."""
+        return {id(detail): text(key[0], detail) for key, detail in self._shared.items()}
 
     def digest(self) -> str:
         """sha256 over one line per record, ``<ts> <kind> <detail hash>``,
         the detail hash being the first 12 hex digits of the sha256 of
-        the record's ``payload_json``."""
-        def detail_hash(detail: dict) -> str:
-            return hashlib.sha256(_payload_json(detail).encode()).hexdigest()[:12]
-
+        the record's ``payload_json``.  A shared detail's line after its
+        ts is made once; a laid-out row's payload comes from its layout's
+        template."""
+        get = self._shared_texts(
+            lambda kind, detail: f" {kind} {_detail_hash(_payload_json(detail))}\n").get
+        text = _value_text(_payload_json)
+        forms = {kind: _digest_form(kind, keys, text)
+                 for kind, keys in self._layouts.items()}
         h = hashlib.sha256()
-        for chunk in self._chunks(
-                lambda kind, detail: ("", f" {kind} {detail_hash(detail)}\n"),
-                lambda ts, kind, detail: f"{ts} {kind} {detail_hash(detail)}\n"):
-            h.update(chunk.encode())
+        rows = zip(self._ts, self._kinds, self._details)
+        while chunk := [f"{ts}{tail}" if (tail := get(id(detail)))
+                        else forms[kind](ts, detail) if detail.__class__ is tuple
+                        else f"{ts} {kind} {_detail_hash(_payload_json(detail))}\n"
+                        for ts, kind, detail in islice(rows, _DIGEST_BATCH)]:
+            h.update("".join(chunk).encode())
         return h.hexdigest()
 
     def ndjson_chunks(self) -> Iterator[str]:
-        """The records as ndjson text in chunks of rows: one JSON object
-        each, ``ts``, ``kind`` and detail keys sorted, newline included
-        (``record()`` cannot write a ``ts`` or ``kind`` key)."""
+        """The records as ndjson text in chunks of ``_DIGEST_BATCH`` rows:
+        one JSON object each, ``ts``, ``kind`` and detail keys sorted,
+        newline included (``record()`` cannot write a ``ts`` or ``kind``
+        key, nor can a layout hold one).  A shared detail's text before
+        and after its ts is made once; a laid-out row comes from its
+        layout's template."""
         def split(kind: str, detail: dict) -> tuple[str, str]:
             row = _ndjson_row({"ts": 0, "kind": kind, **detail})
             at = row.index('"ts": 0') + len('"ts": ')
             return row[:at], row[at + 1:] + "\n"
 
-        return self._chunks(split, lambda ts, kind, detail: _ndjson_row(
-            {"ts": ts, "kind": kind, **detail}) + "\n")
+        get = self._shared_texts(split).get
+        text = _value_text(_ndjson_row)
+        forms = {kind: _ndjson_form(kind, keys, text)
+                 for kind, keys in self._layouts.items()}
+        rows = zip(self._ts, self._kinds, self._details)
+        while chunk := [f"{part[0]}{ts}{part[1]}" if (part := get(id(detail)))
+                        else forms[kind](ts, detail) if detail.__class__ is tuple
+                        else _ndjson_row({"ts": ts, "kind": kind, **detail}) + "\n"
+                        for ts, kind, detail in islice(rows, _DIGEST_BATCH)]:
+            yield "".join(chunk)
+
+
+def _detail_hash(payload: str) -> str:
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+def _value_text(encode: Callable[[object], str]) -> Callable[[object], str]:
+    """The JSON text of a laid-out row's value as ``encode`` writes it: an
+    int's and a str's without the encoder, and a tuple of strs' once per
+    call of this (a tuple of strs equals only tuples of the same strs, so
+    their text is one; 1 == True and 0.0 == -0.0 rule that out for other
+    values)."""
+    quote = json.encoder.encode_basestring_ascii
+    known: dict[tuple, str] = {}
+
+    def text(value) -> str:
+        cls = value.__class__
+        if cls is int:
+            return int.__repr__(value)
+        if cls is str:
+            return quote(value)
+        if cls is not tuple:
+            return encode(value)
+        out = known.get(value)
+        if out is None:
+            out = encode(value)
+            if all(v.__class__ is str for v in value):
+                known[value] = out
+        return out
+    return text
+
+
+def _template_key(key: str) -> str:
+    """A detail key as JSON text, escaped for a %-template."""
+    return json.encoder.encode_basestring_ascii(key).replace("%", "%%")
+
+
+def _digest_form(kind: str, keys: tuple[str, ...],
+                 text: Callable[[object], str]) -> Callable[[SimTime, tuple], str]:
+    """A laid-out row's digest line, from the template of its payload:
+    its keys in order, compact, as ``_payload_json`` writes a dict."""
+    template = "{%s}" % ",".join(f"{_template_key(key)}:%s" for key in keys)
+    head = f" {kind} "
+    return lambda ts, values: (
+        f"{ts}{head}{_detail_hash(template % tuple(map(text, values)))}\n")
+
+
+def _ndjson_form(kind: str, keys: tuple[str, ...],
+                 text: Callable[[object], str]) -> Callable[[SimTime, tuple], str]:
+    """A laid-out row's ndjson line, from a template of its keys and
+    ``kind`` and ``ts`` in sorted order, spaced as ``_ndjson_row``
+    writes them."""
+    slots = {key: f"{_template_key(key)}: %s" for key in keys}
+    slots["kind"] = '"kind": ' + _template_key(kind)
+    slots["ts"] = '"ts": %d'
+    template = "{%s}\n" % ", ".join(slots[key] for key in sorted(slots))
+    cut = sum(key < "ts" for key in keys)      # the values before ts
+    if cut == len(keys):
+        return lambda ts, values: template % (*map(text, values), ts)
+    return lambda ts, values: template % (
+        *map(text, values[:cut]), ts, *map(text, values[cut:]))
 
 
 class Engine:
@@ -387,6 +482,11 @@ class Fabric:
       host_frame_hook(port, frame)  frame left a host-facing port
 
     ``detach()`` puts every callback back to a no-op.
+
+    A channel delivers in send order in each direction, as its delay
+    there is fixed, so the messages in flight on a direction wait in its
+    lane, a deque, each followed by the channel generation it was sent
+    in, and every event of the direction delivers the oldest.
     """
 
     def __init__(self, engine: Engine, spec: ScenarioSpec) -> None:
@@ -411,7 +511,12 @@ class Fabric:
 
     def detach(self) -> None:
         """Point every callback at a no-op, letting go of the protocol
-        logic attached through them."""
+        logic attached through them, and drop the lanes, whose delivery
+        actions refer back to the fabric."""
+        # dpid -> (lane, the action that delivers its oldest message), for
+        # messages toward the controller and toward the switch
+        self._up_lanes: dict[int, tuple[deque, Callable[[], None]]] = {}
+        self._down_lanes: dict[int, tuple[deque, Callable[[], None]]] = {}
         self.deliver_to_switch: Callable[[ControlMessage], None] = _ignore
         self.deliver_to_controller: Callable[[ControlMessage], None] = _ignore
         self.frame_arrival: Callable[[PortRef, LldpFrame], None] = _ignore
@@ -476,18 +581,28 @@ class Fabric:
                                switch=f"s{dpid}")
             return
         if to_controller:
-            delay = chan.delay_to_controller
+            delay, lanes = chan.delay_to_controller, self._up_lanes
         else:
-            delay = chan.delay_from_controller
+            delay, lanes = chan.delay_from_controller, self._down_lanes
+        # no object per message for the collector to track but the
+        # message and its event
+        lane, arrive = lanes.get(dpid) or self._lane(lanes, dpid)
+        lane.append(msg)
+        lane.append(self.channel_generation[dpid])
         engine = self.engine
-        # a partial of the plain function, not a closure or a bound method:
-        # two objects for the collector to track per message, not eleven
-        engine.schedule_at(engine.now + delay, _CTRL_EVENT_KINDS[name], partial(
-            Fabric._control_arrives, self, msg, dpid, self.channel_generation[dpid]))
+        engine.schedule_at(engine.now + delay, _CTRL_EVENT_KINDS[name], arrive)
 
-    def _control_arrives(self, msg: ControlMessage, dpid: int, gen: int) -> None:
-        """Deliver a control message sent on channel generation ``gen`` of
-        switch ``dpid``, unless that channel closed since."""
+    def _lane(self, lanes: dict, dpid: int) -> tuple[deque, Callable[[], None]]:
+        lane = deque()
+        entry = lanes[dpid] = (lane, partial(Fabric._control_arrives, self, dpid, lane))
+        return entry
+
+    def _control_arrives(self, dpid: int, lane: deque) -> None:
+        """Deliver the oldest control message on ``lane``, one direction of
+        switch ``dpid``'s channel, unless that channel closed since the
+        generation it was sent in."""
+        msg = lane.popleft()
+        gen = lane.popleft()
         kind, src, _, _ = msg
         name = kind._value_
         if dpid not in self.connected or self.channel_generation[dpid] != gen:

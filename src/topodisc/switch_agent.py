@@ -43,8 +43,9 @@ BFD_DOWN = "DOWN"
 # The default LLDP disposition (drop under the event-driven protocol,
 # forward under the baselines); core.WINDOW_RULE_PRIORITY outranks it.
 DEFAULT_LLDP_PRIORITY = 10
-# read per frame: on Python 3.11 an Enum member read off its class is slow
-_PACKET_IN = MsgKind.PACKET_IN
+# read per message: on Python 3.11 an Enum member read off its class is slow
+_PACKET_IN, _GROUP_MOD, _FLOW_MOD = MsgKind.PACKET_IN, MsgKind.GROUP_MOD, MsgKind.FLOW_MOD
+_FEATURE_REQUEST, _PACKET_OUT = MsgKind.FEATURE_REQUEST, MsgKind.PACKET_OUT
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -127,11 +128,13 @@ class DataFrame:
 class SwitchAgent:
     """One simulated switch bound to a services object providing now(),
     send_control(msg), send_frame(egress, frame), schedule(delay, kind, fn),
-    record(kind, **detail) and the lldp_window length."""
+    record(kind, **detail), layout(kind, *keys), append(row) and the
+    lldp_window length."""
 
     def __init__(self, decl: SwitchDecl, protocol: Protocol, bfd: BfdParams, services):
         self.decl = decl
         self.id = decl.id
+        self._text = str(decl.id)
         self.protocol = protocol
         self.bfd_params = bfd
         self.services = services
@@ -149,6 +152,7 @@ class SwitchAgent:
         self.group_table: dict[int, tuple[GroupBucket, ...]] = {}
         # bucket list of a GROUP_MOD -> its "watch->out" texts
         self._bucket_texts: dict[tuple[GroupBucket, ...], tuple[str, ...]] = {}
+        services.layout("group_installed", "buckets", "group_id", "switch")
         self.bfd_sessions: dict[PortRef, BfdSession] = {}
         self._rule_seq = 0
         if protocol is Protocol.SOFTDP:
@@ -191,12 +195,15 @@ class SwitchAgent:
     def handle_control(self, msg: ControlMessage) -> None:
         """HELLO needs no answer here; any other kind a switch does not
         act on is ignored."""
-        if msg.kind is MsgKind.FEATURE_REQUEST:
-            self.feature_reply()
-        elif msg.kind in (MsgKind.FLOW_MOD, MsgKind.GROUP_MOD):
+        kind, _, _, body = msg
+        if kind is _GROUP_MOD:
+            self._install_group(body)
+        elif kind is _PACKET_OUT:
+            self.handle_packet_out(body)
+        elif kind is _FLOW_MOD:
             self.apply_mod(msg)
-        elif msg.kind is MsgKind.PACKET_OUT:
-            self.handle_packet_out(msg.body)
+        elif kind is _FEATURE_REQUEST:
+            self.feature_reply()
 
     # -- port lifecycle ---------------------------------------------------
     def boot_port_up(self, port: PortRef, peer: Optional[PortRef] = None) -> None:
@@ -328,18 +335,21 @@ class SwitchAgent:
                                action=body.action,
                                hard_timeout=body.hard_timeout)
         elif isinstance(body, GroupModBody):
-            if body.dpid != self.id.dpid:
-                raise KeyError(f"GROUP_MOD for s{body.dpid} delivered to {self.id}")
-            # last-writer-wins on duplicate group ids
-            self.group_table[body.group_id] = body.buckets
-            texts = self._bucket_texts.get(body.buckets)
-            if texts is None:
-                texts = self._bucket_texts[body.buckets] = tuple(
-                    f"{b.watch}->{b.out}" for b in body.buckets)
-            self.services.record("group_installed", switch=str(self.id),
-                                 group_id=body.group_id, buckets=list(texts))
+            self._install_group(body)
         else:
             raise TypeError(f"not a mod message: {msg.kind}")
+
+    def _install_group(self, body: GroupModBody) -> None:
+        dpid, group_id, buckets = body
+        if dpid != self.id.dpid:
+            raise KeyError(f"GROUP_MOD for s{dpid} delivered to {self.id}")
+        # last-writer-wins on duplicate group ids
+        self.group_table[group_id] = buckets
+        texts = self._bucket_texts.get(buckets)
+        if texts is None:
+            texts = self._bucket_texts[buckets] = tuple(
+                f"{b.watch}->{b.out}" for b in buckets)
+        self.services.append(("group_installed", (texts, group_id, self._text)))
 
     def handle_packet_out(self, body: PacketOutBody) -> None:
         """Emit the controller-supplied frame.  egress=None is the
@@ -368,7 +378,7 @@ class SwitchAgent:
             def expire():
                 if self.flow_table.get(key) is rule:
                     del self.flow_table[key]
-                    self.services.record("flow_rule_expired", switch=str(self.id),
+                    self.services.record("flow_rule_expired", switch=self._text,
                                          port=str(match_ingress) if match_ingress else "any")
 
             self.services.schedule(hard_timeout, "flow_rule_expiry", expire)

@@ -48,6 +48,7 @@ class StubServices:
         self.frames: list[tuple] = []
         self.scheduled: list[tuple[int, str, object, FakeTimer]] = []
         self.records: list[tuple[str, dict]] = []
+        self.layouts: dict[str, tuple[str, ...]] = {}
 
     def now(self):
         return self.clock
@@ -69,8 +70,17 @@ class StubServices:
     def shared(self, kind, **detail):
         return kind, detail
 
+    def layout(self, kind, *keys):
+        self.layouts[kind] = keys
+
     def append(self, row):
-        self.records.append(row)
+        """A laid-out row is kept as ``Trace.records`` reads it: a dict of
+        its keys, a tuple value as a list."""
+        kind, detail = row
+        if type(detail) is tuple:
+            detail = {key: list(value) if type(value) is tuple else value
+                      for key, value in zip(self.layouts[kind], detail)}
+        self.records.append((kind, detail))
 
     def sent_kinds(self):
         return [m.kind.name for m in self.sent]
