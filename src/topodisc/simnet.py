@@ -225,8 +225,8 @@ class Trace:
     def layout(self, kind: str, *keys: str) -> None:
         """Lay out ``kind``'s rows by ``keys``, which are sorted: a row
         ``(kind, values)`` for ``append`` whose detail is the tuple of its
-        values in that order, each a str, int, bool, None or float, or a
-        tuple of those, which reads as a list.  Laying a kind out again
+        values in that order, each a str, int, bool or None, or a tuple of
+        those, which reads as a list; never a float.  Laying a kind out again
         by the same keys does nothing; by others, or by ``ts`` or
         ``kind``, it raises ValueError."""
         if list(keys) != sorted(set(keys)) or {"ts", "kind"} & set(keys):
@@ -255,7 +255,7 @@ class Trace:
         template."""
         get = self._shared_texts(
             lambda kind, detail: f" {kind} {_detail_hash(_payload_json(detail))}\n").get
-        text = _value_text(_payload_json)
+        text = _ValueTexts(_payload_json).__getitem__
         forms = {kind: _digest_form(kind, keys, text)
                  for kind, keys in self._layouts.items()}
         h = hashlib.sha256()
@@ -280,7 +280,7 @@ class Trace:
             return row[:at], row[at + 1:] + "\n"
 
         get = self._shared_texts(split).get
-        text = _value_text(_ndjson_row)
+        text = _ValueTexts(_ndjson_row).__getitem__
         forms = {kind: _ndjson_form(kind, keys, text)
                  for kind, keys in self._layouts.items()}
         rows = zip(self._ts, self._kinds, self._details)
@@ -295,30 +295,26 @@ def _detail_hash(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _value_text(encode: Callable[[object], str]) -> Callable[[object], str]:
-    """The JSON text of a laid-out row's value as ``encode`` writes it: an
-    int's and a str's without the encoder, and a tuple of strs' once per
-    call of this (a tuple of strs equals only tuples of the same strs, so
-    their text is one; 1 == True and 0.0 == -0.0 rule that out for other
-    values)."""
-    quote = json.encoder.encode_basestring_ascii
-    known: dict[tuple, str] = {}
+class _ValueTexts(dict):
+    """A laid-out row's value -> its JSON text as ``encode`` writes it,
+    kept for the values that no other value a row may hold equals: strs,
+    tuples of strs, None, and ints but 0 and 1, which equal False and
+    True.  A float is refused where it is seen, as an integral one would
+    find the text of the int it equals."""
 
-    def text(value) -> str:
+    def __init__(self, encode: Callable[[object], str]) -> None:
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, value) -> str:
         cls = value.__class__
-        if cls is int:
-            return int.__repr__(value)
-        if cls is str:
-            return quote(value)
-        if cls is not tuple:
-            return encode(value)
-        out = known.get(value)
-        if out is None:
-            out = encode(value)
-            if all(v.__class__ is str for v in value):
-                known[value] = out
-        return out
-    return text
+        if cls is float:
+            raise TypeError(f"a laid-out row holds the float {value!r}")
+        text = self.encode(value)
+        if (cls is str or value is None or (cls is int and not 0 <= value <= 1)
+                or (cls is tuple and all(v.__class__ is str for v in value))):
+            self[value] = text
+        return text
 
 
 def _template_key(key: str) -> str:
