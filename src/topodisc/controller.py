@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, pairwise
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -362,12 +362,10 @@ class PathsToward:
         ``edge_of``, that ``path(a)`` or ``backup(a)`` crosses; read after
         ``backup(a)``.  The backup leaves the primary only at its detour,
         so these are the edges of the two memoized paths."""
-        path = self._paths[a]
+        crossed = pairwise(self._paths[a])
         p = self._near[a]
-        crossed = zip(path, path[1:])
         if p is not None:
-            detour = self._detours[p]
-            crossed = chain(crossed, zip(detour, detour[1:]))
+            crossed = chain(crossed, pairwise(self._detours[p]))
         return frozenset(map(edge_of.__getitem__, crossed))
 
     def _detour(self, p: int) -> tuple[int, ...]:

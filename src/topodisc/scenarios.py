@@ -189,38 +189,6 @@ def link_add_scenario(seed: int) -> ScenarioSpec:
         rng_seed=seed)
 
 
-def link_remove_scenario(seed: int) -> ScenarioSpec:
-    """Two switches, one live link that fails at t=1s; detection runs at
-    a 1 ms interval with multiplier 1."""
-    rng = random.Random(seed)
-    link = Link(PortRef(1, 1), PortRef(2, 1), _rand_delay(rng), _rand_delay(rng))
-    return ScenarioSpec(
-        switches=(_switch(1, 1), _switch(2, 1)),
-        links=(link,),
-        control_channels=_rand_channels((1, 2), rng),
-        bfd=DEFAULT_BFD, protocol=Protocol.SOFTDP,
-        discovery_period=DEFAULT_PERIOD,
-        timeline=(LinkRemove(1 * SEC, link.a, link.b),),
-        rng_seed=seed)
-
-
-def scale_scenario(seed: int, extra_switches: int) -> ScenarioSpec:
-    """The link-add measurement plus k unrelated isolated switches; the
-    measured link and its channels are drawn before the extras so the
-    event's delays are identical at every k."""
-    base = link_add_scenario(seed)
-    rng = random.Random(seed * 31 + extra_switches + 1)
-    extras = tuple(_switch(100 + i, 1) for i in range(extra_switches))
-    return ScenarioSpec(
-        switches=base.switches + extras,
-        links=base.links,
-        control_channels=base.control_channels + _rand_channels(
-            [d.id.dpid for d in extras], rng),
-        bfd=base.bfd, protocol=base.protocol,
-        discovery_period=base.discovery_period,
-        timeline=base.timeline, rng_seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # attack testbed
 

@@ -299,18 +299,16 @@ class _ValueTexts(dict):
     """A laid-out row's value -> its JSON text as ``encode`` writes it,
     kept for the values that no other value a row may hold equals: strs,
     tuples of strs, None, and ints but 0 and 1, which equal False and
-    True.  A float is refused where it is seen, as an integral one would
-    find the text of the int it equals."""
+    True.  A row holds no float, as an integral one would find the text
+    of the int it equals; the forms refuse one."""
 
     def __init__(self, encode: Callable[[object], str]) -> None:
         super().__init__()
         self.encode = encode
 
     def __missing__(self, value) -> str:
-        cls = value.__class__
-        if cls is float:
-            raise TypeError(f"a laid-out row holds the float {value!r}")
         text = self.encode(value)
+        cls = value.__class__
         if (cls is str or value is None or (cls is int and not 0 <= value <= 1)
                 or (cls is tuple and all(v.__class__ is str for v in value))):
             self[value] = text
@@ -322,14 +320,22 @@ def _template_key(key: str) -> str:
     return json.encoder.encode_basestring_ascii(key).replace("%", "%%")
 
 
+def _float_in(values: tuple) -> None:
+    raise TypeError(f"a laid-out row holds a float: {values}")
+
+
 def _digest_form(kind: str, keys: tuple[str, ...],
                  text: Callable[[object], str]) -> Callable[[SimTime, tuple], str]:
     """A laid-out row's digest line, from the template of its payload:
     its keys in order, compact, as ``_payload_json`` writes a dict."""
     template = "{%s}" % ",".join(f"{_template_key(key)}:%s" for key in keys)
     head = f" {kind} "
-    return lambda ts, values: (
-        f"{ts}{head}{_detail_hash(template % tuple(map(text, values)))}\n")
+
+    def form(ts: SimTime, values: tuple) -> str:
+        if float in map(type, values):
+            _float_in(values)
+        return f"{ts}{head}{_detail_hash(template % tuple(map(text, values)))}\n"
+    return form
 
 
 def _ndjson_form(kind: str, keys: tuple[str, ...],
@@ -342,10 +348,15 @@ def _ndjson_form(kind: str, keys: tuple[str, ...],
     slots["ts"] = '"ts": %d'
     template = "{%s}\n" % ", ".join(slots[key] for key in sorted(slots))
     cut = sum(key < "ts" for key in keys)      # the values before ts
-    if cut == len(keys):
-        return lambda ts, values: template % (*map(text, values), ts)
-    return lambda ts, values: template % (
-        *map(text, values[:cut]), ts, *map(text, values[cut:]))
+
+    def form(ts: SimTime, values: tuple) -> str:
+        if float in map(type, values):
+            _float_in(values)
+        if cut == len(values):
+            return template % (*map(text, values), ts)
+        texts = tuple(map(text, values))
+        return template % (*texts[:cut], ts, *texts[cut:])
+    return form
 
 
 class Engine:

@@ -1,9 +1,37 @@
 """Shared test plumbing: a stub services object that lets controller and
-switch-agent units run without the full simulation harness, and helpers
-that build, drive and read whole runs."""
+switch-agent units run without the full simulation harness, helpers that
+build, drive and read whole runs, and the measurement scenarios only
+tests use."""
 
-from topodisc.core import MS, ControlMessage
+import dataclasses
+import random
+
+from topodisc import scenarios
+from topodisc.core import MS, SEC, ControlMessage, LinkRemove, ScenarioSpec
 from topodisc.harness import Simulation
+
+
+def link_remove_scenario(seed: int) -> ScenarioSpec:
+    """``scenarios.link_add_scenario(seed)`` with its link live from the
+    start and failing at t=1s; detection runs at a 1 ms interval with
+    multiplier 1."""
+    base = scenarios.link_add_scenario(seed)
+    link = base.links[0]
+    return dataclasses.replace(
+        base, timeline=(LinkRemove(1 * SEC, link.a, link.b),))
+
+
+def scale_scenario(seed: int, extra_switches: int) -> ScenarioSpec:
+    """The link-add measurement plus k unrelated isolated switches; the
+    measured link and its channels are drawn before the extras so the
+    event's delays are identical at every k."""
+    base = scenarios.link_add_scenario(seed)
+    rng = random.Random(seed * 31 + extra_switches + 1)
+    extras = tuple(scenarios._switch(100 + i, 1) for i in range(extra_switches))
+    return dataclasses.replace(
+        base, switches=base.switches + extras,
+        control_channels=base.control_channels + scenarios._rand_channels(
+            [d.id.dpid for d in extras], rng))
 
 
 def run_scenario(spec, name="scenario", until=None) -> Simulation:

@@ -14,7 +14,7 @@ from topodisc.cli import trace_ndjson
 from topodisc.harness import Simulation
 from topodisc import metrics, scenarios
 
-from conftest import periodic_probes, run_scenario
+from conftest import link_remove_scenario, periodic_probes, run_scenario
 
 BFD_TICK = scenarios.DEFAULT_BFD.interval
 
@@ -61,7 +61,7 @@ def test_criterion_2_link_add_learning_exact_over_50_seeds():
 def test_criterion_3_link_removal_bound_and_first_report_wins():
     failures = []
     for seed in range(50):
-        spec = scenarios.link_remove_scenario(seed)
+        spec = link_remove_scenario(seed)
         sim = run_scenario(spec)
         ev = spec.timeline[0]
         predicted = metrics.link_remove_prediction(spec, ev.a, ev.b).value

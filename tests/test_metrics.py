@@ -16,7 +16,7 @@ from topodisc.core import MS, Protocol, SEC, from_ms
 from topodisc.simnet import Trace
 from topodisc import metrics, scenarios
 
-from conftest import run_scenario
+from conftest import run_scenario, scale_scenario
 
 NS_PER_MS = 1_000_000
 
@@ -202,7 +202,7 @@ def test_add_learning_independent_of_topology_size():
     # move when unrelated switches pile on elsewhere
     values = set()
     for extra in (0, 10, 50):
-        sim = run_scenario(scenarios.scale_scenario(3, extra))
+        sim = run_scenario(scale_scenario(3, extra))
         entry = next(e for e in sim.run_metrics().events
                      if e.kind == "link_add")
         values.add(entry.learning)

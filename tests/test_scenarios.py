@@ -16,6 +16,8 @@ from topodisc.core import (
 )
 from topodisc import scenarios
 
+from conftest import scale_scenario
+
 
 def referenced_ports(spec):
     out = set()
@@ -110,7 +112,7 @@ def test_measurement_scenarios_differ_by_seed_but_not_by_call():
 def test_scale_scenario_keeps_the_measured_edge_fixed():
     base = scenarios.link_add_scenario(3)
     for extra in (0, 5, 20):
-        s = scenarios.scale_scenario(3, extra)
+        s = scale_scenario(3, extra)
         assert s.links == base.links
         assert s.control_channels[:2] == base.control_channels
         assert len(s.switches) == 2 + extra

@@ -346,20 +346,35 @@ _colliding = st.sampled_from(
 _keys = st.sampled_from(["a", "m", "tsx"])
 
 
+# Values of a laid-out row: text that JSON escapes, ints beside the
+# bools they equal, None, and tuples (read as lists) of text or of ints
+# and bools.
+_laid = st.sampled_from(
+    ["", 'q"\\', "\x00\n\u00e9\U0001f600", 0, 1, 2, -7, 10 ** 30, True,
+     False, None, (), ("a", 'q"'), ("\u00e9",), (1, True), (0, None)])
+# the layout of the laid-out kind: keys sorting before, between and after
+# the row's "kind" and "ts"
+_LAYOUT = ("a", "m", "tsx")
+
+
 @st.composite
 def _trace_ops(draw):
     """Records of two kinds whose details hold one key set, given in
     either order, so that equal and colliding payloads are common; about
     one op in four records the payload of an earlier record again, under
-    any kind, and one in four writes a held row of such a payload twice."""
+    any kind, and one in four writes a held row of such a payload twice.
+    One in five writes a laid-out row of "x" or "g" instead."""
     keys = draw(st.lists(_keys, unique=True, max_size=2))
     ops = []
     for _ in range(draw(st.integers(1, 30))):
         ts = draw(st.integers(0, 3))
-        op = draw(st.sampled_from(["record", "record", "hold", "reuse"]))
+        op = draw(st.sampled_from(["record", "record", "hold", "reuse", "lay"]))
         if op == "reuse":
             ops.append(("reuse", ts, draw(st.sampled_from("xyz")),
                         draw(st.integers(0, 50))))
+        elif op == "lay":
+            ops.append(("lay", ts, draw(st.sampled_from("xg")),
+                        tuple(draw(_laid) for _ in _LAYOUT)))
         else:
             names = keys if draw(st.booleans()) else keys[::-1]
             ops.append((op, ts, draw(st.sampled_from("xy")),
@@ -368,11 +383,12 @@ def _trace_ops(draw):
 
 
 # More rows than two export chunks hold: held rows of "x" between shared
-# records of "x" and unshared records of "y".
+# records of "x", unshared records of "y" and laid-out rows of "g" and "x".
 _MANY_ROWS = [row for t in range(400) for row in (
     ("hold", t % 4, "x", {"a": (1, True, "s", None)[t % 4]}),
     ("record", t % 4, "x", {"a": (True, 1, None)[t % 3]}),
-    ("record", t % 4, "y", {"a": (0.5, [t], -0.0)[t % 3]}))]
+    ("record", t % 4, "y", {"a": (0.5, [t], -0.0)[t % 3]}),
+    ("lay", t % 4, "gx"[t % 2], ((t, "\u00e9"), (1, True, t)[t % 3], 'q"')))]
 
 
 @given(_trace_ops(), st.dictionaries(_keys, _colliding, max_size=2))
@@ -382,14 +398,24 @@ _MANY_ROWS = [row for t in range(400) for row in (
 @example([("hold", 0, "x", {"a": v}) for v in (1, True, None, 0.0)]
          + [("record", 1, "x", {"a": v}) for v in (True, 1, [1])]
          + [("hold", 2, "x", {"a": 1}), ("reuse", 3, "y", 1)], {})
+@example([("lay", 0, "g", (v, v, (v,))) for v in (1, True, 0, False, None, 2)]
+         + [("lay", 1, "x", (("a",), "a", ())), ("record", 1, "x", {"a": ["a"]}),
+            ("lay", 2, "g", ('q"\\', "\n", ('q"', "\u00e9")))], {})
 @example(_MANY_ROWS, {"m": "s"})
 def test_trace_export_matches_per_record_encoding(ops, direct):
     trace, expected, listed = Trace(), [], set()
+    for kind in "xg":
+        trace.layout(kind, *_LAYOUT)
     for op, ts, kind, arg in ops:
         if op == "reuse":
             if not expected:
                 continue
             op, arg = "record", expected[arg % len(expected)][2]
+        if op == "lay":
+            trace.append(ts, (kind, arg))
+            expected.append((ts, kind, {key: list(v) if type(v) is tuple else v
+                                        for key, v in zip(_LAYOUT, arg)}))
+            continue
         detail = dict(sorted(arg.items()))
         if op == "record":
             trace.record(ts, kind, **arg)
@@ -411,6 +437,9 @@ def test_trace_export_matches_per_record_encoding(ops, direct):
     for _ in range(2):  # a second pass reads the same bytes
         assert trace.digest() == reference_digest(expected)
         assert _ndjson(trace) == reference_ndjson(expected)
+    records = trace.records
+    assert records == expected
+    assert all(r.detail == json.loads(r.payload_json()) for r in records)
 
 
 _primitive = (st.text() | st.floats() | st.integers() | st.booleans()
@@ -471,6 +500,24 @@ def test_equal_primitive_payloads_of_one_kind_share_one_dict():
         trace.shared("m", v=1)
     trace.append(11, trace.shared("n", v=1))
     assert trace.records[-1] == (11, "n", {"v": 1})
+
+
+def test_a_layout_is_sorted_keys_fixed_per_kind():
+    trace = Trace()
+    trace.layout("g", "a", "b")
+    trace.layout("g", "a", "b")     # again, by the same keys
+    for kind, keys in (("g", ("a",)), ("h", ("b", "a")), ("h", ("a", "a")),
+                       ("h", ("a", "ts")), ("h", ("kind",))):
+        with pytest.raises(ValueError):
+            trace.layout(kind, *keys)
+    trace.append(3, ("g", (("x",), 2)))
+    assert trace.records == [(3, "g", {"a": ["x"], "b": 2})]
+    # an integral float would find the text of the int it equals
+    trace.append(4, ("g", ((), 2.0)))
+    with pytest.raises(TypeError):
+        trace.digest()
+    with pytest.raises(TypeError):
+        _ndjson(trace)
 
 
 def test_records_list_the_rows_written_in_order():
