@@ -8,8 +8,8 @@ per-switch channels; frames in flight on a link that dies before arrival
 are dropped and counted, never silently lost.
 
 A trace keeps its records in three columns: the ts of each in an
-``array('q')``, its kind and its detail dict in two lists, so a record
-costs no object of its own.  ``Trace.record`` appends to them and returns
+``array('q')``, its kind and its detail in two lists, so a record costs
+no object of its own.  ``Trace.record`` appends to them and returns
 nothing.  ``Trace.records`` builds, on each access, a new list of
 immutable ``(ts, kind, detail)`` tuples with named fields
 (``TraceRecord``s).  A detail is read-only: records of one kind with
@@ -18,7 +18,10 @@ same dict, which the digest and the ndjson export encode once.  A
 record looks its detail up by kind, keys and values; a detail with an
 int or bool value is then told apart by its value types, and one with a
 float value is not shared.  Nor is any detail of a kind that has
-carried a list, which is not looked up.
+carried a list, which is not looked up.  A kind laid out by its keys
+(``Trace.layout``) writes rows whose detail is a tuple of its values in
+key order, no dict; the export fills them into its layout's template,
+and ``Trace.records`` reads each as a dict with its tuples as lists.
 
 An event is its own heap entry, a ``SimEvent``: the list ``[fire_at,
 seq, action, kind]``, which heapq orders by (fire_at, seq) alone, as
@@ -225,10 +228,10 @@ class Trace:
     def layout(self, kind: str, *keys: str) -> None:
         """Lay out ``kind``'s rows by ``keys``, which are sorted: a row
         ``(kind, values)`` for ``append`` whose detail is the tuple of its
-        values in that order, each a str, int, bool or None, or a tuple of
-        those, which reads as a list; never a float.  Laying a kind out again
-        by the same keys does nothing; by others, or by ``ts`` or
-        ``kind``, it raises ValueError."""
+        values in that order, each a str, int, bool or None, or a tuple
+        of those, which reads as a list; never a float, which the export
+        refuses.  Laying a kind out again by the same keys does nothing;
+        by others, or by ``ts`` or ``kind``, it raises ValueError."""
         if list(keys) != sorted(set(keys)) or {"ts", "kind"} & set(keys):
             raise ValueError(f"{kind!r} rows cannot be laid out by {keys}")
         if self._layouts.setdefault(kind, keys) != keys:
@@ -320,10 +323,6 @@ def _template_key(key: str) -> str:
     return json.encoder.encode_basestring_ascii(key).replace("%", "%%")
 
 
-def _float_in(values: tuple) -> None:
-    raise TypeError(f"a laid-out row holds a float: {values}")
-
-
 def _digest_form(kind: str, keys: tuple[str, ...],
                  text: Callable[[object], str]) -> Callable[[SimTime, tuple], str]:
     """A laid-out row's digest line, from the template of its payload:
@@ -333,7 +332,7 @@ def _digest_form(kind: str, keys: tuple[str, ...],
 
     def form(ts: SimTime, values: tuple) -> str:
         if float in map(type, values):
-            _float_in(values)
+            raise TypeError(f"a laid-out row holds a float: {values}")
         return f"{ts}{head}{_detail_hash(template % tuple(map(text, values)))}\n"
     return form
 
@@ -348,11 +347,12 @@ def _ndjson_form(kind: str, keys: tuple[str, ...],
     slots["ts"] = '"ts": %d'
     template = "{%s}\n" % ", ".join(slots[key] for key in sorted(slots))
     cut = sum(key < "ts" for key in keys)      # the values before ts
+    last = cut == len(keys)
 
     def form(ts: SimTime, values: tuple) -> str:
         if float in map(type, values):
-            _float_in(values)
-        if cut == len(values):
+            raise TypeError(f"a laid-out row holds a float: {values}")
+        if last:
             return template % (*map(text, values), ts)
         texts = tuple(map(text, values))
         return template % (*texts[:cut], ts, *texts[cut:])

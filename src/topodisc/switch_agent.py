@@ -6,8 +6,9 @@ emission of PORT_STATUS / BFD_STATUS / PACKET_IN.
 The harness feeds the agent port events, frames and control messages.
 The agent emits, and keeps its own timers (flow-rule hard timeouts, BFD
 detection), only through the injected services object (send_control /
-send_frame / schedule / now / record), never through the engine itself,
-so a stub services object with a fake clock can drive it in unit tests.
+send_frame / schedule / now / record / layout / append), never through
+the engine itself, so a stub services object with a fake clock can drive
+it in unit tests.
 """
 from __future__ import annotations
 
