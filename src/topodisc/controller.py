@@ -966,7 +966,7 @@ class Controller:
 
         group_sends: list[tuple[int, int]] = []
         recomputed = 0
-        hops: dict[tuple[int, int], tuple] = {}
+        hops: dict[tuple[int, int], PortRef] = {}
         edge_of = self.map.edge_of
         set_tags = self.map.set_tags
         for pair in sorted(candidates):

@@ -45,8 +45,9 @@ BFD_DOWN = "DOWN"
 # forward under the baselines); core.WINDOW_RULE_PRIORITY outranks it.
 DEFAULT_LLDP_PRIORITY = 10
 # read per message: on Python 3.11 an Enum member read off its class is slow
-_PACKET_IN, _GROUP_MOD, _FLOW_MOD = MsgKind.PACKET_IN, MsgKind.GROUP_MOD, MsgKind.FLOW_MOD
-_FEATURE_REQUEST, _PACKET_OUT = MsgKind.FEATURE_REQUEST, MsgKind.PACKET_OUT
+_PACKET_IN, _PACKET_OUT = MsgKind.PACKET_IN, MsgKind.PACKET_OUT
+_GROUP_MOD, _FLOW_MOD = MsgKind.GROUP_MOD, MsgKind.FLOW_MOD
+_FEATURE_REQUEST = MsgKind.FEATURE_REQUEST
 
 
 def ceil_div(a: int, b: int) -> int:
