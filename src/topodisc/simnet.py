@@ -232,10 +232,13 @@ class Trace:
         of those, which reads as a list; never a float, which the export
         refuses.  Laying a kind out again by the same keys does nothing;
         by others, or by ``ts`` or ``kind``, it raises ValueError."""
-        if list(keys) != sorted(set(keys)) or {"ts", "kind"} & set(keys):
+        known = self._layouts.get(kind)
+        if known == keys:
+            return
+        if (known is not None or list(keys) != sorted(set(keys))
+                or {"ts", "kind"} & set(keys)):
             raise ValueError(f"{kind!r} rows cannot be laid out by {keys}")
-        if self._layouts.setdefault(kind, keys) != keys:
-            raise ValueError(f"{kind!r} rows are laid out by {self._layouts[kind]}")
+        self._layouts[kind] = keys
 
     def append(self, ts: SimTime, row: tuple) -> None:
         """Write a row: a ``shared()`` row, or a laid-out one (``layout``);
