@@ -10,7 +10,7 @@ from __future__ import annotations
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, count, islice, repeat
 from operator import eq, itemgetter
 from typing import Optional
 
@@ -129,28 +129,29 @@ def _launch_spoof(sim, params: dict) -> None:
 def _launch_inject(sim, params: dict) -> None:
     inject_port: PortRef = params["inject"]
     victim: PortRef = params["victim_port"]
-    count = params["count"]
+    n_frames = params["count"]
     spacing = params["spacing"]
     victim_mac = sim.spec.switch(victim.dpid).id.local_mac
     forged = LldpFrame(chassis_id=victim_mac.encode(),
                        port_id=str(victim).encode(),
                        system_description=b"forged")
     suspicious_before = sim.controller.counters.get("suspicious", 0)
-    sim.engine.schedule_series(0, spacing, count, "attack_inject",
-                               lambda k: sim.fabric.inject_frame(inject_port, forged))
+    sim.engine.schedule_series(
+        count(sim.engine.now, spacing), n_frames, "attack_inject",
+        lambda k: sim.fabric.inject_frame(inject_port, forged))
 
     def verdict():
         ports = {victim, inject_port}
         in_map = _map_links_touching(sim, ports)
         ever = _ever_added_touching(sim, ports)
         _finish(sim, AttackVerdict("inject", bool(in_map) or ever > 0, {
-            "frames_injected": count,
+            "frames_injected": n_frames,
             "fake_links_in_map": in_map,
             "fake_links_ever_added": ever,
             "suspicious_delta":
                 sim.controller.counters.get("suspicious", 0) - suspicious_before}))
 
-    sim.engine.schedule((count - 1) * spacing + VERDICT_SETTLE,
+    sim.engine.schedule((n_frames - 1) * spacing + VERDICT_SETTLE,
                         "attack_verdict", verdict)
 
 
@@ -213,7 +214,7 @@ def _launch_flood(sim, params: dict) -> None:
         # without the NamedTuple's Python-level __new__
         inject(port, new(LldpFrame, (b"flood", b"flood%d" % k, b"flood", b"")))
 
-    sim.engine.schedule_series(0, spacing, n_frames, "attack_flood", send)
+    sim.engine.schedule_series(count(start, spacing), n_frames, "attack_flood", send)
 
     def verdict():
         now = sim.engine.now

@@ -37,6 +37,7 @@ from .core import (
     PortStatusBody,
     Protocol,
     ScenarioSpec,
+    SimTime,
     SwitchId,
     link_key,
     mac_bytes,
@@ -507,7 +508,7 @@ class Controller:
         self._superseded: set[bytes] = set()
         self.port_epoch: dict[PortRef, int] = {}
 
-        self._await_boot: set[int] = {d for d in spec.initially_present()}
+        self._await_boot: set[int] = spec.initially_present()
         self.bootstrap_done = False
         self.round_no = 0
         self._last_confirm: dict[tuple[PortRef, PortRef], int] = {}
@@ -526,6 +527,13 @@ class Controller:
         self._port_of_text: dict[bytes, PortRef] = {}
         # (reason, ingress) -> its suspicious_packet_in row
         self._suspicious_rows: dict[tuple, tuple[str, dict]] = {}
+        # A switch's links die when it leaves, before the controller
+        # forgets it, so a PACKET_IN for one of its frames arrives at most
+        # the slowest channel toward the controller after the forgetting.
+        # A forgotten switch's chassis -> (its dpid, that last instant).
+        self._departed: dict[str, tuple[int, SimTime]] = {}
+        self._late_bound: SimTime = max(
+            (ch.delay_to_controller for ch in spec.control_channels), default=0)
 
     # -- plumbing ----------------------------------------------------------
     @property
@@ -580,6 +588,7 @@ class Controller:
         self.registry[body.dpid] = RegisteredSwitch(sid, body.port_count,
                                                     body.ports_up)
         self.mac_to_dpid[body.local_mac] = body.dpid
+        self._departed.pop(body.local_mac, None)
         for port_no in range(1, body.port_count + 1):
             port = PortRef(body.dpid, port_no)
             text = self._port_text[port] = str(port)
@@ -779,6 +788,8 @@ class Controller:
         reg = self.registry.pop(dpid, None)
         if reg is not None:
             del self.mac_to_dpid[reg.id.local_mac]
+            self._departed[reg.id.local_mac] = (
+                dpid, self.services.now() + self._late_bound)
         for port in sorted(p for p in self.windows if p.dpid == dpid):
             self._close_window(self.windows[port], "window_expired")
         links = self.map.links_of_switch(dpid)
@@ -826,7 +837,15 @@ class Controller:
             return
         dpid = self.mac_to_dpid.get(mac)
         if dpid is None:
-            self._suspicious_packet_in("unknown_chassis", body.ingress)
+            departed = self._departed.get(mac)
+            if departed is not None and self.services.now() <= departed[1]:
+                # our own probe of a switch that just left: neither an
+                # alarm nor a link
+                self.counters["late_packet_in"] += 1
+                self.services.record("late_packet_in", dpid=departed[0],
+                                     ingress=self._port_text[body.ingress])
+            else:
+                self._suspicious_packet_in("unknown_chassis", body.ingress)
             return
         # a port id this controller wrote is a registered port's text
         egress = self._port_of_text.get(frame.port_id)

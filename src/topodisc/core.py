@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Any, ClassVar, NamedTuple, Optional, Union
 
@@ -440,36 +441,38 @@ class ScenarioSpec:
 
     # -- initial presence (derived, see timeline rules in the README) -----
     def initially_present(self) -> set[int]:
-        absent = set()
-        seen = set()
-        for ev in self.timeline:
-            if isinstance(ev, SwitchJoin) and ev.dpid not in seen:
-                absent.add(ev.dpid)
-            if isinstance(ev, (SwitchJoin, SwitchLeave)):
-                seen.add(ev.dpid)
-        return {decl.id.dpid for decl in self.switches} - absent
+        """Dpids present at t=0, as a new set."""
+        return set(self._initial_state[0])
 
     def initially_alive(self) -> set[tuple]:
-        """Canonical keys of links alive at t=0."""
-        present = self.initially_present()
-        first_added = set()
-        seen = set()
+        """Canonical keys of links alive at t=0, as a new set."""
+        return set(self._initial_state[1])
+
+    @cached_property
+    def _initial_state(self) -> tuple[frozenset[int], frozenset[tuple]]:
+        """(present dpids, alive link keys) at t=0, derived once per spec
+        in one pass over the timeline: a switch whose first reference is
+        a join starts absent, and a link whose first event is an add
+        starts dead, as does one with an absent end."""
+        absent, switches_seen = set(), set()
+        first_added, links_seen = set(), set()
         for ev in self.timeline:
             if isinstance(ev, (LinkAdd, LinkRemove)):
                 key = link_key(ev.a, ev.b)
-                if key not in seen and isinstance(ev, LinkAdd):
-                    first_added.add(key)
-                seen.add(key)
-        out = set()
-        for link in self.links:
-            if not link.alive:
-                continue
-            if link.a.dpid not in present or link.b.dpid not in present:
-                continue
-            if link.key() in first_added:
-                continue
-            out.add(link.key())
-        return out
+                if key not in links_seen:
+                    links_seen.add(key)
+                    if isinstance(ev, LinkAdd):
+                        first_added.add(key)
+            elif isinstance(ev, (SwitchJoin, SwitchLeave)) and ev.dpid not in switches_seen:
+                switches_seen.add(ev.dpid)
+                if isinstance(ev, SwitchJoin):
+                    absent.add(ev.dpid)
+        present = frozenset(decl.id.dpid for decl in self.switches) - absent
+        alive = frozenset(
+            link.key() for link in self.links
+            if link.alive and link.a.dpid in present and link.b.dpid in present
+            and link.key() not in first_added)
+        return present, alive
 
 
 # ---------------------------------------------------------------------------
@@ -551,25 +554,32 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
     if spec.discovery_period <= 0:
         out.append(Violation("discovery_period", "must be > 0"))
 
+    # both orientations of every declared link's ports
+    declared_pairs = {(link.a, link.b) for link in spec.links}
+    declared_pairs |= {(b, a) for a, b in declared_pairs}
     last_at = None
     present = spec.initially_present()
     for idx, ev in enumerate(spec.timeline):
-        el = f"timeline[{idx}]"
-        checked = len(out)
-        if last_at is not None and ev.at < last_at:
-            out.append(Violation(el, "timeline not sorted by time"))
-        last_at = ev.at
-        if ev.at < 0:
-            out.append(Violation(el, "negative event time"))
+        # the element is named only for a violation
+        checked, at = len(out), ev.at
+        if last_at is not None and at < last_at:
+            out.append(Violation(f"timeline[{idx}]", "timeline not sorted by time"))
+        last_at = end = at
+        if at < 0:
+            out.append(Violation(f"timeline[{idx}]", "negative event time"))
         if isinstance(ev, (LinkAdd, LinkRemove)):
-            check_port(ev.a, el)
-            check_port(ev.b, el)
-            if link_key(ev.a, ev.b) not in seen_keys:
-                out.append(Violation(el, f"no declared link {ev.a}<->{ev.b}"))
-            if isinstance(ev, LinkAdd) and not (ev.a.dpid in present and ev.b.dpid in present):
-                for dpid in sorted(({ev.a.dpid, ev.b.dpid} & dpid_set) - present):
-                    out.append(Violation(el, f"link_add while s{dpid} is absent"))
+            a, b = ev.a, ev.b
+            if a not in declared or b not in declared:
+                check_port(a, f"timeline[{idx}]")
+                check_port(b, f"timeline[{idx}]")
+            if (a, b) not in declared_pairs:
+                out.append(Violation(f"timeline[{idx}]", f"no declared link {a}<->{b}"))
+            if isinstance(ev, LinkAdd) and not (a.dpid in present and b.dpid in present):
+                for dpid in sorted(({a.dpid, b.dpid} & dpid_set) - present):
+                    out.append(Violation(f"timeline[{idx}]",
+                                         f"link_add while s{dpid} is absent"))
         elif isinstance(ev, (SwitchJoin, SwitchLeave)):
+            el = f"timeline[{idx}]"
             if ev.dpid not in dpid_set:
                 out.append(Violation(el, f"references unknown switch s{ev.dpid}"))
             elif isinstance(ev, SwitchLeave):
@@ -579,6 +589,7 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
             else:
                 present.add(ev.dpid)
         elif isinstance(ev, AttackStart):
+            el = f"timeline[{idx}]"
             kind, params = ev.attack.kind, ev.attack.params
             table = ATTACK_PARAMS.get(kind)
             if table is None:
@@ -606,10 +617,11 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
                 elif holds == COUNT and (isinstance(v, bool) or not isinstance(v, int)
                                          or v < 1):
                     out.append(Violation(where, f"expected an integer >= 1, got {v!r}"))
-        # an attack's span is known once its params are valid
-        end = ev.at if len(out) > checked else event_end(ev)
+            # an attack's span is known once its params are valid
+            if len(out) == checked:
+                end = event_end(ev)
         if end + RUN_TAIL > MAX_TIME:
-            out.append(Violation(el, "event time above MAX_TIME"))
+            out.append(Violation(f"timeline[{idx}]", "event time above MAX_TIME"))
     return out
 
 

@@ -30,6 +30,7 @@ alone, with no cyclic collection.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from .core import (
@@ -133,9 +134,11 @@ class Simulation:
             self.engine.schedule(0, "switch_hello",
                                  lambda d=dpid: self.agents[d].hello())
 
-        for ev in spec.timeline:
-            self.engine.schedule_at(ev.at, "timeline",
-                                    lambda e=ev: self._dispatch_timeline(e))
+        # the timeline as one series: one pending event, however long
+        timeline = spec.timeline
+        self.engine.schedule_series(
+            map(attrgetter("at"), timeline), len(timeline), "timeline",
+            lambda k: self._dispatch_timeline(timeline[k]))
 
     # -- delivery hooks ----------------------------------------------------
     def _deliver_to_switch(self, msg) -> None:

@@ -26,10 +26,11 @@ and ``Trace.records`` reads each as a dict with its tuples as lists.
 An event is its own heap entry, a ``SimEvent``: the list ``[fire_at,
 seq, action, kind]``, which heapq orders by (fire_at, seq) alone, as
 seqs are unique.  ``cancel()`` drops the action, and an entry without
-one does not fire.  A series is one entry that goes back on the heap,
-moved to its next instant, each time it fires.  Every event but a
-series' own, frames and control messages included, is queued through
-``Engine.schedule_at``, so one wrapper around it sees them.
+one does not fire.  A series, such as a run's timeline or a flood's
+frames, is one entry that goes back on the heap, moved to its next
+instant, each time it fires.  Every pending entry, a series' included,
+and frames and control messages too, is queued through
+``Engine.schedule_at``, so one wrapper around it sees every event fire.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, repeat
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import (
     CONTROLLER,
@@ -113,8 +114,10 @@ class SimEvent(list):
         return self[2] is None
 
 
-def _closed() -> None:
-    """The action of an event that was pending when its engine closed."""
+def _spent() -> None:
+    """The action left on an event that will not fire again: the last
+    event of a series, once fired, and every event that was pending when
+    its engine closed."""
 
 
 class TraceRecord(NamedTuple):
@@ -250,8 +253,9 @@ class Trace:
 
     def _shared_texts(self, text: Callable[[str, dict], object]) -> dict:
         """id of each shared detail -> ``text(kind, detail)``, made once
-        per export."""
-        return {id(detail): text(key[0], detail) for key, detail in self._shared.items()}
+        per export and per detail, which is shared under several keys."""
+        details = {id(detail): (key[0], detail) for key, detail in self._shared.items()}
+        return {ident: text(kind, detail) for ident, (kind, detail) in details.items()}
 
     def digest(self) -> str:
         """sha256 over one line per record, ``<ts> <kind> <detail hash>``,
@@ -388,37 +392,50 @@ class Engine:
             raise ValueError(f"negative delay for {kind!r}")
         return self.schedule_at(self.now + delay, kind, action)
 
-    def schedule_series(self, delay: SimTime, spacing: SimTime, count: int,
-                        kind: str, action: Callable[[int], None]) -> None:
-        """Call ``action(k)`` at now + delay + k * spacing for each k < count.
+    def schedule_series(self, instants: Iterable[SimTime], count: int,
+                        kind: str, action: Callable[[int], None]) -> Optional[SimEvent]:
+        """Call ``action(k)`` at the k-th of ``instants`` for each k < count.
 
-        The series fires exactly as ``count`` schedule() calls made now
-        would, because it reserves their ``count`` consecutive seqs now.
-        It is one pending event: when event k fires, its entry goes back
-        on the heap as event k + 1, so a long series costs no heap or
-        memory up front."""
-        if min(delay, spacing, count) < 0:
-            raise ValueError(f"negative delay, spacing or count for {kind!r}")
-        first = self._seq
-        self._seq += count
+        The instants never decrease.  They are drawn one at a time as the
+        series goes, so a timeline's own instants serve, and so does
+        ``itertools.count(start, spacing)`` for evenly spaced ones, with
+        spacing 0 too.  The series fires exactly as ``count``
+        schedule_at() calls made now would, because it reserves their
+        ``count`` consecutive seqs now.  It is one pending event, queued
+        through one ``schedule_at`` call: when event k fires, its entry
+        goes back on the heap as event k + 1, so a long series costs no
+        heap or memory up front.  Returns that entry, None for count 0;
+        cancelling it drops the events still to come, and a finished
+        series does not read as cancelled."""
+        if count < 0:
+            raise ValueError(f"negative count for {kind!r}")
         if count == 0:
-            return
+            return None
+        instants = iter(instants)
+        first = self._seq
         heap, push, last = self._heap, heapq.heappush, first + count - 1
-        entry = SimEvent((self.now + delay, first, None, kind))
 
         def fire() -> None:
             seq = entry[1]
             if seq < last:
-                entry[0] += spacing
+                at = next(instants, None)
+                if at is None or at < entry[0]:
+                    raise ValueError(f"{kind!r} series: instant {seq - first + 1} "
+                                     f"is missing or before {entry[0]}")
+                entry[0] = at
                 entry[1] = seq + 1
                 push(heap, entry)
             else:
-                # the last event lets go of the entry it refers to
-                entry[2] = None
+                # the last event lets go of the actions it refers to
+                entry[2] = _spent
             action(seq - first)
 
-        entry[2] = fire
-        heapq.heappush(heap, entry)
+        at = next(instants, None)
+        if at is None:
+            raise ValueError(f"{kind!r} series: no instants")
+        entry = self.schedule_at(at, kind, fire)
+        self._seq += count - 1
+        return entry
 
     def record(self, kind: str, **detail) -> None:
         self.trace.record(self.now, kind, **detail)
@@ -436,7 +453,7 @@ class Engine:
         cancelled; running again raises RuntimeError."""
         for ev in self._heap:
             if ev[2] is not None:
-                ev[2] = _closed
+                ev[2] = _spent
         self._heap.clear()
         self.closed = True
 

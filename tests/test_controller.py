@@ -360,6 +360,47 @@ def test_baseline_chassis_port_mismatch_is_suspicious(port_id, reason):
     assert ctrl.map.directed_links == set()
 
 
+def test_baseline_packet_in_for_a_departed_switch_is_late_only_within_the_bound():
+    # every channel takes 1 ms toward the controller
+    ctrl, services = _registered(3, Protocol.OFDP, port_count=2)
+    frame = LldpFrame(_mac(2).encode(), b"s2.p1", b"x")
+
+    def packet_in(frame):
+        ctrl.handle(ControlMessage(MsgKind.PACKET_IN, src=1, dst="controller",
+                                   body=PacketInBody(PortRef(1, 1), frame)))
+
+    def reasons():
+        return [d["reason"] for k, d in services.records
+                if k == "suspicious_packet_in"]
+
+    services.clock = 5 * SEC
+    ctrl.on_channel_closed(2)
+    services.clock += from_ms(1)
+    packet_in(frame)
+    assert ctrl.suspicious == 0 and ctrl.counters["late_packet_in"] == 1
+    assert services.records[-1] == ("late_packet_in", {"dpid": 2, "ingress": "s1.p1"})
+    assert ctrl.map.directed_links == set()
+    # a chassis that never registered is suspicious at any time
+    packet_in(LldpFrame(_mac(9).encode(), b"s9.p1", b"x"))
+    assert reasons() == ["unknown_chassis"]
+    # and so is the departed one, once past the bound
+    services.clock += 1
+    packet_in(frame)
+    assert reasons() == ["unknown_chassis"] * 2
+    assert ctrl.counters["late_packet_in"] == 1
+    # registering again clears it: closed later, it gets a new bound
+    ctrl.handle(ControlMessage(MsgKind.FEATURE_REPLY, src=2, dst="controller",
+                               body=FeatureReplyBody(2, _mac(2), 2, ())))
+    packet_in(frame)
+    assert ctrl.map.has_link(PortRef(2, 1), PortRef(1, 1))
+    assert ctrl._departed == {}
+    services.clock += 10 * SEC
+    ctrl.on_channel_closed(2)
+    services.clock += from_ms(1)
+    packet_in(frame)
+    assert ctrl.counters["late_packet_in"] == 2 and ctrl.suspicious == 2
+
+
 def test_baseline_prunes_unconfirmed_links_after_one_missed_round():
     ctrl, services = _registered(2, Protocol.OFDP, port_count=2)
     frame = LldpFrame(_mac(1).encode(), b"s1.p1", b"x")

@@ -312,6 +312,31 @@ def test_declared_dead_link_stays_dead_until_added():
     assert spec.initially_alive() == set()
 
 
+def test_initial_state_is_derived_once_and_handed_out_as_new_sets(monkeypatch):
+    from functools import cached_property
+    from topodisc.harness import Simulation
+
+    derive, calls = ScenarioSpec.__dict__["_initial_state"].func, []
+
+    def counting(spec):
+        calls.append(spec)
+        return derive(spec)
+
+    prop = cached_property(counting)
+    prop.__set_name__(ScenarioSpec, "_initial_state")
+    monkeypatch.setattr(ScenarioSpec, "_initial_state", prop)
+    spec = scenarios.walkthrough()
+    present, alive = spec.initially_present(), spec.initially_alive()
+    present.clear()
+    alive.clear()
+    assert spec.initially_present() == {1, 2, 3} and len(spec.initially_alive()) == 2
+    Simulation(spec).close()
+    assert calls == [spec]
+    # a replaced spec derives its own
+    later = dataclasses.replace(spec, timeline=())
+    assert later.initially_present() == {1, 2, 3, 4} and calls == [spec, later]
+
+
 # -- file round-trip --------------------------------------------------------
 
 def test_round_trip_all_builders():

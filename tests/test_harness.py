@@ -1,6 +1,7 @@
 """End-to-end runs of whole scenarios: boot sequencing, presence rules,
 liveness handshake timing, convergence to ground truth, adaptation
 stamping, the run report, and a closed run's lifetime."""
+import dataclasses
 import gc
 import weakref
 
@@ -138,6 +139,28 @@ def test_baselines_stop_probing_a_switch_once_its_leave_is_noticed(protocol):
             and r.ts > notice_at]
     assert late == []
     assert 2 not in sim.controller.registry
+
+
+@pytest.mark.parametrize("protocol", [Protocol.OFDP, Protocol.OFDPV2])
+def test_late_packet_in_for_a_departed_switch_raises_no_alarm(protocol):
+    # s1's PACKET_IN for s2's last frame is 30 ms on its way when s2
+    # leaves at 1.064 s; the controller forgets s2 at 1.065 s and reads
+    # the PACKET_IN at 1.093 s, inside 30 ms of forgetting
+    spec = scenarios.walkthrough(protocol)
+    spec = dataclasses.replace(
+        spec,
+        control_channels=tuple(
+            dataclasses.replace(ch, delay_to_controller=30 * MS) if ch.dpid == 1
+            else ch for ch in spec.control_channels),
+        timeline=tuple(SwitchLeave(1064 * MS, 2) if isinstance(ev, SwitchLeave)
+                       else ev for ev in spec.timeline))
+    sim = run_scenario(spec)
+    assert records_of(sim, "suspicious_packet_in") == []
+    assert sim.controller.suspicious == 0
+    (late,) = records_of(sim, "late_packet_in")
+    assert late == (1093 * MS, "late_packet_in", {"dpid": 2, "ingress": "s1.p1"})
+    assert not [r for r in records_of(sim, "map_add_link") if r.ts >= 1064 * MS
+                and "s2" in (r.detail["egress"][:2], r.detail["ingress"][:2])]
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))

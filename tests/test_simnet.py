@@ -1,8 +1,10 @@
 """Event queue determinism, trace export and fabric delivery semantics."""
 
+import dataclasses
 import gc
 import hashlib
 import io
+import itertools
 import json
 from collections import Counter
 
@@ -89,8 +91,12 @@ def test_cancelled_event_does_not_fire():
 # (delay, delays of the children the event's action schedules); small
 # times, so that events of every origin collide at one instant
 _timed = st.tuples(st.integers(0, 6), st.lists(st.integers(0, 3), max_size=2))
-# (delay, spacing, count, delays of the children each event schedules)
-_series = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 6),
+# A series' instants as delays from now: evenly spaced, spacing 0
+# included, as (delay, spacing, count), or any nondecreasing list
+_spaced = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 6))
+_nondecreasing = st.lists(st.integers(0, 8), max_size=6).map(sorted)
+# (instants, delays of the children each event schedules)
+_series = st.tuples(st.one_of(_spaced, _nondecreasing),
                     st.lists(st.integers(0, 3), max_size=2))
 _programs = st.fixed_dictionaries({
     "start": st.integers(0, 3),
@@ -99,15 +105,19 @@ _programs = st.fixed_dictionaries({
     "after": st.lists(_timed, max_size=4),
     "cut": st.integers(0, 20),
     "late": st.lists(_timed, max_size=4),
+    "close": st.booleans(),
 })
 
 
-def _fired(program, series: bool) -> list:
-    """Run ``program`` and return the fired (time, kind, tag) sequence.
-    With ``series`` each series goes through ``schedule_series``, else
-    through ``count`` schedule() calls up front."""
+def _fired(program, series: bool) -> tuple[list, list]:
+    """Run ``program`` and return the fired (time, kind, tag) sequence and
+    whether each series reads as cancelled at the end.  With ``series``
+    each series goes through ``schedule_series``, else through one
+    schedule() call per instant up front.  With ``close`` the engine
+    closes at the cut, often in the middle of a series, instead of
+    running on."""
     eng = Engine()
-    fired = []
+    fired, handles = [], []
 
     def event(kind, tag, children):
         def act():
@@ -122,25 +132,59 @@ def _fired(program, series: bool) -> list:
 
     eng.run_until(program["start"])
     timed("before", program["before"])
-    for j, (delay, spacing, count, children) in enumerate(program["series"]):
+    for j, (instants, children) in enumerate(program["series"]):
         kind = f"series{j}"
-        if series:
-            eng.schedule_series(
-                delay, spacing, count, kind,
-                lambda k, kind=kind, ch=children: event(kind, k, ch)())
+        if isinstance(instants, tuple):
+            delay, spacing, count = instants
+            at, delays = itertools.count(eng.now + delay, spacing), \
+                [delay + k * spacing for k in range(count)]
         else:
-            for k in range(count):
-                eng.schedule(delay + k * spacing, kind, event(kind, k, children))
+            at, delays = [eng.now + delay for delay in instants], instants
+        if series:
+            handles.append(eng.schedule_series(
+                at, len(delays), kind,
+                lambda k, kind=kind, ch=children: event(kind, k, ch)()))
+        else:
+            handles.append(None)
+            for k, delay in enumerate(delays):
+                eng.schedule(delay, kind, event(kind, k, children))
     timed("after", program["after"])
     eng.run_until(eng.now + program["cut"])  # often in the middle of a series
-    timed("late", program["late"])
-    eng.run_until(MAX_TIME)
-    return fired
+    if program["close"]:
+        eng.close()
+        with pytest.raises(RuntimeError):
+            eng.run_until(MAX_TIME)
+    else:
+        timed("late", program["late"])
+        eng.run_until(MAX_TIME)
+    return fired, [h is not None and h.cancelled for h in handles]
 
 
 @given(_programs)
+@example({"start": 0, "before": [(2, [])], "series": [((0, 2, 3), [0]), ([0, 0, 2], [])],
+          "after": [(0, []), (2, [])], "cut": 2, "late": [], "close": True})
 def test_series_fires_like_schedule_calls_made_up_front(program):
+    """Same events at the same instants in the same order, other events
+    at the series' instants included; a finished or closed series does
+    not read as cancelled."""
     assert _fired(program, series=True) == _fired(program, series=False)
+
+
+def test_series_refuses_instants_that_decrease_or_run_out():
+    for instants, count in (([5, 4], 2), ([5], 2)):
+        eng = Engine()
+        eng.schedule_series(instants, count, "s", lambda k: None)
+        with pytest.raises(ValueError, match="series"):
+            eng.run_until(MAX_TIME)
+    eng = Engine()
+    with pytest.raises(ValueError, match="series"):
+        eng.schedule_series([], 1, "s", lambda k: None)
+    eng.run_until(10)
+    with pytest.raises(ValueError, match="before now"):
+        eng.schedule_series([5], 1, "s", lambda k: None)
+    with pytest.raises(ValueError, match="negative count"):
+        eng.schedule_series([], -1, "s", lambda k: None)
+    assert eng.schedule_series([], 0, "s", lambda k: None) is None
 
 
 # -- kernel oracle ----------------------------------------------------------
@@ -152,6 +196,17 @@ class _ReferenceEvent:
     def cancel(self):
         self.cancelled = True
         self.ref.pending.pop(self.seq, None)
+
+
+class _ReferenceSeries(_ReferenceEvent):
+    def __init__(self, ref, seqs):
+        super().__init__(ref, None)
+        self.seqs = seqs
+
+    def cancel(self):
+        self.cancelled = True
+        for seq in self.seqs:
+            self.ref.pending.pop(seq, None)
 
 
 class ReferenceEngine:
@@ -171,11 +226,15 @@ class ReferenceEngine:
         self.pending[self.seq] = (at, action)
         return _ReferenceEvent(self, self.seq)
 
-    def schedule_series(self, delay, spacing, count, kind, action):
-        for k in range(count):
+    def schedule_series(self, instants, count, kind, action):
+        if count == 0:
+            return None
+        seqs = []
+        for k, at in zip(range(count), instants):
             self.seq += 1
-            self.pending[self.seq] = (self.now + delay + k * spacing,
-                                      lambda k=k: action(k))
+            seqs.append(self.seq)
+            self.pending[self.seq] = (at, lambda k=k: action(k))
+        return _ReferenceSeries(self, seqs)
 
     def run_until(self, t):
         while True:
@@ -204,6 +263,8 @@ _kernel_programs = st.lists(st.one_of(
     # (delay, spacing, count, event fired at each of the series' instants)
     st.tuples(st.just("series"), st.integers(0, 4), st.integers(0, 3),
               st.integers(0, 5), _kernel_event),
+    # (nondecreasing delays, event fired at each of them)
+    st.tuples(st.just("instants"), _nondecreasing, _kernel_event),
     st.tuples(st.just("cancel"), st.integers(0, 40)),
     st.tuples(st.just("run"), st.integers(0, 6))), max_size=25)
 
@@ -233,11 +294,18 @@ def _kernel_run(program, eng):
     for n, op in enumerate(program):
         if op[0] == "at":
             schedule(op[1][0], str(n), *op[1][1:])
-        elif op[0] == "series":
-            _, delay, spacing, count, (_, cancels, children) = op
-            eng.schedule_series(
-                delay, spacing, count, "s",
+        elif op[0] in ("series", "instants"):
+            if op[0] == "series":
+                _, delay, spacing, count, (_, cancels, children) = op
+                instants = itertools.count(eng.now + delay, spacing)
+            else:
+                _, delays, (_, cancels, children) = op
+                instants, count = [eng.now + d for d in delays], len(delays)
+            handle = eng.schedule_series(
+                instants, count, "s",
                 lambda k, n=n, c=cancels, ch=children: action(f"{n}.{k}", c, ch)())
+            if handle is not None:     # a series is cancelled as a whole
+                handles.append(handle)
         elif op[0] == "cancel":
             cancel(op[1])
         else:
@@ -268,6 +336,46 @@ def test_launched_flood_keeps_one_event_pending():
     sim.run()
     assert pending() == 0
     assert sim.fabric.counters["frames_injected"] == 10_000
+
+
+def test_a_long_timeline_keeps_one_event_pending():
+    """A 20,000-event timeline is one pending entry, and the run it gives
+    up to 300 s is the run of the same spec with its timeline cut there."""
+    spec = scenarios.chain(16, Protocol.OFDP)
+    spec = dataclasses.replace(spec, timeline=cli._churn_timeline(spec, 20_001 * SEC))
+    cut = 300 * SEC
+    short = dataclasses.replace(
+        spec, timeline=tuple(ev for ev in spec.timeline if ev.at <= cut))
+    assert len(spec.timeline) == 20_000 and len(short.timeline) == 300
+    with Simulation(spec) as sim, Simulation(short) as oracle:
+        for t in (0, 100 * SEC, cut):
+            sim.engine.run_until(t)
+            assert sum(kind == "timeline" for _, _, _, kind in sim.engine._heap) == 1
+        oracle.engine.run_until(cut)
+        assert sim.engine.trace.records == oracle.engine.trace.records
+        assert sim.engine.trace.digest() == oracle.engine.trace.digest()
+
+
+def test_series_events_go_through_schedule_at(monkeypatch):
+    """The timeline's and the injection's series each reach the heap
+    through one schedule_at call, whose action then fires every one of
+    their events."""
+    original, queued, fired = Engine.schedule_at, Counter(), Counter()
+
+    def spy(engine, at, kind, action):
+        def counted():
+            fired[kind] += 1
+            action()
+        queued[kind] += 1
+        return original(engine, at, kind, counted)
+
+    monkeypatch.setattr(Engine, "schedule_at", spy)
+    spec = scenarios.attack_scenario("inject", Protocol.OFDP)
+    with Simulation(spec) as sim:
+        sim.run()
+        assert sim.fabric.counters["frames_injected"] == 3
+    assert queued["timeline"] == queued["attack_inject"] == 1
+    assert fired["timeline"] == len(spec.timeline) and fired["attack_inject"] == 3
 
 
 @pytest.mark.parametrize("protocol", sorted(Protocol, key=lambda p: p.value),
