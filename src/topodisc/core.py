@@ -18,6 +18,7 @@ resolver build the document either way.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
@@ -487,14 +488,19 @@ class Violation:
         return f"{self.element}: {self.problem}"
 
 
+def _repeated(items: list) -> list:
+    """The items that occur more than once, in linear time."""
+    return [item for item, n in Counter(items).items() if n > 1]
+
+
 def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
     """Static checks; returns one Violation per offending element."""
     out: list[Violation] = []
     dpids = [d.id.dpid for d in spec.switches]
     macs = [d.id.local_mac for d in spec.switches]
-    for dpid in sorted({d for d in dpids if dpids.count(d) > 1}):
+    for dpid in sorted(_repeated(dpids)):
         out.append(Violation(f"s{dpid}", "duplicate dpid"))
-    for mac in sorted({m for m in macs if macs.count(m) > 1}):
+    for mac in sorted(_repeated(macs)):
         out.append(Violation(mac, "duplicate local_mac"))
     for decl in spec.switches:
         if decl.port_count < 0:
@@ -535,7 +541,7 @@ def validate_scenario(spec: ScenarioSpec) -> list[Violation]:
             port_use[p] = el
 
     chan_dpids = [ch.dpid for ch in spec.control_channels]
-    for dpid in sorted({d for d in chan_dpids if chan_dpids.count(d) > 1}):
+    for dpid in sorted(_repeated(chan_dpids)):
         out.append(Violation(f"s{dpid}", "more than one control channel"))
     for dpid in sorted(dpid_set - set(chan_dpids)):
         out.append(Violation(f"s{dpid}", "no control channel"))

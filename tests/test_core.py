@@ -218,6 +218,20 @@ def test_duplicate_dpid_and_missing_channel():
     assert any("duplicate" in m for m in msgs)
 
 
+def test_repeated_dpids_macs_and_channels_are_each_named_once_in_order():
+    a, b, c = (f"02:00:00:00:00:0{i}" for i in (1, 2, 3))
+    spec = _spec(
+        switches=tuple(SwitchDecl(SwitchId(dpid, mac), 1) for dpid, mac in (
+            (3, a), (1, b), (3, b), (2, a), (1, c), (3, c))),
+        control_channels=tuple(ControlChannel(dpid, 1, 1) for dpid in (3, 1, 2, 3, 1, 3)),
+        links=())
+    assert [str(v) for v in validate_scenario(spec)] == [
+        "s1: duplicate dpid", "s3: duplicate dpid",
+        f"{a}: duplicate local_mac", f"{b}: duplicate local_mac",
+        f"{c}: duplicate local_mac",
+        "s1: more than one control channel", "s3: more than one control channel"]
+
+
 def test_port_on_two_links_rejected():
     spec = _spec(
         switches=(SwitchDecl(SwitchId(1, "02:00:00:00:00:01"), 2),
@@ -232,9 +246,15 @@ def test_port_on_two_links_rejected():
 
 
 def test_timeline_event_for_undeclared_link():
-    spec = _spec(timeline=(LinkRemove(SEC, PortRef(1, 1), PortRef(9, 9)),))
-    msgs = [str(v) for v in validate_scenario(spec)]
-    assert any("no declared link" in m for m in msgs)
+    for a, b, problems in (
+            ((1, 1), (9, 9), ["references unknown switch s9",
+                              "no declared link s1.p1<->s9.p9"]),
+            ((2, 5), (1, 1), ["references undeclared port s2.p5",
+                              "no declared link s2.p5<->s1.p1"]),
+            ((2, 1), (1, 1), [])):
+        spec = _spec(timeline=(LinkRemove(SEC, PortRef(*a), PortRef(*b)),))
+        assert [str(v) for v in validate_scenario(spec)] == [
+            f"timeline[0]: {problem}" for problem in problems]
 
 
 def test_timeline_events_respect_presence():
@@ -304,6 +324,12 @@ def test_link_add_first_means_initially_dead():
     spec = _spec(timeline=(LinkAdd(SEC, PortRef(1, 1), PortRef(2, 1)),))
     assert spec.initially_present() == {1, 2}
     assert spec.initially_alive() == set()
+
+
+def test_link_remove_first_means_initially_alive():
+    spec = _spec(timeline=(LinkRemove(SEC, PortRef(2, 1), PortRef(1, 1)),
+                           LinkAdd(2 * SEC, PortRef(1, 1), PortRef(2, 1))))
+    assert spec.initially_alive() == {spec.links[0].key()}
 
 
 def test_declared_dead_link_stays_dead_until_added():
