@@ -44,12 +44,6 @@ from .core import (
 )
 
 DEFAULT_PRODUCT = b"aster-ctl/2.1"
-# read per message: on Python 3.11 an Enum member read off its class is slow
-_PACKET_IN, _SOFTDP = MsgKind.PACKET_IN, Protocol.SOFTDP
-_HELLO, _FEATURE_REQUEST, _FEATURE_REPLY = (
-    MsgKind.HELLO, MsgKind.FEATURE_REQUEST, MsgKind.FEATURE_REPLY)
-_PORT_STATUS, _BFD_STATUS = MsgKind.PORT_STATUS, MsgKind.BFD_STATUS
-_PACKET_OUT, _GROUP_MOD = MsgKind.PACKET_OUT, MsgKind.GROUP_MOD
 
 DIGEST_LEN = 16
 NONCE_LEN = 8
@@ -493,6 +487,7 @@ class Controller:
         self.spec = spec
         self.services = services
         self.protocol = spec.protocol
+        self.softdp = spec.protocol is Protocol.SOFTDP
         self.product = DEFAULT_PRODUCT
         self.map = TopologyMap()
         self.registry: dict[int, RegisteredSwitch] = {}
@@ -540,7 +535,7 @@ class Controller:
     def suspicious(self) -> int:
         return self.counters["suspicious"]
 
-    def _send(self, kind: MsgKind, dpid: int, body) -> None:
+    def _send(self, kind: str, dpid: int, body) -> None:
         # built in C, without the NamedTuple's Python-level __new__
         self.services.send_control(
             tuple.__new__(ControlMessage, (kind, CONTROLLER, dpid, body)))
@@ -558,29 +553,30 @@ class Controller:
     # -- top-level dispatch ------------------------------------------------
     def handle(self, msg: ControlMessage) -> None:
         kind, src, _, body = msg
-        if kind is _PACKET_IN:
-            if self.protocol is _SOFTDP:
-                self._packet_in_event_driven(body)
-            else:
-                self._packet_in_baseline(body)
-        elif kind is _HELLO:
-            self._send(_HELLO, src, None)
-            self._send(_FEATURE_REQUEST, src, None)
-        elif kind is _FEATURE_REPLY:
-            self._register(body)
-        elif kind is _PORT_STATUS:
-            if self.protocol is _SOFTDP:
-                self.on_port_status(body)
-            else:
-                self.counters["ignored_port_status"] += 1
-        elif kind is _BFD_STATUS:
-            if self.protocol is _SOFTDP:
-                self.on_bfd_status(body)
-            else:
-                self.counters["ignored_bfd_status"] += 1
-        else:
-            self.counters["protocol_error"] += 1
-            self.services.record("protocol_error", msg=kind.name, src=src)
+        match kind:
+            case MsgKind.PACKET_IN:
+                if self.softdp:
+                    self._packet_in_event_driven(body)
+                else:
+                    self._packet_in_baseline(body)
+            case MsgKind.HELLO:
+                self._send(MsgKind.HELLO, src, None)
+                self._send(MsgKind.FEATURE_REQUEST, src, None)
+            case MsgKind.FEATURE_REPLY:
+                self._register(body)
+            case MsgKind.PORT_STATUS:
+                if self.softdp:
+                    self.on_port_status(body)
+                else:
+                    self.counters["ignored_port_status"] += 1
+            case MsgKind.BFD_STATUS:
+                if self.softdp:
+                    self.on_bfd_status(body)
+                else:
+                    self.counters["ignored_bfd_status"] += 1
+            case _:
+                self.counters["protocol_error"] += 1
+                self.services.record("protocol_error", msg=kind, src=src)
 
     # -- registration and bootstrap ---------------------------------------
     def _register(self, body: FeatureReplyBody) -> None:
@@ -604,7 +600,7 @@ class Controller:
                              ports_up=list(body.ports_up))
         if not self.bootstrap_done:
             self._boot_settled(body.dpid)
-        elif self.protocol is Protocol.SOFTDP:
+        elif self.softdp:
             # PORT_STATUS sent before the FEATURE_REPLY was refused
             self._probe_ports_up(body.dpid)
 
@@ -624,7 +620,7 @@ class Controller:
 
     def _bootstrap(self) -> None:
         self.bootstrap_done = True
-        if self.protocol is Protocol.SOFTDP:
+        if self.softdp:
             probes = sum(self._probe_ports_up(dpid) for dpid in sorted(self.registry))
             self.services.record("bootstrap_dispatch",
                                  protocol=self.protocol.value, probes=probes)
@@ -667,7 +663,7 @@ class Controller:
             port_id=self.hasher.digest(text.encode()),
             system_description=self.hasher.digest(self.product),
             nonce=window.nonce)
-        self._send(_PACKET_OUT, port.dpid, PacketOutBody(port, frame))
+        self._send(MsgKind.PACKET_OUT, port.dpid, PacketOutBody(port, frame))
 
     # -- event-driven engine ----------------------------------------------
     def on_port_status(self, body: PortStatusBody) -> None:
@@ -731,7 +727,7 @@ class Controller:
         if self.map.has_link(ingress, egress):
             a, b = link_key(egress, ingress)
             self.services.record("map_link_bidirectional", a=text[a], b=text[b])
-            if self.protocol is Protocol.SOFTDP:
+            if self.softdp:
                 # the baselines keep no path tags, so a learned link has no
                 # group updates to wait for and no adaptation to report
                 sends = self.retag_paths([(a, b)])
@@ -815,11 +811,11 @@ class Controller:
             if self.protocol is Protocol.OFDP:
                 for port_no in range(1, reg.port_count + 1):
                     port = PortRef(dpid, port_no)
-                    self._send(_PACKET_OUT, dpid,
+                    self._send(MsgKind.PACKET_OUT, dpid,
                                PacketOutBody(port, self._cleartext_frame(reg, port)))
                     packet_outs += 1
             else:
-                self._send(_PACKET_OUT, dpid,
+                self._send(MsgKind.PACKET_OUT, dpid,
                            PacketOutBody(None, self._cleartext_frame(reg, None)))
                 packet_outs += 1
         self.services.record("round_dispatch", protocol=self.protocol.value,
@@ -961,7 +957,7 @@ class Controller:
         paths, once, and kept with the tag, so the map files the pair by
         what the two spans do not share; each (switch, neighbour)
         first-hop port is looked up once per retag."""
-        if self.protocol is not Protocol.SOFTDP:
+        if not self.softdp:
             return []
         changed_links = list(changed_links)
         adj, tags = self.map.adj, self.map.path_tags
@@ -1070,7 +1066,7 @@ class Controller:
                 continue
             watch, buckets, texts = bucket_sets.get(watch) or self._bucket_set(watch)
             sent[group] = watch
-            self._send(_GROUP_MOD, src,
+            self._send(MsgKind.GROUP_MOD, src,
                        tuple.__new__(GroupModBody, (src, dst, buckets)))
             self.services.append(("group_dispatch", (texts, src, dst)))
             sends.append(group)

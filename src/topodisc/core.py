@@ -204,7 +204,9 @@ class LldpFrame(NamedTuple):
     nonce: bytes = b""
 
 
-class MsgKind(Enum):
+class MsgKind:
+    """The control-message kinds, each its wire name."""
+
     HELLO = "HELLO"
     FEATURE_REQUEST = "FEATURE_REQUEST"
     FEATURE_REPLY = "FEATURE_REPLY"
@@ -218,11 +220,10 @@ class MsgKind(Enum):
 
 CONTROLLER = "c"
 
-# The wire names of the message kinds only a switch may send (BFD_STATUS
-# in particular never originates at the controller; HELLO goes both ways).
-SWITCH_ONLY = frozenset(k.value for k in (
-    MsgKind.FEATURE_REPLY, MsgKind.PACKET_IN, MsgKind.PORT_STATUS,
-    MsgKind.BFD_STATUS))
+# The message kinds only a switch may send (BFD_STATUS in particular
+# never originates at the controller; HELLO goes both ways).
+SWITCH_ONLY = frozenset((MsgKind.FEATURE_REPLY, MsgKind.PACKET_IN,
+                         MsgKind.PORT_STATUS, MsgKind.BFD_STATUS))
 
 
 @dataclass(frozen=True)
@@ -285,7 +286,7 @@ class GroupModBody(NamedTuple):
 
 
 class ControlMessage(NamedTuple):
-    kind: MsgKind
+    kind: str  # a MsgKind
     src: Union[int, str]  # dpid or CONTROLLER
     dst: Union[int, str]
     body: Any

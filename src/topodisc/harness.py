@@ -56,9 +56,6 @@ from .controller import Controller
 from . import adversary
 from . import metrics as metrics_mod
 
-# read per message: on Python 3.11 an Enum member read off its class is slow
-_FEATURE_REQUEST, _GROUP_MOD = MsgKind.FEATURE_REQUEST, MsgKind.GROUP_MOD
-
 
 class Services:
     """What agents and the controller are allowed to touch: the clock,
@@ -67,12 +64,12 @@ class Services:
     def __init__(self, engine: Engine, fabric: Fabric, spec: ScenarioSpec):
         self._engine = engine
         self.lldp_window: SimTime = spec.lldp_window
-        # record(kind, **detail), shared(kind, **detail) and append(row):
-        # the engine's own, stamped with its clock; layout(kind, *keys):
-        # the trace's own; send_control(msg) and send_frame(egress,
+        # record(kind, **detail) and append(row): the engine's own,
+        # stamped with its clock; shared(kind, **detail) and layout(kind,
+        # *keys): the trace's own; send_control(msg) and send_frame(egress,
         # frame): the fabric's own
         self.record = engine.record
-        self.shared = engine.shared
+        self.shared = engine.trace.shared
         self.append = engine.append
         self.layout = engine.trace.layout
         self.send_control = fabric.send_control
@@ -144,15 +141,15 @@ class Simulation:
     def _deliver_to_switch(self, msg) -> None:
         kind, _, dst, body = msg
         self.agents[dst].handle_control(msg)
-        if kind is _GROUP_MOD:
-            if self._adapt_watch:
+        match kind:
+            case MsgKind.GROUP_MOD if self._adapt_watch:
                 self._note_group_applied(dst, body.group_id)
-        elif kind is _FEATURE_REQUEST and dst in self.pending_joins:
-            # the joiner has answered with all ports down; now its cables
-            # get patched in, so PORT_STATUS reports follow registration
-            self.pending_joins.discard(dst)
-            self.engine.schedule(0, "join_links_up",
-                                 lambda d=dst: self._activate_join_links(d))
+            case MsgKind.FEATURE_REQUEST if dst in self.pending_joins:
+                # the joiner has answered with all ports down; now its cables
+                # get patched in, so PORT_STATUS reports follow registration
+                self.pending_joins.discard(dst)
+                self.engine.schedule(0, "join_links_up",
+                                     lambda d=dst: self._activate_join_links(d))
 
     def _frame_arrival(self, port: PortRef, frame) -> None:
         if isinstance(frame, DataFrame):

@@ -1,6 +1,6 @@
 """Ready-made scenario builders: the walkthrough topologies, the attack
-testbed, measurement scenarios with seeded random delays, and the
-randomized churn scenarios used for convergence checking.
+testbed, and the randomized churn scenarios, with seeded random delays,
+used for convergence checking.
 
 Port numbering convention: declared ports that no link references are
 host-facing.  Chains give end switches a single port so the per-port
@@ -169,24 +169,6 @@ def failover_scenario(protocol: Protocol = Protocol.SOFTDP) -> ScenarioSpec:
     traffic must switch to the other side of the cycle."""
     return square(protocol, timeline=(
         LinkRemove(1 * SEC, PortRef(1, 1), PortRef(2, 1)),))
-
-
-# ---------------------------------------------------------------------------
-# measurement scenarios (random per-edge delays)
-
-def link_add_scenario(seed: int) -> ScenarioSpec:
-    """Two switches, one link that comes up at t=1s, every one-way delay
-    drawn independently from the band."""
-    rng = random.Random(seed)
-    link = Link(PortRef(1, 1), PortRef(2, 1), _rand_delay(rng), _rand_delay(rng))
-    return ScenarioSpec(
-        switches=(_switch(1, 1), _switch(2, 1)),
-        links=(link,),
-        control_channels=_rand_channels((1, 2), rng),
-        bfd=DEFAULT_BFD, protocol=Protocol.SOFTDP,
-        discovery_period=DEFAULT_PERIOD,
-        timeline=(LinkAdd(1 * SEC, link.a, link.b),),
-        rng_seed=seed)
 
 
 # ---------------------------------------------------------------------------

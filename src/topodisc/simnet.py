@@ -90,8 +90,9 @@ _SHAREABLE = frozenset({str, int, bool, type(None)})
 # alone is shared by its kind, keys and values, without their types.
 _EXACT = frozenset({str, type(None)})
 
-# Per wire name of a message kind: the kind of its delivery event.
-_CTRL_EVENT_KINDS = {kind.value: f"ctrl:{kind.value}" for kind in MsgKind}
+# Per message kind, each the name of its MsgKind constant: the kind of
+# its delivery event.
+_CTRL_EVENT_KINDS = {kind: f"ctrl:{kind}" for kind in vars(MsgKind) if kind.isupper()}
 
 # Rows per chunk of Trace.digest and Trace.ndjson_chunks text: enough to
 # spread the cost of a call, and few enough that a chunk stays small (4,096
@@ -440,9 +441,6 @@ class Engine:
     def record(self, kind: str, **detail) -> None:
         self.trace.record(self.now, kind, **detail)
 
-    def shared(self, kind: str, **detail) -> tuple[str, dict]:
-        return self.trace.shared(kind, **detail)
-
     def append(self, row: tuple[str, dict]) -> None:
         self.trace.append(self.now, row)
 
@@ -532,7 +530,7 @@ class Fabric:
         self.connected: set[int] = set()
         self.channel_generation: Counter = Counter()
         self.counters: Counter = Counter()
-        # (wire name, src, dpid) -> its ctrl_delivered row
+        # (kind, src, dpid) -> its ctrl_delivered row
         self._delivered: dict[tuple, tuple[str, dict]] = {}
         self.detach()
 
@@ -589,13 +587,12 @@ class Fabric:
         """Queue a control message toward its destination; drops (with a
         counter) if the channel is closed at send or delivery time."""
         kind, src, dst, _ = msg
-        name = kind._value_   # the plain attribute behind .value
         to_controller = src != CONTROLLER
         if to_controller:
             dpid = src
         else:
             dpid = dst
-            if name in SWITCH_ONLY:
+            if kind in SWITCH_ONLY:
                 raise ValueError(f"{kind} cannot originate at the controller")
         chan = self.channels.get(dpid)
         if chan is None:
@@ -604,7 +601,7 @@ class Fabric:
         counters["ctrl_sent"] += 1
         if dpid not in self.connected:
             counters["ctrl_dropped"] += 1
-            self.engine.record("ctrl_dropped", msg=name, reason="channel_closed",
+            self.engine.record("ctrl_dropped", msg=kind, reason="channel_closed",
                                switch=f"s{dpid}")
             return
         if to_controller:
@@ -617,7 +614,7 @@ class Fabric:
         lane.append(msg)
         lane.append(self.channel_generation[dpid])
         engine = self.engine
-        engine.schedule_at(engine.now + delay, _CTRL_EVENT_KINDS[name], arrive)
+        engine.schedule_at(engine.now + delay, _CTRL_EVENT_KINDS[kind], arrive)
 
     def _lane(self, lanes: dict, dpid: int) -> tuple[deque, Callable[[], None]]:
         lane = deque()
@@ -631,18 +628,17 @@ class Fabric:
         msg = lane.popleft()
         gen = lane.popleft()
         kind, src, _, _ = msg
-        name = kind._value_
         if dpid not in self.connected or self.channel_generation[dpid] != gen:
             self.counters["ctrl_dropped"] += 1
-            self.engine.record("ctrl_dropped", msg=name,
+            self.engine.record("ctrl_dropped", msg=kind,
                                reason="channel_closed_in_flight", switch=f"s{dpid}")
             return
         self.counters["ctrl_delivered"] += 1
-        row = self._delivered.get((name, src, dpid))
+        row = self._delivered.get((kind, src, dpid))
         if row is None:
             ends = (src, str(dpid)) if src == CONTROLLER else (str(dpid), CONTROLLER)
-            row = self._delivered[name, src, dpid] = self.engine.shared(
-                "ctrl_delivered", msg=name, src=ends[0], dst=ends[1])
+            row = self._delivered[kind, src, dpid] = self.engine.trace.shared(
+                "ctrl_delivered", msg=kind, src=ends[0], dst=ends[1])
         self.engine.append(row)
         if src != CONTROLLER:
             self.deliver_to_controller(msg)

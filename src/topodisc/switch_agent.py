@@ -44,10 +44,6 @@ BFD_DOWN = "DOWN"
 # The default LLDP disposition (drop under the event-driven protocol,
 # forward under the baselines); core.WINDOW_RULE_PRIORITY outranks it.
 DEFAULT_LLDP_PRIORITY = 10
-# read per message: on Python 3.11 an Enum member read off its class is slow
-_PACKET_IN, _PACKET_OUT = MsgKind.PACKET_IN, MsgKind.PACKET_OUT
-_GROUP_MOD, _FLOW_MOD = MsgKind.GROUP_MOD, MsgKind.FLOW_MOD
-_FEATURE_REQUEST = MsgKind.FEATURE_REQUEST
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -137,7 +133,7 @@ class SwitchAgent:
         self.decl = decl
         self.id = decl.id
         self._text = str(decl.id)
-        self.protocol = protocol
+        self.softdp = protocol is Protocol.SOFTDP
         self.bfd_params = bfd
         self.services = services
         self.ports: dict[PortRef, PortState] = {
@@ -157,7 +153,7 @@ class SwitchAgent:
         services.layout("group_installed", "buckets", "group_id", "switch")
         self.bfd_sessions: dict[PortRef, BfdSession] = {}
         self._rule_seq = 0
-        if protocol is Protocol.SOFTDP:
+        if self.softdp:
             # The event-driven protocol ships switches with a standing
             # drop-lldp rule; discovery traffic is only forwarded through
             # explicit window rules.
@@ -169,7 +165,7 @@ class SwitchAgent:
                                action=("to_controller",), hard_timeout=None)
 
     # -- helpers ----------------------------------------------------------
-    def _send(self, kind: MsgKind, body) -> None:
+    def _send(self, kind: str, body) -> None:
         # built in C, without the NamedTuple's Python-level __new__
         self.services.send_control(
             tuple.__new__(ControlMessage, (kind, self.id.dpid, CONTROLLER, body)))
@@ -198,14 +194,15 @@ class SwitchAgent:
         """HELLO needs no answer here; any other kind a switch does not
         act on is ignored."""
         kind, _, _, body = msg
-        if kind is _GROUP_MOD:
-            self._install_group(body)
-        elif kind is _PACKET_OUT:
-            self.handle_packet_out(body)
-        elif kind is _FLOW_MOD:
-            self.apply_mod(msg)
-        elif kind is _FEATURE_REQUEST:
-            self.feature_reply()
+        match kind:
+            case MsgKind.GROUP_MOD:
+                self._install_group(body)
+            case MsgKind.PACKET_OUT:
+                self.handle_packet_out(body)
+            case MsgKind.FLOW_MOD:
+                self.apply_mod(msg)
+            case MsgKind.FEATURE_REQUEST:
+                self.feature_reply()
 
     # -- port lifecycle ---------------------------------------------------
     def boot_port_up(self, port: PortRef, peer: Optional[PortRef] = None) -> None:
@@ -252,7 +249,7 @@ class SwitchAgent:
 
     def _port_up_actions(self, state: PortState, port: PortRef,
                          peer: Optional[PortRef]) -> None:
-        if self.protocol is not Protocol.SOFTDP:
+        if not self.softdp:
             return
         self._arm_window_rule(port)
         if peer is not None:
@@ -309,7 +306,7 @@ class SwitchAgent:
             return ("drop", "no_matching_rule")
         if best.action[0] == "drop":
             return ("drop", "rule_drop")
-        self._send(_PACKET_IN, tuple.__new__(PacketInBody, (ingress, frame)))
+        self._send(MsgKind.PACKET_IN, tuple.__new__(PacketInBody, (ingress, frame)))
         return ("to_controller",)
 
     def forward_via_group(self, group_id: int, frame) -> tuple:

@@ -7,15 +7,33 @@ import dataclasses
 import random
 
 from topodisc import scenarios
-from topodisc.core import MS, SEC, ControlMessage, LinkRemove, ScenarioSpec
+from topodisc.core import (
+    MS, SEC, ControlMessage, Link, LinkAdd, LinkRemove, PortRef, Protocol,
+    ScenarioSpec)
 from topodisc.harness import Simulation
 
 
+def link_add_scenario(seed: int) -> ScenarioSpec:
+    """Two switches, one link that comes up at t=1s, every one-way delay
+    drawn independently from the band."""
+    rng = random.Random(seed)
+    link = Link(PortRef(1, 1), PortRef(2, 1), scenarios._rand_delay(rng),
+                scenarios._rand_delay(rng))
+    return ScenarioSpec(
+        switches=(scenarios._switch(1, 1), scenarios._switch(2, 1)),
+        links=(link,),
+        control_channels=scenarios._rand_channels((1, 2), rng),
+        bfd=scenarios.DEFAULT_BFD, protocol=Protocol.SOFTDP,
+        discovery_period=scenarios.DEFAULT_PERIOD,
+        timeline=(LinkAdd(1 * SEC, link.a, link.b),),
+        rng_seed=seed)
+
+
 def link_remove_scenario(seed: int) -> ScenarioSpec:
-    """``scenarios.link_add_scenario(seed)`` with its link live from the
+    """``link_add_scenario(seed)`` with its link live from the
     start and failing at t=1s; detection runs at a 1 ms interval with
     multiplier 1."""
-    base = scenarios.link_add_scenario(seed)
+    base = link_add_scenario(seed)
     link = base.links[0]
     return dataclasses.replace(
         base, timeline=(LinkRemove(1 * SEC, link.a, link.b),))
@@ -25,7 +43,7 @@ def scale_scenario(seed: int, extra_switches: int) -> ScenarioSpec:
     """The link-add measurement plus k unrelated isolated switches; the
     measured link and its channels are drawn before the extras so the
     event's delays are identical at every k."""
-    base = scenarios.link_add_scenario(seed)
+    base = link_add_scenario(seed)
     rng = random.Random(seed * 31 + extra_switches + 1)
     extras = tuple(scenarios._switch(100 + i, 1) for i in range(extra_switches))
     return dataclasses.replace(
@@ -111,7 +129,7 @@ class StubServices:
         self.records.append((kind, detail))
 
     def sent_kinds(self):
-        return [m.kind.name for m in self.sent]
+        return [m.kind for m in self.sent]
 
     def fire_due(self):
         due = [s for s in self.scheduled if s[0] <= self.clock and not s[3].cancelled]

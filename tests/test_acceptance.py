@@ -14,7 +14,8 @@ from topodisc.cli import trace_ndjson
 from topodisc.harness import Simulation
 from topodisc import metrics, scenarios
 
-from conftest import link_remove_scenario, periodic_probes, run_scenario
+from conftest import (
+    link_add_scenario, link_remove_scenario, periodic_probes, run_scenario)
 
 BFD_TICK = scenarios.DEFAULT_BFD.interval
 
@@ -43,7 +44,7 @@ def test_criterion_2_link_add_learning_exact_over_50_seeds():
     t0 = time.monotonic()
     mismatches = []
     for seed in range(50):
-        spec = scenarios.link_add_scenario(seed)
+        spec = link_add_scenario(seed)
         sim = run_scenario(spec)
         ev = spec.timeline[0]
         predicted = metrics.link_add_prediction(spec, ev.a, ev.b).value
@@ -98,7 +99,7 @@ def test_criterion_4_adaptation_delta_and_failover_loss():
             failures.append((build.__name__, entry.learning, entry.adaptation))
 
     # degenerate case: nothing to push, adaptation collapses onto learning
-    sim = run_scenario(scenarios.link_add_scenario(0))
+    sim = run_scenario(link_add_scenario(0))
     entry = _entry(sim, "link_add")
     if entry.adaptation != entry.learning:
         failures.append(("no_groups", entry.learning, entry.adaptation))

@@ -72,7 +72,7 @@ def _port_up(ctrl, port, epoch=1):
 def _probe_frames(services):
     """PACKET_OUT frames sent so far, keyed by egress port."""
     return {m.body.egress: m.body.frame for m in services.sent
-            if m.kind is MsgKind.PACKET_OUT}
+            if m.kind == MsgKind.PACKET_OUT}
 
 
 def _deliver_probe(ctrl, services, egress, ingress):
@@ -105,7 +105,7 @@ def test_bootstrap_probes_only_reported_up_ports():
         ctrl.handle(ControlMessage(
             MsgKind.FEATURE_REPLY, src=i, dst="controller",
             body=FeatureReplyBody(i, _mac(i), 4, up)))
-    outs = [m for m in services.sent if m.kind is MsgKind.PACKET_OUT]
+    outs = [m for m in services.sent if m.kind == MsgKind.PACKET_OUT]
     assert [m.body.egress for m in outs] == [PortRef(1, 1), PortRef(2, 1)]
     # probes are hashed identities plus a nonce, never plaintext
     for m in outs:
@@ -266,6 +266,37 @@ def test_port_down_removes_touching_links_and_closes_the_window():
     assert not ctrl.map.has_link(a, b)
 
 
+def test_a_packet_out_at_the_controller_is_a_protocol_error():
+    ctrl, services = _registered(2)
+    records, sent = list(services.records), list(services.sent)
+    ctrl.handle(ControlMessage(MsgKind.PACKET_OUT, src=1, dst="controller",
+                               body=None))
+    assert services.records == records + [
+        ("protocol_error", {"msg": "PACKET_OUT", "src": 1})]
+    assert services.sent == sent
+    assert ctrl.counters["protocol_error"] == 1
+
+
+@pytest.mark.parametrize("protocol", [Protocol.OFDP, Protocol.OFDPV2])
+def test_baselines_only_count_port_and_bfd_status(protocol):
+    ctrl, services = _registered(2, protocol)
+    a, b = PortRef(1, 1), PortRef(2, 1)
+    frame = LldpFrame(_mac(1).encode(), b"s1.p1", b"x")
+    ctrl.handle(ControlMessage(MsgKind.PACKET_IN, src=2, dst="controller",
+                               body=PacketInBody(b, frame)))
+    assert ctrl.map.has_link(a, b)
+    records, sent = list(services.records), list(services.sent)
+    links, counters = set(ctrl.map.directed_links), dict(ctrl.counters)
+    ctrl.handle(ControlMessage(MsgKind.PORT_STATUS, src=1, dst="controller",
+                               body=PortStatusBody(a, False, 2)))
+    ctrl.handle(ControlMessage(MsgKind.BFD_STATUS, src=1, dst="controller",
+                               body=BfdStatusBody(a, "DOWN", 2)))
+    assert services.records == records and services.sent == sent
+    assert ctrl.map.directed_links == links
+    assert dict(ctrl.counters) == {**counters, "ignored_port_status": 1,
+                                   "ignored_bfd_status": 1}
+
+
 def test_bfd_status_for_unknown_port_is_suspicious():
     ctrl, services = _registered(2)
     ctrl.on_bfd_status(BfdStatusBody(PortRef(9, 1), "DOWN", epoch=1))
@@ -315,7 +346,7 @@ def test_accept_switch_session_rejects_captured_digest():
 
 def test_ofdp_round_emits_one_packet_out_per_port():
     ctrl, services = _registered(3, Protocol.OFDP, port_count=2)
-    outs = [m for m in services.sent if m.kind is MsgKind.PACKET_OUT]
+    outs = [m for m in services.sent if m.kind == MsgKind.PACKET_OUT]
     assert len(outs) == 6  # 3 switches x 2 ports, every round
     assert all(m.body.egress is not None for m in outs)
     # frames are plaintext: chassis is the MAC, no nonce
@@ -324,7 +355,7 @@ def test_ofdp_round_emits_one_packet_out_per_port():
 
 def test_ofdpv2_round_emits_one_packet_out_per_switch():
     ctrl, services = _registered(3, Protocol.OFDPV2, port_count=2)
-    outs = [m for m in services.sent if m.kind is MsgKind.PACKET_OUT]
+    outs = [m for m in services.sent if m.kind == MsgKind.PACKET_OUT]
     assert len(outs) == 3
     assert all(m.body.egress is None for m in outs)
 
@@ -577,7 +608,7 @@ def test_group_push_buckets_watch_first_hop():
     _learn_link(ctrl, services, PortRef(2, 2), PortRef(3, 1))
     _learn_link(ctrl, services, PortRef(3, 2), PortRef(4, 1))
     _learn_link(ctrl, services, PortRef(4, 2), PortRef(1, 2))
-    mods = [m for m in services.sent if m.kind is MsgKind.GROUP_MOD]
+    mods = [m for m in services.sent if m.kind == MsgKind.GROUP_MOD]
     assert mods, "cycle completion must push failover groups"
     for m in mods:
         assert m.body.dpid == m.dst
@@ -588,7 +619,7 @@ def test_group_push_buckets_watch_first_hop():
     # no re-push when nothing changed
     before = len(mods)
     ctrl.retag_paths([])
-    mods_after = [m for m in services.sent if m.kind is MsgKind.GROUP_MOD]
+    mods_after = [m for m in services.sent if m.kind == MsgKind.GROUP_MOD]
     assert len(mods_after) == before
 
 

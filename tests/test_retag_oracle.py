@@ -319,7 +319,7 @@ def replay(n: int, links, ops) -> None:
                    if k in COMPARED_RECORDS]
         seen_records = len(services.records)
         mods = [(m.dst, m.body) for m in services.sent[seen_sent:]
-                if m.kind is MsgKind.GROUP_MOD]
+                if m.kind == MsgKind.GROUP_MOD]
         seen_sent = len(services.sent)
         assert records == ref.records, where
         assert mods == ref.group_mods, where

@@ -16,7 +16,7 @@ from topodisc.core import (
 )
 from topodisc import scenarios
 
-from conftest import scale_scenario
+from conftest import link_add_scenario, scale_scenario
 
 
 def referenced_ports(spec):
@@ -101,16 +101,16 @@ def test_attack_scenario_in_window_starts_earlier():
 
 
 def test_measurement_scenarios_differ_by_seed_but_not_by_call():
-    a1 = scenarios.link_add_scenario(7)
-    a2 = scenarios.link_add_scenario(7)
-    b = scenarios.link_add_scenario(8)
+    a1 = link_add_scenario(7)
+    a2 = link_add_scenario(7)
+    b = link_add_scenario(8)
     assert a1 == a2
     assert a1 != b
     assert a1.rng_seed == 7
 
 
 def test_scale_scenario_keeps_the_measured_edge_fixed():
-    base = scenarios.link_add_scenario(3)
+    base = link_add_scenario(3)
     for extra in (0, 5, 20):
         s = scale_scenario(3, extra)
         assert s.links == base.links

@@ -21,11 +21,12 @@ from topodisc.core import (
     PortRef,
     Protocol,
     SEC,
+    SWITCH_ONLY,
     ScenarioSpec,
 )
 from topodisc.harness import Simulation
 from topodisc.simnet import (
-    Engine, Fabric, Trace, TraceRecord, _ndjson_row, _payload_json)
+    _CTRL_EVENT_KINDS, Engine, Fabric, Trace, TraceRecord, _ndjson_row, _payload_json)
 from topodisc import cli, scenarios
 
 
@@ -729,6 +730,43 @@ def test_channel_close_drops_in_flight():
     fab.close_channel(1)
     eng.run_until(eng.now + SEC)
     assert got == []
+
+
+# The control-message kinds by wire name, and those only a switch sends.
+WIRE_NAMES = ("HELLO", "FEATURE_REQUEST", "FEATURE_REPLY", "PACKET_OUT",
+              "PACKET_IN", "PORT_STATUS", "BFD_STATUS", "FLOW_MOD", "GROUP_MOD")
+SWITCH_SENT = ("FEATURE_REPLY", "PACKET_IN", "PORT_STATUS", "BFD_STATUS")
+
+
+def test_every_message_kind_is_its_wire_name_with_a_delivery_event_kind():
+    kinds = {k: v for k, v in vars(MsgKind).items() if not k.startswith("_")}
+    assert kinds == {name: name for name in WIRE_NAMES}
+    assert _CTRL_EVENT_KINDS == {name: f"ctrl:{name}" for name in WIRE_NAMES}
+    assert SWITCH_ONLY == frozenset(SWITCH_SENT)
+
+
+@pytest.mark.parametrize("name", SWITCH_SENT)
+def test_a_switch_only_kind_cannot_originate_at_the_controller(name):
+    spec, eng, fab = _fabric()
+    fab.open_channel(1)
+    msg = ControlMessage(getattr(MsgKind, name), src=CONTROLLER, dst=1, body=None)
+    with pytest.raises(ValueError) as err:
+        fab.send_control(msg)
+    assert str(err.value) == f"{name} cannot originate at the controller"
+    assert fab.counters["ctrl_sent"] == 0
+
+
+def test_group_mod_and_hello_originate_at_the_controller():
+    spec, eng, fab = _fabric()
+    got = []
+    fab.deliver_to_switch = got.append
+    fab.open_channel(1)
+    sent = [ControlMessage(kind, src=CONTROLLER, dst=1, body=None)
+            for kind in (MsgKind.GROUP_MOD, MsgKind.HELLO)]
+    for msg in sent:
+        fab.send_control(msg)
+    eng.run_until(eng.now + SEC)
+    assert got == sent
 
 
 def test_frame_flight_time_and_down_link_drop():
